@@ -16,6 +16,7 @@ from .attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
+    route_rounds,
     run_round,
     sample_round_records,
     tap_collective,
@@ -56,6 +57,7 @@ from .statevec import (
     apply_hadamard,
     basis_state,
     bell_projections,
+    measure_batch,
     measure_bell,
     measure_x,
     measure_z,

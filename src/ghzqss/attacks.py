@@ -16,15 +16,22 @@ another receiver, i.e. strictly before the round's variant is announced:
   sign he later announces comes from a particle already collapsed into a
   Bell pair with the probe.
 
-``exact_round_analysis`` enumerates the exact joint distribution of one
-round under any of these models and backs every security number in this
-package; ``sample_round_records`` draws from the identical stochastic
-process in bulk so sampling can be checked against the enumeration.
+Both the exact oracle and the batched sampler build a round from one
+prefix (prepare, tap, correct, encode, deferred Bell measurement), so they
+model the identical process.  ``exact_round_analysis`` enumerates the exact
+joint distribution of one round's classical record and backs every security
+number in this package.  ``route_rounds`` walks many rounds of one (variant,
+payload) through their shared outcome tree at once: every measurement splits
+the rows by the same threshold rules ``run_round`` applies one draw at a
+time, and a branch's collapsed state is computed once, only when some row
+reaches it.  Each row's record is exactly the one ``run_round`` produces
+from that row's draws; ``sample_round_records`` counts them.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,11 +51,14 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
+    append_ancilla,
+    apply_cnot,
+    apply_hadamard,
+    basis_state,
     bell_projections,
+    measure_batch,
     measure_bell,
     outcome_distribution,
-    x_projections,
-    z_projections,
 )
 
 ATTACK_KINDS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
@@ -121,8 +131,6 @@ def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -
     qubit, copying its X-basis value instead and leaving the resent
     particle's basis unchanged.
     """
-    from .statevec import append_ancilla, apply_cnot, apply_hadamard, basis_state
-
     state = append_ancilla(state, basis_state(1, 0), "back")
     probe = state.num_qubits - 1
     if with_hadamard:
@@ -136,10 +144,8 @@ def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -
 def draws_per_round(attack: AttackModel, n: int) -> int:
     """Uniform samples one round consumes, in the canonical draw order."""
     draws = 2 + (n - 1)  # sender's two Z readouts plus receiver X readouts
-    if attack.kind == "intercept_resend_bell":
-        draws += 1
-    elif attack.collective:
-        draws += 1
+    if attack.active:
+        draws += 1  # the attacker's Bell measurement
     return draws
 
 
@@ -177,33 +183,41 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
     )
 
 
-def _encoded_branches(
-    variant: StateVariant, payload_bit: int, attack: AttackModel
-) -> list[tuple[int | None, float, StateVector]]:
-    """Post-encoding states of one round, branched over any tap measurement.
+RecordKey = tuple[int, int, tuple[int, ...], int | None]
 
-    Each entry is (intercept Bell record or None, branch probability,
-    encoded state).  Collective probes are entangled but unmeasured here.
+# the attacker's Bell measurement: its qubit pair, and the step that takes
+# each collapsed branch on to the state the next measurement sees
+_Tap = tuple[tuple[int, int], Callable[[StateVector], StateVector]]
+
+
+def _readout(n: int) -> list[tuple[int, str]]:
+    """The legitimate readout in draw order: sender Z on 0 and 1, receivers X."""
+    return [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
+
+
+def _round_prefix(
+    variant: StateVariant, payload_bit: int, attack: AttackModel
+) -> tuple[StateVector, _Tap | None]:
+    """One round up to its first measurement, plus the attacker's tap if any.
+
+    The intercept tap measures while the particles fly, so correction and
+    encoding follow on each of its branches.  The collective probe is
+    entangled in flight and read after encoding.  Without an attack the
+    returned state is already encoded and ready for the readout.
     """
     n = variant.n
+
+    def finish(state: StateVector) -> StateVector:
+        return encode_round(receiver_correction(state, variant), payload_bit)
+
     state = prepare_variant(variant)
     if attack.kind == "intercept_resend_bell":
+        return state, ((1, attack.resolve_target(n) - 1), finish)
+    if attack.collective:
         target = attack.resolve_target(n)
-        raw = bell_projections(state, 1, target - 1)
-        branches = [(idx, p, post) for idx, p, post in raw if post is not None]
-    elif attack.collective:
-        target = attack.resolve_target(n)
-        branches = [(None, 1.0, tap_collective(state, target - 1, attack.kind == "collective_h_cnot"))]
-    else:
-        branches = [(None, 1.0, state)]
-    out = []
-    for record, prob, branch_state in branches:
-        branch_state = receiver_correction(branch_state, variant)
-        out.append((record, prob, encode_round(branch_state, payload_bit)))
-    return out
-
-
-RecordKey = tuple[int, int, tuple[int, ...], int | None]
+        state = finish(tap_collective(state, target - 1, attack.kind == "collective_h_cnot"))
+        return state, ((2, state.num_qubits - 1), lambda post: post)
+    return finish(state), None
 
 
 def exact_round_analysis(
@@ -226,24 +240,23 @@ def exact_round_analysis(
         raise RegisterCapacityError(
             f"round needs {needed} qubits, above the {MAX_QUBITS}-qubit cap"
         )
-    plan = [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
+    state, tap = _round_prefix(variant, payload_bit, attack)
+    branches: list[tuple[int | None, float, StateVector]] = [(None, 1.0, state)]
+    if tap is not None:
+        qubits, finish = tap
+        branches = [
+            (eve, p, finish(post))
+            for eve, p, post in bell_projections(state, *qubits)
+            if post is not None
+        ]
+    readout = _readout(n)
     table: dict[RecordKey, float] = {}
-    for record, branch_p, encoded in _encoded_branches(variant, payload_bit, attack):
-        if attack.collective:
-            sub = []
-            for idx, p, post in bell_projections(encoded, 2, encoded.num_qubits - 1):
-                if post is not None:
-                    sub.append((idx, p, post))
-        else:
-            sub = [(record, 1.0, encoded)]
-        for eve, eve_p, state in sub:
-            dist = outcome_distribution(state, plan)
-            weight = branch_p * eve_p
-            for bits, p in dist.items():
-                if p <= _BRANCH_EPS:
-                    continue
-                key = (bits[0], bits[1], bits[2:], eve)
-                table[key] = table.get(key, 0.0) + weight * p
+    for eve, weight, branch in branches:
+        for bits, p in outcome_distribution(branch, readout).items():
+            if p <= _BRANCH_EPS:
+                continue
+            key = (bits[0], bits[1], bits[2:], eve)
+            table[key] = table.get(key, 0.0) + weight * p
     return table
 
 
@@ -314,16 +327,43 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
     return sum(rates) / len(rates)
 
 
-def _branch_arrays(branches):
-    values = [v for v, p, post in branches if post is not None]
-    probs = [p for _v, p, post in branches if post is not None]
-    states = [post for _v, p, post in branches if post is not None]
-    return values, np.cumsum(probs), states
+def route_rounds(
+    variant: StateVariant,
+    payload_bit: int,
+    attack: AttackModel,
+    uniforms: np.ndarray,
+) -> list[tuple[RecordKey, np.ndarray]]:
+    """Route many rounds of one (variant, payload) through their outcome tree.
 
+    ``uniforms`` has one row per round and one column per draw, in the
+    order ``run_round`` consumes them.  Returns (record, row indices) for
+    each leaf some row reaches; the record is (alice_a, alice_A,
+    receiver_signs, eve_record) as in ``exact_round_analysis``, and equals
+    what ``run_round`` returns for each of those rows' draws.
+    """
+    n = variant.n
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    width = draws_per_round(attack, n)
+    if uniforms.ndim != 2 or uniforms.shape[1] != width:
+        raise ValueError(f"uniforms must have shape (rounds, {width})")
+    state, tap = _round_prefix(variant, payload_bit, attack)
+    steps = [(basis, (q,), None) for q, basis in _readout(n)]
+    if tap is not None:
+        steps.insert(0, ("Bell", *tap))
+    leaves: list[tuple[RecordKey, np.ndarray]] = []
 
-def _assign(cum: np.ndarray, us: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(cum, us, side="right")
-    return np.minimum(idx, len(cum) - 1)
+    def walk(state: StateVector, rows: np.ndarray, path: tuple[int, ...]) -> None:
+        depth = len(path)
+        if depth == len(steps):
+            eve, bits = (path[0], path[1:]) if tap is not None else (None, path)
+            leaves.append(((bits[0], bits[1], bits[2:], eve), rows))
+            return
+        basis, qubits, finish = steps[depth]
+        for value, picked, post in measure_batch(state, basis, qubits, uniforms[rows, depth]):
+            walk(finish(post) if finish else post, rows[picked], path + (value,))
+
+    walk(state, np.arange(uniforms.shape[0]), ())
+    return leaves
 
 
 def sample_round_records(
@@ -332,73 +372,8 @@ def sample_round_records(
     attack: AttackModel,
     uniforms: np.ndarray,
 ) -> dict[RecordKey, int]:
-    """Sample many rounds at once from the per-round stochastic process.
-
-    ``uniforms`` has one row per round and one column per draw, in the same
-    canonical order ``run_round`` consumes them.  Rounds sharing a branch
-    share collapsed states, so this walks the (at most a few hundred node)
-    outcome tree once instead of re-simulating per round; the outcome of
-    each row is identical to feeding that row's draws to ``run_round``.
-    """
-    n = variant.n
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    if uniforms.ndim != 2 or uniforms.shape[1] != draws_per_round(attack, n):
-        raise ValueError(
-            f"uniforms must have shape (rounds, {draws_per_round(attack, n)})"
-        )
-    num_rounds = uniforms.shape[0]
-    counts: dict[RecordKey, int] = {}
-
-    state0 = prepare_variant(variant)
-    col = 0
-    if attack.kind == "intercept_resend_bell":
-        target = attack.resolve_target(n)
-        values, cum, states = _branch_arrays(bell_projections(state0, 1, target - 1))
-        assign = _assign(cum, uniforms[:, col])
-        col += 1
-        groups = []
-        for j, (eve, tapped) in enumerate(zip(values, states)):
-            rows = np.nonzero(assign == j)[0]
-            if rows.size:
-                encoded = encode_round(receiver_correction(tapped, variant), payload_bit)
-                groups.append((eve, encoded, rows))
-    else:
-        if attack.collective:
-            target = attack.resolve_target(n)
-            state0 = tap_collective(state0, target - 1, attack.kind == "collective_h_cnot")
-        encoded = encode_round(receiver_correction(state0, variant), payload_bit)
-        groups = [(None, encoded, np.arange(num_rounds))]
-
-    if attack.collective:
-        bell_groups = []
-        for _none, encoded, rows in groups:
-            values, cum, states = _branch_arrays(
-                bell_projections(encoded, 2, encoded.num_qubits - 1)
-            )
-            assign = _assign(cum, uniforms[rows, col])
-            for j, (eve, post) in enumerate(zip(values, states)):
-                sub = rows[assign == j]
-                if sub.size:
-                    bell_groups.append((eve, post, sub))
-        groups = bell_groups
-        col += 1
-
-    stages = [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
-
-    def walk(state, rows, stage_idx, column, bits):
-        if stage_idx == len(stages):
-            key = (bits[0], bits[1], tuple(bits[2:]), eve_value)
-            counts[key] = counts.get(key, 0) + int(rows.size)
-            return
-        qubit, basis = stages[stage_idx]
-        raw = z_projections(state, qubit) if basis == "Z" else x_projections(state, qubit)
-        values, cum, states = _branch_arrays(raw)
-        assign = _assign(cum, uniforms[rows, column])
-        for j, (value, post) in enumerate(zip(values, states)):
-            sub = rows[assign == j]
-            if sub.size:
-                walk(post, sub, stage_idx + 1, column + 1, bits + [value])
-
-    for eve_value, encoded, rows in groups:
-        walk(encoded, rows, 0, col, [])
-    return counts
+    """How many rows of ``uniforms`` give each record, per ``route_rounds``."""
+    return {
+        record: int(rows.size)
+        for record, rows in route_rounds(variant, payload_bit, attack, uniforms)
+    }

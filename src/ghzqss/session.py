@@ -5,6 +5,12 @@ variants, announcement order) draws from a dedicated stream, and every round
 draws from its own stream derived from (seed, round index), so transcripts
 are reproducible bit for bit and independent of execution order.
 
+Rounds are simulated in batches: the session groups them by (variant,
+payload), draws each round's row of uniforms from its own stream, and walks
+each group's outcome tree once (``attacks.route_rounds``).  Every round gets
+exactly the outcome that simulating it alone with ``attacks.run_round``
+would give.
+
 The public log kept on the transcript mirrors what actually goes over the
 classical channel, in order: receipt confirmation, the variant announcement,
 disclosure of the check subset, each check round's receiver announcements in
@@ -22,9 +28,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .attacks import AttackModel, eve_mutual_information, run_round
+from .attacks import (
+    AttackModel,
+    EveRecord,
+    draws_per_round,
+    eve_mutual_information,
+    route_rounds,
+)
 from .protocol import (
     RoundOutcome,
+    RoundPlan,
+    StateVariant,
     Transcript,
     announcement_schedule,
     check_round_count,
@@ -131,6 +145,26 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     return rate, rate > abort_threshold
 
 
+def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> list[RoundOutcome]:
+    """Outcomes of all rounds, one outcome-tree walk per (variant, payload)."""
+    attack = config.attack
+    width = draws_per_round(attack, config.n)
+    groups: dict[tuple[StateVariant, int], list[RoundPlan]] = {}
+    for plan in plans:
+        groups.setdefault((plan.variant, plan.payload_bit), []).append(plan)
+    by_index: dict[int, RoundOutcome] = {}
+    for (variant, payload_bit), members in groups.items():
+        uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in members])
+        for (alice_a, alice_A, signs, eve), rows in route_rounds(
+            variant, payload_bit, attack, uniforms
+        ):
+            for row in rows:
+                plan = members[row]
+                record = None if eve is None else EveRecord(attack.kind, plan.round_index, eve)
+                by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, record)
+    return [by_index[plan.round_index] for plan in plans]
+
+
 def run_session(config: SessionConfig) -> SessionResult:
     """Run one full session and return its report plus transcript."""
     config.validate()
@@ -146,10 +180,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     check_indices = [p.round_index for p in plans if p.role == "check"]
     schedule = announcement_schedule(check_indices, config.n, plan_rng)
 
-    outcomes: list[RoundOutcome] = []
-    for plan in plans:
-        rng = _stream(config.seed, plan.round_index)
-        outcomes.append(run_round(plan, config.attack, rng))
+    outcomes = _run_rounds(plans, config)
 
     log: list[dict] = [{"event": "receipt_confirmed"}]
     log.append(

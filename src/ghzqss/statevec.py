@@ -245,23 +245,36 @@ def _bell_joint_probs(rotated: StateVector, q1: int, q2: int) -> list[float]:
     return [float(joint[0, 0]), float(joint[1, 0]), float(joint[0, 1]), float(joint[1, 1])]
 
 
-def bell_projections(state: StateVector, q1: int, q2: int) -> list[tuple[int, float, StateVector | None]]:
-    """All four Bell branches on (q1, q2) as (index, probability, state or None)."""
+def _bell_setup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, list[float]]:
+    """Check the pair; return the rotated state and the four outcome probabilities."""
     _check_qubit(state, q1)
     _check_qubit(state, q2)
     if q1 == q2:
         raise ValueError("Bell measurement needs two distinct qubits")
     rotated = _bell_rotate(state, q1, q2)
-    probs = _bell_joint_probs(rotated, q1, q2)
-    out: list[tuple[int, float, StateVector | None]] = []
-    for index, p in enumerate(probs):
-        if p > 1e-15:
-            phase, parity = index & 1, index >> 1
-            collapsed = _project_z(_project_z(rotated, q1, phase), q2, parity)
-            out.append((index, p, _bell_unrotate(collapsed, q1, q2)))
-        else:
-            out.append((index, p, None))
-    return out
+    return rotated, _bell_joint_probs(rotated, q1, q2)
+
+
+def _bell_live(probs: list[float]) -> list[int]:
+    live = [i for i, p in enumerate(probs) if p > 1e-15]
+    if not live:
+        raise NormalizationError("no Bell outcome has positive probability")
+    return live
+
+
+def _bell_collapse(rotated: StateVector, q1: int, q2: int, index: int) -> StateVector:
+    """The state after Bell outcome ``index``, with the pair re-synthesized."""
+    collapsed = _project_z(_project_z(rotated, q1, index & 1), q2, index >> 1)
+    return _bell_unrotate(collapsed, q1, q2)
+
+
+def bell_projections(state: StateVector, q1: int, q2: int) -> list[tuple[int, float, StateVector | None]]:
+    """All four Bell branches on (q1, q2) as (index, probability, state or None)."""
+    rotated, probs = _bell_setup(state, q1, q2)
+    return [
+        (index, p, _bell_collapse(rotated, q1, q2, index) if p > 1e-15 else None)
+        for index, p in enumerate(probs)
+    ]
 
 
 def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tuple[MeasOutcome, StateVector]:
@@ -272,15 +285,8 @@ def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tup
     in index order.  The post-state re-synthesizes the measured Bell state on
     (q1, q2) so the pair can be forwarded as physical particles.
     """
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    rotated = _bell_rotate(state, q1, q2)
-    probs = _bell_joint_probs(rotated, q1, q2)
-    live = [i for i, p in enumerate(probs) if p > 1e-15]
-    if not live:
-        raise NormalizationError("no Bell outcome has positive probability")
+    rotated, probs = _bell_setup(state, q1, q2)
+    live = _bell_live(probs)
     # cumulative walk in index order; the last live index absorbs any float
     # rounding that leaves the total a hair under the sample
     index = live[-1]
@@ -290,9 +296,55 @@ def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tup
         if randomness < acc:
             index = i
             break
-    phase, parity = index & 1, index >> 1
-    collapsed = _project_z(_project_z(rotated, q1, phase), q2, parity)
-    return MeasOutcome("Bell", index, probs[index]), _bell_unrotate(collapsed, q1, q2)
+    return MeasOutcome("Bell", index, probs[index]), _bell_collapse(rotated, q1, q2, index)
+
+
+def measure_batch(
+    state: StateVector, basis: str, qubits: tuple[int, ...], samples
+) -> list[tuple[int, np.ndarray, StateVector]]:
+    """One measurement applied to many copies of ``state``, one sample each.
+
+    ``basis`` is "Z" or "X" on one qubit or "Bell" on two.  Each copy gets
+    the outcome that ``measure_z``, ``measure_x`` or ``measure_bell`` gives
+    for its sample, from the same probabilities.  Returns (outcome, indices
+    of the copies that got it, collapsed state) in outcome order, for the
+    outcomes at least one copy got; each of those is collapsed once, to the
+    state the scalar measurement returns.
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    if basis == "Bell":
+        q1, q2 = qubits
+        rotated, probs = _bell_setup(state, q1, q2)
+        candidates = _bell_live(probs)
+        # measure_bell's walk: the first live index whose running total
+        # exceeds the sample, else the last live index
+        cum = np.cumsum([probs[i] for i in candidates])
+        pos = np.searchsorted(cum, samples, side="right")
+        outcomes = np.asarray(candidates)[np.minimum(pos, len(candidates) - 1)]
+
+        def collapse(index: int) -> StateVector:
+            return _bell_collapse(rotated, q1, q2, index)
+
+    elif basis in ("Z", "X"):
+        (qubit,) = qubits
+        _check_qubit(state, qubit)
+        rotated = apply_hadamard(state, qubit) if basis == "X" else state
+        p0, _p1 = _z_probs(rotated, qubit)
+        candidates = [0, 1]
+        outcomes = np.where(samples < p0, 0, 1)  # measure_z's rule
+
+        def collapse(value: int) -> StateVector:
+            collapsed = _project_z(rotated, qubit, value)
+            return apply_hadamard(collapsed, qubit) if basis == "X" else collapsed
+
+    else:
+        raise ValueError(f"basis must be 'Z', 'X' or 'Bell', got {basis!r}")
+    out = []
+    for value in candidates:
+        picked = np.flatnonzero(outcomes == value)
+        if picked.size:
+            out.append((value, picked, collapse(value)))
+    return out
 
 
 def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzqss.attacks import (
     ATTACK_KINDS,
@@ -20,6 +22,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
+    route_rounds,
     run_round,
     sample_round_records,
     tap_collective,
@@ -33,7 +36,7 @@ from ghzqss.protocol import (
     recover_secret,
     standard_variants,
 )
-from ghzqss.statevec import RegisterCapacityError, outcome_distribution
+from ghzqss.statevec import NormalizationError, RegisterCapacityError, outcome_distribution
 
 RT2 = math.sqrt(2.0)
 
@@ -286,23 +289,73 @@ def test_run_round_consumes_exactly_the_declared_draws(kind):
     assert rng.draws == []
 
 
+def replayed_record(variant, payload, attack, row):
+    out = run_round(RoundPlan(0, variant, "check", payload), attack, ReplayRng(row))
+    eve = out.eve_record.bell_outcome if out.eve_record else None
+    return (out.alice_a, out.alice_A, out.receiver_signs, eve)
+
+
+def routed_records(variant, payload, attack, us):
+    """Each row's record from one outcome-tree walk, in row order."""
+    records = [None] * len(us)
+    for record, rows in route_rounds(variant, payload, attack, us):
+        for row in rows:
+            assert records[row] is None
+            records[row] = record
+    return records
+
+
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("vidx", (1, 2, 3, 4))
 def test_bulk_sampler_replays_run_round_exactly(kind, vidx):
     attack = AttackModel(kind)
     variant = V[vidx]
     rounds = 48
-    us = np.random.default_rng((kind == "none", vidx)).random(
-        (rounds, draws_per_round(attack, 3))
-    )
-    bulk = sample_round_records(variant, 0, attack, us)
-    replayed = {}
+    for payload in (0, 1):
+        us = np.random.default_rng((kind == "none", vidx, payload)).random(
+            (rounds, draws_per_round(attack, 3))
+        )
+        expected = [replayed_record(variant, payload, attack, row) for row in us]
+        assert routed_records(variant, payload, attack, us) == expected
+        counts = {}
+        for record in expected:
+            counts[record] = counts.get(record, 0) + 1
+        assert sample_round_records(variant, payload, attack, us) == counts
+
+
+# 0, the dyadic cumulative branch probabilities of n=3 rounds (many computed
+# thresholds equal them exactly, so draws tie), and the largest double below 1
+BOUNDARY_DRAWS = (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    kind=st.sampled_from(ATTACK_KINDS),
+    vidx=st.sampled_from((1, 2, 3, 4)),
+    payload=st.sampled_from((0, 1)),
+    data=st.data(),
+)
+def test_bulk_sampler_resolves_boundary_draws_like_run_round(kind, vidx, payload, data):
+    attack = AttackModel(kind)
+    variant = V[vidx]
+    width = draws_per_round(attack, 3)
+    draw = st.lists(st.sampled_from(BOUNDARY_DRAWS), min_size=width, max_size=width)
+    us = np.array(data.draw(st.lists(draw, min_size=1, max_size=8)))
+    expected = []
     for row in us:
-        out = run_round(RoundPlan(0, variant, "check", 0), attack, ReplayRng(row))
-        eve = out.eve_record.bell_outcome if out.eve_record else None
-        key = (out.alice_a, out.alice_A, out.receiver_signs, eve)
-        replayed[key] = replayed.get(key, 0) + 1
-    assert bulk == replayed
+        # a draw at or above p(0) picks outcome 1 even when p(1) is zero, and
+        # the collapse onto it fails; the walk must fail on the same rows
+        try:
+            expected.append(replayed_record(variant, payload, attack, row))
+        except NormalizationError:
+            expected.append(None)
+    good = [i for i, record in enumerate(expected) if record is not None]
+    if good:
+        assert routed_records(variant, payload, attack, us[good]) == [expected[i] for i in good]
+    for i in range(len(us)):
+        if expected[i] is None:
+            with pytest.raises(NormalizationError):
+                route_rounds(variant, payload, attack, us[[i]])
 
 
 def test_bulk_sampler_matches_exact_distribution():

@@ -4,12 +4,13 @@ import json
 
 import pytest
 
-from ghzqss.attacks import AttackModel
+from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
 from ghzqss.protocol import Transcript
 from ghzqss.session import (
     REPORT_NAME,
     TRANSCRIPT_NAME,
     SessionConfig,
+    _stream,
     default_output_dir,
     eavesdrop_check,
     report_to_dict,
@@ -145,6 +146,26 @@ def test_eavesdrop_check_threshold_is_strict():
 def test_eavesdrop_check_requires_check_rounds():
     with pytest.raises(ValueError):
         eavesdrop_check(Transcript(rounds=[], announcement_log=[]), 0.0)
+
+
+REPLAY_CASES = [
+    (n, kind, None, all_subsets)
+    for n in (3, 4, 5)
+    for kind in ATTACK_KINDS
+    for all_subsets in (False, True)
+] + [(4, "intercept_resend_bell", 3, False), (5, "intercept_resend_bell", 3, True)]
+
+
+@pytest.mark.parametrize("n,kind,target,all_subsets", REPLAY_CASES)
+def test_session_replays_run_round_exactly(n, kind, target, all_subsets):
+    # the batched session must give every round exactly what simulating it
+    # alone from its own (seed, round index) stream gives
+    attack = AttackModel(kind, target)
+    config = small_config(n=n, rounds=80, attack=attack, all_subsets=all_subsets, seed=n)
+    outcomes = run_session(config).transcript.rounds
+    assert [o.plan.round_index for o in outcomes] == list(range(80))
+    for i, outcome in enumerate(outcomes):
+        assert outcome == run_round(outcome.plan, attack, _stream(config.seed, i))
 
 
 def test_intercept_error_rate_matches_quarter():

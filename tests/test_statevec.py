@@ -18,6 +18,7 @@ from ghzqss.statevec import (
     apply_hadamard,
     basis_state,
     bell_projections,
+    measure_batch,
     measure_bell,
     measure_x,
     measure_z,
@@ -258,6 +259,37 @@ def test_bell_measure_validation():
         measure_bell(basis_state(2, 0), 1, 1, 0.5)
     with pytest.raises(ValueError):
         bell_projections(basis_state(2, 0), 0, 2)
+
+
+@given(
+    states(max_qubits=4),
+    st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6),
+    st.data(),
+)
+@settings(deadline=None)
+def test_measure_batch_matches_scalar_measurements(state, samples, data):
+    k = state.num_qubits
+    basis = data.draw(st.sampled_from(("Z", "X", "Bell") if k > 1 else ("Z", "X")))
+    qubits = tuple(data.draw(st.permutations(range(k)))[: 2 if basis == "Bell" else 1])
+    scalar = {"Z": measure_z, "X": measure_x, "Bell": measure_bell}[basis]
+    groups = measure_batch(state, basis, qubits, samples)
+    assert sorted(i for _v, picked, _post in groups for i in picked) == list(range(len(samples)))
+    for value, picked, post in groups:
+        for i in picked:
+            outcome, expected = scalar(state, *qubits, samples[i])
+            assert outcome.value == value
+            np.testing.assert_array_equal(post.amps, expected.amps)
+
+
+def test_measure_batch_skips_impossible_outcomes_and_validates():
+    groups = measure_batch(basis_state(2, 1), "Bell", (0, 1), [0.2, 0.999999, 0.3])
+    assert [(v, list(picked)) for v, picked, _post in groups] == [(2, [0, 2]), (3, [1])]
+    with pytest.raises(ValueError):
+        measure_batch(basis_state(2, 0), "Y", (0,), [0.5])
+    with pytest.raises(ValueError):
+        measure_batch(basis_state(2, 0), "Bell", (1, 1), [0.5])
+    with pytest.raises(ValueError):
+        measure_batch(basis_state(2, 0), "Z", (2,), [0.5])
 
 
 def test_bell_reversed_qubit_order():
