@@ -10,7 +10,6 @@ transcript/report output (``session``), and a command-line front end
 from .attacks import (
     ATTACK_KINDS,
     AttackModel,
-    EveRecord,
     averaged_detection_rate,
     conditional_detection_rate,
     eve_mutual_information,

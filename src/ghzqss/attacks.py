@@ -22,7 +22,7 @@ model the identical process.  ``exact_round_analysis`` enumerates the exact
 joint distribution of one round's classical record and backs every security
 number in this package.  ``route_rounds`` walks many rounds of one (variant,
 payload) through their shared outcome tree at once: every measurement splits
-the rows by the same threshold rules ``run_round`` applies one draw at a
+the rows by the same threshold rule ``run_round`` applies one draw at a
 time, and a branch's collapsed state is computed once, only when some row
 reaches it.  Each row's record is exactly the one ``run_round`` produces
 from that row's draws; ``sample_round_records`` counts them.
@@ -48,6 +48,7 @@ from .protocol import (
     standard_variants,
 )
 from .statevec import (
+    DEAD_EPS,
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
@@ -62,8 +63,6 @@ from .statevec import (
 )
 
 ATTACK_KINDS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
-
-_BRANCH_EPS = 1e-15
 
 
 @dataclass(frozen=True)
@@ -98,29 +97,30 @@ class AttackModel:
         return target
 
 
-@dataclass(frozen=True)
-class EveRecord:
-    """What the attacker wrote down for one round."""
+def check_round_capacity(n: int, attack: AttackModel) -> None:
+    """Refuse rounds whose register exceeds the dense-register qubit cap.
 
-    kind: str
-    round_index: int
-    bell_outcome: int
+    A round holds the n carriers plus the sender's work qubit, and one
+    more for the collective attacker's probe.
+    """
+    needed = n + 1 + (1 if attack.collective else 0)
+    if needed > MAX_QUBITS:
+        raise RegisterCapacityError(
+            f"{n} parties need {needed} qubits, above the {MAX_QUBITS}-qubit cap"
+        )
 
 
 def tap_intercept_resend(
-    state: StateVector,
-    bob_qubit: int,
-    target_qubit: int,
-    randomness: float,
-    round_index: int = 0,
-) -> tuple[StateVector, EveRecord]:
+    state: StateVector, bob_qubit: int, target_qubit: int, randomness: float
+) -> tuple[StateVector, int]:
     """Bell-measure (attacker's qubit, in-flight qubit) and resend.
 
-    The post-state carries the measured Bell pair on those two qubits, so
-    the forwarded particle is exactly what the legitimate receiver gets.
+    Returns the post-state and the attacker's record, the Bell index.  The
+    post-state carries the measured Bell pair on those two qubits, so the
+    forwarded particle is exactly what the legitimate receiver gets.
     """
     outcome, state = measure_bell(state, bob_qubit, target_qubit, randomness)
-    return state, EveRecord("intercept_resend_bell", round_index, outcome.value)
+    return state, outcome.value
 
 
 def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -> StateVector:
@@ -159,12 +159,10 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
     variant = plan.variant
     n = variant.n
     state = prepare_variant(variant)
-    eve_record: EveRecord | None = None
+    eve_record: int | None = None
     if attack.kind == "intercept_resend_bell":
         target = attack.resolve_target(n)
-        state, eve_record = tap_intercept_resend(
-            state, 1, target - 1, rng.random(), plan.round_index
-        )
+        state, eve_record = tap_intercept_resend(state, 1, target - 1, rng.random())
     elif attack.collective:
         target = attack.resolve_target(n)
         state = tap_collective(state, target - 1, attack.kind == "collective_h_cnot")
@@ -172,7 +170,7 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
     state = encode_round(state, plan.payload_bit)
     if attack.collective:
         outcome, state = measure_bell(state, 2, state.num_qubits - 1, rng.random())
-        eve_record = EveRecord(attack.kind, plan.round_index, outcome.value)
+        eve_record = outcome.value
     measured = measure_round(state, n, rng)
     return RoundOutcome(
         plan=plan,
@@ -235,11 +233,7 @@ def exact_round_analysis(
         raise ValueError(f"n = {n} does not match the variant's n = {variant.n}")
     if payload_bit not in (0, 1):
         raise ValueError("payload bit must be 0 or 1")
-    needed = n + 1 + (1 if attack.collective else 0)
-    if needed > MAX_QUBITS:
-        raise RegisterCapacityError(
-            f"round needs {needed} qubits, above the {MAX_QUBITS}-qubit cap"
-        )
+    check_round_capacity(n, attack)
     state, tap = _round_prefix(variant, payload_bit, attack)
     branches: list[tuple[int | None, float, StateVector]] = [(None, 1.0, state)]
     if tap is not None:
@@ -253,7 +247,7 @@ def exact_round_analysis(
     table: dict[RecordKey, float] = {}
     for eve, weight, branch in branches:
         for bits, p in outcome_distribution(branch, readout).items():
-            if p <= _BRANCH_EPS:
+            if p <= DEAD_EPS:
                 continue
             key = (bits[0], bits[1], bits[2:], eve)
             table[key] = table.get(key, 0.0) + weight * p

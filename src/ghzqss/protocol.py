@@ -210,7 +210,7 @@ class RoundOutcome:
     alice_a: int
     alice_A: int
     receiver_signs: tuple[int, ...]
-    eve_record: object | None = None
+    eve_record: int | None = None  # the attacker's Bell index, if attacked
 
 
 @dataclass
@@ -231,6 +231,23 @@ def check_round_count(num_rounds: int, check_fraction: float) -> int:
     return max(1, math.ceil(num_rounds * check_fraction - 1e-9))
 
 
+def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
+    """Check that ``message`` is 0/1 text fitting the message rounds.
+
+    Returns the check-round count, validating the round count and check
+    fraction on the way.
+    """
+    num_check = check_round_count(num_rounds, check_fraction)
+    if any(c not in "01" for c in message):
+        raise ValueError("message must be a string of 0s and 1s")
+    if len(message) > num_rounds - num_check:
+        raise ValueError(
+            f"message of {len(message)} bits does not fit in "
+            f"{num_rounds - num_check} message rounds"
+        )
+    return num_check
+
+
 def plan_sequences(
     num_rounds: int,
     check_fraction: float,
@@ -246,14 +263,7 @@ def plan_sequences(
     rounds in round order.  Message rounds beyond the message length carry
     random filler bits.
     """
-    if any(c not in "01" for c in message):
-        raise ValueError("message must be a string of 0s and 1s")
-    num_check = check_round_count(num_rounds, check_fraction)
-    if len(message) > num_rounds - num_check:
-        raise ValueError(
-            f"message of {len(message)} bits does not fit in "
-            f"{num_rounds - num_check} message rounds"
-        )
+    num_check = check_message(message, num_rounds, check_fraction)
     check_rounds = set(int(i) for i in rng.permutation(num_rounds)[:num_check])
     plans = []
     cursor = 0

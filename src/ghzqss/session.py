@@ -30,7 +30,7 @@ import numpy as np
 
 from .attacks import (
     AttackModel,
-    EveRecord,
+    check_round_capacity,
     draws_per_round,
     eve_mutual_information,
     route_rounds,
@@ -41,13 +41,11 @@ from .protocol import (
     StateVariant,
     Transcript,
     announcement_schedule,
-    check_round_count,
+    check_message,
     plan_sequences,
     recover_secret,
     standard_variants,
 )
-from .statevec import MAX_QUBITS, RegisterCapacityError
-
 TRANSCRIPT_NAME = "transcript.jsonl"
 REPORT_NAME = "report.json"
 OUTPUT_DIR_ENV = "GHZQSS_OUT"
@@ -76,21 +74,8 @@ class SessionConfig:
     def validate(self) -> None:
         if self.n < 3:
             raise ValueError("protocol needs at least three parties")
-        needed = self.n + 1 + (1 if self.attack.collective else 0)
-        if needed > MAX_QUBITS:
-            raise RegisterCapacityError(
-                f"{self.n} parties need {needed} qubits, above the {MAX_QUBITS}-qubit cap"
-            )
-        if self.rounds < 1:
-            raise ValueError("need at least one round")
-        num_check = check_round_count(self.rounds, self.check_fraction)
-        if any(c not in "01" for c in self.message):
-            raise ValueError("message must be a string of 0s and 1s")
-        if len(self.message) > self.rounds - num_check:
-            raise ValueError(
-                f"message of {len(self.message)} bits does not fit in "
-                f"{self.rounds - num_check} message rounds"
-            )
+        check_round_capacity(self.n, self.attack)
+        check_message(self.message, self.rounds, self.check_fraction)
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
         if self.mode not in ("sample", "exact"):
@@ -160,8 +145,7 @@ def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> list[RoundOutc
         ):
             for row in rows:
                 plan = members[row]
-                record = None if eve is None else EveRecord(attack.kind, plan.round_index, eve)
-                by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, record)
+                by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, eve)
     return [by_index[plan.round_index] for plan in plans]
 
 
@@ -302,7 +286,7 @@ def transcript_lines(transcript: Transcript) -> list[str]:
             "alice_a": o.alice_a,
             "alice_A": o.alice_A,
             "receiver_signs": "".join("-" if s else "+" for s in o.receiver_signs),
-            "eve_record": o.eve_record.bell_outcome if o.eve_record is not None else None,
+            "eve_record": o.eve_record,
             "announcement_order": order_by_round.get(o.plan.round_index),
         }
         lines.append(json.dumps(record, separators=(",", ":")))

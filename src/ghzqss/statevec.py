@@ -9,9 +9,11 @@ Conventions used by every caller in this package:
   mutate their input, so states can be shared freely between callers.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
-  draws.  The threshold rule is: outcome 0 is selected iff the sample is
-  strictly below p(0); a Bell measurement walks the four outcome
-  probabilities cumulatively in index order.
+  draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
+  with p <= DEAD_EPS are dead and skipped; the sample gets the first live
+  outcome, in outcome order, whose running total of live probabilities
+  exceeds it, else the last live outcome.  With both Z (or X) outcomes
+  live this is "outcome 0 iff the sample is strictly below p(0)".
 - Bell outcome indices: 0 = (|00>+|11>)/sqrt2, 1 = (|00>-|11>)/sqrt2,
   2 = (|01>+|10>)/sqrt2, 3 = (|01>-|10>)/sqrt2.  The index packs the phase
   bit (from the first measured qubit) plus twice the parity bit.
@@ -24,13 +26,17 @@ to exact zero so that impossible outcomes stay impossible.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
 TRUNCATE_EPS = 1e-12
+# an outcome this improbable is dead: never chosen, never collapsed onto
+DEAD_EPS = 1e-15
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -170,15 +176,6 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     return StateVector(k, out)
 
 
-def _z_probs(state: StateVector, qubit: int) -> tuple[float, float]:
-    arr = state.amps.reshape(1 << qubit, 2, -1)
-    p0 = float(np.sum(np.abs(arr[:, 0, :]) ** 2))
-    p1 = float(np.sum(np.abs(arr[:, 1, :]) ** 2))
-    if p0 + p1 <= NORM_ATOL:
-        raise NormalizationError("both Z projections are numerically zero")
-    return p0, p1
-
-
 def _project_z(state: StateVector, qubit: int, value: int) -> StateVector:
     arr = state.amps.reshape(1 << qubit, 2, -1).copy()
     arr[:, 1 - value, :] = 0.0
@@ -189,92 +186,112 @@ def _project_z(state: StateVector, qubit: int, value: int) -> StateVector:
     return StateVector(state.num_qubits, flat / norm)
 
 
+def _branches(
+    state: StateVector, basis: str, qubits: tuple[int, ...]
+) -> tuple[list[float], Callable[[int], StateVector]]:
+    """One measurement's outcome probabilities, in outcome order, and its collapse.
+
+    This is the only code that knows a basis.  "Z" and "X" read one qubit,
+    X after a Hadamard; "Bell" reads two distinct qubits after CNOT(q1 ->
+    q2) then H(q1), as index = phase bit (q1) + 2 * parity bit (q2).
+    ``collapse(value)`` projects onto that outcome and rotates back, so a
+    Bell collapse re-synthesizes the measured pair.
+    """
+    for q in qubits:
+        _check_qubit(state, q)
+    if basis == "Bell":
+        q1, q2 = qubits
+        if q1 == q2:
+            raise ValueError("Bell measurement needs two distinct qubits")
+        rotated = apply_hadamard(apply_cnot(state, q1, q2), q1)
+        probs = rotated.probabilities().reshape([2] * rotated.num_qubits)
+        axes = tuple(q for q in range(rotated.num_qubits) if q not in qubits)
+        joint = probs.sum(axis=axes) if axes else probs
+        if q1 > q2:  # remaining axes come out in increasing qubit order
+            joint = joint.T
+        # joint[phase, parity]
+        outcome_probs = [float(joint[index & 1, index >> 1]) for index in range(4)]
+
+        def collapse(index: int) -> StateVector:
+            post = _project_z(_project_z(rotated, q1, index & 1), q2, index >> 1)
+            return apply_cnot(apply_hadamard(post, q1), q1, q2)
+
+    elif basis in ("Z", "X"):
+        (qubit,) = qubits
+        rotated = apply_hadamard(state, qubit) if basis == "X" else state
+        arr = rotated.amps.reshape(1 << qubit, 2, -1)
+        outcome_probs = [float(np.sum(np.abs(arr[:, value, :]) ** 2)) for value in (0, 1)]
+
+        def collapse(value: int) -> StateVector:
+            post = _project_z(rotated, qubit, value)
+            return apply_hadamard(post, qubit) if basis == "X" else post
+
+    else:
+        raise ValueError(f"basis must be 'Z', 'X' or 'Bell', got {basis!r}")
+    return outcome_probs, collapse
+
+
+def _choose(probs: list[float], samples: np.ndarray) -> np.ndarray:
+    """The threshold rule: the outcome each uniform sample selects.
+
+    Outcomes with p <= DEAD_EPS are skipped.  Walking the live outcomes in
+    outcome order, a sample gets the first whose running total exceeds it,
+    or the last live outcome if float rounding leaves the total at or
+    below the sample.
+    """
+    live = [value for value, p in enumerate(probs) if p > DEAD_EPS]
+    if not live:
+        raise NormalizationError("no outcome has positive probability")
+    totals = list(accumulate(probs[value] for value in live))
+    chosen = np.full(samples.shape, live[-1])
+    # walk back so that the earliest live outcome whose total exceeds a
+    # sample is the last one written to it
+    for value, total in zip(live[-2::-1], totals[-2::-1]):
+        chosen[samples < total] = value
+    return chosen
+
+
+def _measure(
+    state: StateVector, basis: str, qubits: tuple[int, ...], randomness: float
+) -> tuple[MeasOutcome, StateVector]:
+    probs, collapse = _branches(state, basis, qubits)
+    value = int(_choose(probs, np.array([randomness], dtype=np.float64))[0])
+    return MeasOutcome(basis, value, probs[value]), collapse(value)
+
+
+def _projections(
+    state: StateVector, basis: str, qubits: tuple[int, ...]
+) -> list[tuple[int, float, StateVector | None]]:
+    probs, collapse = _branches(state, basis, qubits)
+    return [(value, p, collapse(value) if p > DEAD_EPS else None) for value, p in enumerate(probs)]
+
+
 def z_projections(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector | None]]:
     """Both Z branches as (value, probability, collapsed state or None)."""
-    _check_qubit(state, qubit)
-    p0, p1 = _z_probs(state, qubit)
-    out: list[tuple[int, float, StateVector | None]] = []
-    for value, p in ((0, p0), (1, p1)):
-        post = _project_z(state, qubit, value) if p > 1e-15 else None
-        out.append((value, p, post))
-    return out
+    return _projections(state, "Z", (qubit,))
 
 
 def measure_z(state: StateVector, qubit: int, randomness: float) -> tuple[MeasOutcome, StateVector]:
-    """Projective Z measurement; outcome 0 iff ``randomness`` < p(0)."""
-    _check_qubit(state, qubit)
-    p0, p1 = _z_probs(state, qubit)
-    value = 0 if randomness < p0 else 1
-    prob = p0 if value == 0 else p1
-    return MeasOutcome("Z", value, prob), _project_z(state, qubit, value)
+    """Projective Z measurement under the shared threshold rule.
+
+    With both outcomes live, outcome 0 iff ``randomness`` < p(0).
+    """
+    return _measure(state, "Z", (qubit,), randomness)
 
 
 def x_projections(state: StateVector, qubit: int) -> list[tuple[int, float, StateVector | None]]:
     """Both X branches; value 0 means |+>, 1 means |->."""
-    rotated = apply_hadamard(state, qubit)
-    out: list[tuple[int, float, StateVector | None]] = []
-    for value, p, post in z_projections(rotated, qubit):
-        back = apply_hadamard(post, qubit) if post is not None else None
-        out.append((value, p, back))
-    return out
+    return _projections(state, "X", (qubit,))
 
 
 def measure_x(state: StateVector, qubit: int, randomness: float) -> tuple[MeasOutcome, StateVector]:
     """Projective X measurement; the post-state keeps |+> or |-> at ``qubit``."""
-    rotated = apply_hadamard(state, qubit)
-    outcome, collapsed = measure_z(rotated, qubit, randomness)
-    return MeasOutcome("X", outcome.value, outcome.probability), apply_hadamard(collapsed, qubit)
-
-
-def _bell_rotate(state: StateVector, q1: int, q2: int) -> StateVector:
-    return apply_hadamard(apply_cnot(state, q1, q2), q1)
-
-
-def _bell_unrotate(state: StateVector, q1: int, q2: int) -> StateVector:
-    return apply_cnot(apply_hadamard(state, q1), q1, q2)
-
-
-def _bell_joint_probs(rotated: StateVector, q1: int, q2: int) -> list[float]:
-    """Probabilities of the four Bell outcomes, index order 0..3."""
-    probs = rotated.probabilities().reshape([2] * rotated.num_qubits)
-    axes = tuple(q for q in range(rotated.num_qubits) if q not in (q1, q2))
-    joint = probs.sum(axis=axes) if axes else probs
-    if q1 > q2:  # remaining axes come out in increasing qubit order
-        joint = joint.T
-    # joint[f, p]: f = phase bit (q1 after rotation), p = parity bit (q2)
-    return [float(joint[0, 0]), float(joint[1, 0]), float(joint[0, 1]), float(joint[1, 1])]
-
-
-def _bell_setup(state: StateVector, q1: int, q2: int) -> tuple[StateVector, list[float]]:
-    """Check the pair; return the rotated state and the four outcome probabilities."""
-    _check_qubit(state, q1)
-    _check_qubit(state, q2)
-    if q1 == q2:
-        raise ValueError("Bell measurement needs two distinct qubits")
-    rotated = _bell_rotate(state, q1, q2)
-    return rotated, _bell_joint_probs(rotated, q1, q2)
-
-
-def _bell_live(probs: list[float]) -> list[int]:
-    live = [i for i, p in enumerate(probs) if p > 1e-15]
-    if not live:
-        raise NormalizationError("no Bell outcome has positive probability")
-    return live
-
-
-def _bell_collapse(rotated: StateVector, q1: int, q2: int, index: int) -> StateVector:
-    """The state after Bell outcome ``index``, with the pair re-synthesized."""
-    collapsed = _project_z(_project_z(rotated, q1, index & 1), q2, index >> 1)
-    return _bell_unrotate(collapsed, q1, q2)
+    return _measure(state, "X", (qubit,), randomness)
 
 
 def bell_projections(state: StateVector, q1: int, q2: int) -> list[tuple[int, float, StateVector | None]]:
     """All four Bell branches on (q1, q2) as (index, probability, state or None)."""
-    rotated, probs = _bell_setup(state, q1, q2)
-    return [
-        (index, p, _bell_collapse(rotated, q1, q2, index) if p > 1e-15 else None)
-        for index, p in enumerate(probs)
-    ]
+    return _projections(state, "Bell", (q1, q2))
 
 
 def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tuple[MeasOutcome, StateVector]:
@@ -285,18 +302,7 @@ def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tup
     in index order.  The post-state re-synthesizes the measured Bell state on
     (q1, q2) so the pair can be forwarded as physical particles.
     """
-    rotated, probs = _bell_setup(state, q1, q2)
-    live = _bell_live(probs)
-    # cumulative walk in index order; the last live index absorbs any float
-    # rounding that leaves the total a hair under the sample
-    index = live[-1]
-    acc = 0.0
-    for i in live:
-        acc += probs[i]
-        if randomness < acc:
-            index = i
-            break
-    return MeasOutcome("Bell", index, probs[index]), _bell_collapse(rotated, q1, q2, index)
+    return _measure(state, "Bell", (q1, q2), randomness)
 
 
 def measure_batch(
@@ -311,36 +317,10 @@ def measure_batch(
     outcomes at least one copy got; each of those is collapsed once, to the
     state the scalar measurement returns.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if basis == "Bell":
-        q1, q2 = qubits
-        rotated, probs = _bell_setup(state, q1, q2)
-        candidates = _bell_live(probs)
-        # measure_bell's walk: the first live index whose running total
-        # exceeds the sample, else the last live index
-        cum = np.cumsum([probs[i] for i in candidates])
-        pos = np.searchsorted(cum, samples, side="right")
-        outcomes = np.asarray(candidates)[np.minimum(pos, len(candidates) - 1)]
-
-        def collapse(index: int) -> StateVector:
-            return _bell_collapse(rotated, q1, q2, index)
-
-    elif basis in ("Z", "X"):
-        (qubit,) = qubits
-        _check_qubit(state, qubit)
-        rotated = apply_hadamard(state, qubit) if basis == "X" else state
-        p0, _p1 = _z_probs(rotated, qubit)
-        candidates = [0, 1]
-        outcomes = np.where(samples < p0, 0, 1)  # measure_z's rule
-
-        def collapse(value: int) -> StateVector:
-            collapsed = _project_z(rotated, qubit, value)
-            return apply_hadamard(collapsed, qubit) if basis == "X" else collapsed
-
-    else:
-        raise ValueError(f"basis must be 'Z', 'X' or 'Bell', got {basis!r}")
+    probs, collapse = _branches(state, basis, qubits)
+    outcomes = _choose(probs, np.asarray(samples, dtype=np.float64))
     out = []
-    for value in candidates:
+    for value in range(len(probs)):
         picked = np.flatnonzero(outcomes == value)
         if picked.size:
             out.append((value, picked, collapse(value)))

@@ -5,6 +5,7 @@ runs (dense enumeration, no sampling) before the tests were written; the
 tests guard those values as regressions.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -15,7 +16,6 @@ from hypothesis import strategies as st
 from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
-    EveRecord,
     averaged_detection_rate,
     conditional_detection_rate,
     draws_per_round,
@@ -36,7 +36,7 @@ from ghzqss.protocol import (
     recover_secret,
     standard_variants,
 )
-from ghzqss.statevec import NormalizationError, RegisterCapacityError, outcome_distribution
+from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 
 RT2 = math.sqrt(2.0)
 
@@ -123,8 +123,8 @@ def test_draws_per_round():
 def test_intercept_tap_collapse_on_psi2(bell):
     state = prepare_variant(V[2])
     u = 0.25 * bell + 0.1  # lands inside outcome `bell` of the uniform quartiles
-    post, record = tap_intercept_resend(state, 1, 2, u, round_index=7)
-    assert record == EveRecord("intercept_resend_bell", 7, bell)
+    post, record = tap_intercept_resend(state, 1, 2, u)
+    assert record == bell
     np.testing.assert_allclose(post.amps, PSI2_TAP_STATES[bell], atol=1e-12)
 
 
@@ -272,12 +272,9 @@ def test_run_round_clean_and_deterministic():
 
 def test_run_round_attack_records():
     plan = RoundPlan(5, V[2], "check", 0)
-    out = run_round(plan, INTERCEPT, np.random.default_rng(1))
-    assert out.eve_record.kind == "intercept_resend_bell"
-    assert out.eve_record.round_index == 5
-    out = run_round(plan, CNOT, np.random.default_rng(1))
-    assert out.eve_record.kind == "collective_cnot"
-    assert out.eve_record.bell_outcome in range(4)
+    for attack in (INTERCEPT, CNOT):
+        out = run_round(plan, attack, np.random.default_rng(1))
+        assert out.eve_record in range(4)
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -291,8 +288,7 @@ def test_run_round_consumes_exactly_the_declared_draws(kind):
 
 def replayed_record(variant, payload, attack, row):
     out = run_round(RoundPlan(0, variant, "check", payload), attack, ReplayRng(row))
-    eve = out.eve_record.bell_outcome if out.eve_record else None
-    return (out.alice_a, out.alice_A, out.receiver_signs, eve)
+    return (out.alice_a, out.alice_A, out.receiver_signs, out.eve_record)
 
 
 def routed_records(variant, payload, attack, us):
@@ -341,21 +337,29 @@ def test_bulk_sampler_resolves_boundary_draws_like_run_round(kind, vidx, payload
     width = draws_per_round(attack, 3)
     draw = st.lists(st.sampled_from(BOUNDARY_DRAWS), min_size=width, max_size=width)
     us = np.array(data.draw(st.lists(draw, min_size=1, max_size=8)))
-    expected = []
-    for row in us:
-        # a draw at or above p(0) picks outcome 1 even when p(1) is zero, and
-        # the collapse onto it fails; the walk must fail on the same rows
-        try:
-            expected.append(replayed_record(variant, payload, attack, row))
-        except NormalizationError:
-            expected.append(None)
-    good = [i for i, record in enumerate(expected) if record is not None]
-    if good:
-        assert routed_records(variant, payload, attack, us[good]) == [expected[i] for i in good]
-    for i in range(len(us)):
-        if expected[i] is None:
-            with pytest.raises(NormalizationError):
-                route_rounds(variant, payload, attack, us[[i]])
+    expected = [replayed_record(variant, payload, attack, row) for row in us]
+    assert routed_records(variant, payload, attack, us) == expected
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_every_boundary_row_lands_on_a_possible_record(kind):
+    # every row of BOUNDARY_DRAWS^width, for each variant and payload: a
+    # draw at or above a rounded p(0) when p(1) is exactly 0 must still
+    # pick the live outcome, never a dead one
+    attack = AttackModel(kind)
+    width = draws_per_round(attack, 3)
+    us = np.array(list(itertools.product(BOUNDARY_DRAWS, repeat=width)))
+    # run_round is replayed on every 25th row whose sender `a` draw is
+    # 1 - 2^-53, the draw a rounded p(0) can fall below
+    a_column = 1 if attack.active else 0
+    replayed = np.flatnonzero(us[:, a_column] == BOUNDARY_DRAWS[-1])[::25]
+    for vidx in (1, 2, 3, 4):
+        for payload in (0, 1):
+            exact = exact_round_analysis(3, V[vidx], payload, attack)
+            records = routed_records(V[vidx], payload, attack, us)
+            assert set(records) <= set(exact)
+            for i in replayed:
+                assert replayed_record(V[vidx], payload, attack, us[i]) == records[i]
 
 
 def test_bulk_sampler_matches_exact_distribution():

@@ -1,10 +1,11 @@
 """Engine-level tests: gates, collapse rules, enumeration."""
 
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ghzqss.statevec import (
@@ -173,6 +174,19 @@ def test_measure_z_on_deterministic_state():
     assert_amps(post, [0, 0, 0, 1])
 
 
+def test_measure_z_never_picks_a_dead_outcome():
+    # p(0) rounds to 1 - 2^-52 and p(1) is exactly 0; a draw above p(0)
+    # must still land on the only live outcome
+    state = StateVector(1, np.array([1.0 - 2.0**-53, 0.0]))
+    u = 1.0 - 2.0**-53
+    assert z_projections(state, 0)[0][1] < u
+    outcome, post = measure_z(state, 0, u)
+    assert outcome.value == 0
+    assert_amps(post, [1, 0])
+    [(value, picked, _post)] = measure_batch(state, "Z", (0,), [u, 0.0])
+    assert (value, list(picked)) == (0, [0, 1])
+
+
 def test_z_projections_mark_impossible_branches():
     branches = z_projections(basis_state(1, 0), 0)
     assert branches[0][1] == pytest.approx(1.0)
@@ -279,6 +293,94 @@ def test_measure_batch_matches_scalar_measurements(state, samples, data):
             outcome, expected = scalar(state, *qubits, samples[i])
             assert outcome.value == value
             np.testing.assert_array_equal(post.amps, expected.amps)
+
+
+# The measurement rule restated from its documentation, independently of the
+# engine: the basis vectors of each measurement in outcome order (over the
+# measured qubits, first qubit most significant), and the threshold walk.
+SPEC_BASES = {
+    "Z": np.eye(2),
+    "X": np.array([[1, 1], [1, -1]]) / RT2,
+    "Bell": np.array(BELL_STATES),
+}
+
+# outcomes at or below this probability are dead
+SPEC_DEAD = 1e-15
+
+# 0, dyadic thresholds and the largest double below 1
+BOUNDARY_DRAWS = (0.0, 0.25, 0.5, 0.75, 1.0 - 2.0**-53)
+
+
+def spec_branches(state, basis, qubits):
+    """(probability, normalized post-state or None) per outcome, by projection."""
+    k = state.num_qubits
+    moved = np.moveaxis(state.amps.reshape([2] * k), qubits, range(len(qubits)))
+    rows = moved.reshape(1 << len(qubits), -1)
+    out = []
+    for vec in SPEC_BASES[basis]:
+        rest = vec.conj() @ rows
+        p = float(np.vdot(rest, rest).real)
+        post = None
+        if p > SPEC_DEAD:
+            projected = np.outer(vec, rest / math.sqrt(p)).reshape([2] * k)
+            post = np.moveaxis(projected, range(len(qubits)), qubits).reshape(-1)
+        out.append((p, post))
+    return out
+
+
+def spec_choose(probs, u):
+    """Walk the live outcomes in order; the first whose running total
+    exceeds u wins, else the last live outcome."""
+    live = [v for v, p in enumerate(probs) if p > SPEC_DEAD]
+    total = 0.0
+    for v in live:
+        total += probs[v]
+        if u < total:
+            return v
+    return live[-1]
+
+
+@st.composite
+def sparse_states(draw, max_qubits=4):
+    # random states, often with amplitudes zeroed so some branches are dead
+    state = draw(states(max_qubits))
+    size = state.amps.size
+    mask = np.asarray(draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+    if mask.any() and not mask.all():
+        amps = np.where(mask, 0.0, state.amps)
+        state = StateVector(state.num_qubits, amps / np.linalg.norm(amps))
+    return state
+
+
+@given(sparse_states(), st.data())
+@example(StateVector(1, np.array([1.0 - 2.0**-53, 0.0])), None)
+@settings(deadline=None)
+def test_measure_batch_follows_the_spec(state, data):
+    k = state.num_qubits
+    if data is None:  # the dead-branch case: p(1) = 0, the sample above p(0)
+        basis, qubits, samples = "Z", (0,), [1.0 - 2.0**-53, 0.5]
+    else:
+        basis = data.draw(st.sampled_from(("Z", "X", "Bell") if k > 1 else ("Z", "X")))
+        qubits = tuple(data.draw(st.permutations(range(k)))[: 2 if basis == "Bell" else 1])
+    projections = {"Z": z_projections, "X": x_projections, "Bell": bell_projections}[basis]
+    probs = [p for _v, p, _post in projections(state, *qubits)]
+    spec = spec_branches(state, basis, qubits)
+    np.testing.assert_allclose(probs, [p for p, _post in spec], atol=1e-12)
+    if data is not None:
+        # uniforms, fixed boundary draws, and the engine's own running totals
+        # of live probabilities, where ties with the threshold are exact
+        totals = list(itertools.accumulate(p for p in probs if p > SPEC_DEAD))
+        sample = st.one_of(
+            st.floats(0.0, 1.0, exclude_max=True),
+            st.sampled_from(BOUNDARY_DRAWS),
+            st.sampled_from([t for t in totals if t < 1.0] or [0.0]),
+        )
+        samples = data.draw(st.lists(sample, min_size=1, max_size=8))
+    got = {}
+    for value, picked, post in measure_batch(state, basis, qubits, samples):
+        np.testing.assert_allclose(post.amps, spec[value][1], atol=1e-9)
+        got.update((int(i), value) for i in picked)
+    assert got == {i: spec_choose(probs, u) for i, u in enumerate(samples)}
 
 
 def test_measure_batch_skips_impossible_outcomes_and_validates():
