@@ -15,6 +15,7 @@ from .attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
+    exact_tables,
     route_rounds,
     run_round,
     sample_round_records,

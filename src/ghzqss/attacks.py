@@ -20,7 +20,10 @@ Both the exact oracle and the batched sampler build a round from one
 prefix (prepare, tap, correct, encode, deferred Bell measurement), so they
 model the identical process.  ``exact_round_analysis`` enumerates the exact
 joint distribution of one round's classical record and backs every security
-number in this package.  ``route_rounds`` walks many rounds of one (variant,
+number in this package: ``exact_tables`` runs it once per payload bit, and
+the detection rate, the attacker's record distribution and information
+are pure folds over that pair of tables, so ``ghzqss analyze`` makes one
+oracle pass per payload.  ``route_rounds`` walks many rounds of one (variant,
 payload) through their shared outcome tree at once: every measurement splits
 the rows by the same threshold rule ``run_round`` applies one draw at a
 time, and a branch's collapsed state is computed once, only when some row
@@ -219,7 +222,7 @@ def _round_prefix(
 
 
 def exact_round_analysis(
-    n: int, variant: StateVariant, payload_bit: int, attack: AttackModel
+    variant: StateVariant, payload_bit: int, attack: AttackModel
 ) -> dict[RecordKey, float]:
     """Exact joint distribution of one round's classical record.
 
@@ -229,10 +232,9 @@ def exact_round_analysis(
     enumeration is the oracle the sampled path is checked against, so it
     never draws randomness.
     """
-    if n != variant.n:
-        raise ValueError(f"n = {n} does not match the variant's n = {variant.n}")
     if payload_bit not in (0, 1):
         raise ValueError("payload bit must be 0 or 1")
+    n = variant.n
     check_round_capacity(n, attack)
     state, tap = _round_prefix(variant, payload_bit, attack)
     branches: list[tuple[int | None, float, StateVector]] = [(None, 1.0, state)]
@@ -254,10 +256,20 @@ def exact_round_analysis(
     return table
 
 
-def conditional_detection_rate(
-    attack: AttackModel, variant: StateVariant, condition: int | None = None
-) -> float:
-    """Probability a single check round flags an error under ``attack``.
+ExactTables = dict[int, dict[RecordKey, float]]
+
+
+def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
+    """The oracle's table for each payload bit, as ``{0: table, 1: table}``.
+
+    The security figures below are pure folds over this pair, so a caller
+    that needs several of them runs the oracle once per payload.
+    """
+    return {payload: exact_round_analysis(variant, payload, attack) for payload in (0, 1)}
+
+
+def conditional_detection_rate(tables: ExactTables, condition: int | None = None) -> float:
+    """Probability a single check round flags an error, from ``exact_tables``.
 
     The payload bit is uniform.  ``condition`` restricts to rounds where the
     attacker's Bell record equals that outcome index; conditioning on an
@@ -266,8 +278,7 @@ def conditional_detection_rate(
     wrong = 0.0
     total = 0.0
     for payload in (0, 1):
-        table = exact_round_analysis(variant.n, variant, payload, attack)
-        for (alice_a, _alice_A, signs, eve), p in table.items():
+        for (alice_a, _alice_A, signs, eve), p in tables[payload].items():
             if condition is not None and eve != condition:
                 continue
             total += 0.5 * p
@@ -278,31 +289,27 @@ def conditional_detection_rate(
     return wrong / total
 
 
-def eve_record_distribution(
-    attack: AttackModel, variant: StateVariant, payload_bit: int
-) -> dict[int | None, float]:
-    """Marginal distribution of the attacker's Bell record for one payload."""
-    table = exact_round_analysis(variant.n, variant, payload_bit, attack)
+def eve_record_distribution(table: dict[RecordKey, float]) -> dict[int | None, float]:
+    """Marginal distribution of the attacker's Bell record in one payload's table."""
     out: dict[int | None, float] = {}
     for (_a, _big_a, _signs, eve), p in table.items():
         out[eve] = out.get(eve, 0.0) + p
     return out
 
 
-def eve_mutual_information(attack: AttackModel, variant: StateVariant) -> float:
+def eve_mutual_information(tables: ExactTables) -> float:
     """Bits the attacker's view carries about a uniform payload bit.
 
     The view is the Bell record together with the attacker's own announced
     X sign (receiver 2's readout), i.e. everything he holds before any
-    sender announcement.  Without an attack there is no record and the
-    information is exactly zero.
+    sender announcement.  Tables without an attacker record (no attack)
+    carry exactly zero information.
     """
-    if not attack.active:
+    if all(eve is None for table in tables.values() for (*_, eve) in table):
         return 0.0
     joint: dict[tuple, float] = {}
     for payload in (0, 1):
-        table = exact_round_analysis(variant.n, variant, payload, attack)
-        for (_a, _big_a, signs, eve), p in table.items():
+        for (_a, _big_a, signs, eve), p in tables[payload].items():
             key = ((eve, signs[0]), payload)
             joint[key] = joint.get(key, 0.0) + 0.5 * p
     obs_marginal: dict[tuple, float] = {}
@@ -317,7 +324,7 @@ def eve_mutual_information(attack: AttackModel, variant: StateVariant) -> float:
 
 def averaged_detection_rate(attack: AttackModel, n: int) -> float:
     """Check-round error rate averaged over the uniform variant draw."""
-    rates = [conditional_detection_rate(attack, v) for v in standard_variants(n)]
+    rates = [conditional_detection_rate(exact_tables(attack, v)) for v in standard_variants(n)]
     return sum(rates) / len(rates)
 
 

@@ -19,9 +19,10 @@ import numpy as np
 
 from .attacks import (
     AttackModel,
+    RecordKey,
     conditional_detection_rate,
     eve_mutual_information,
-    exact_round_analysis,
+    exact_tables,
 )
 from .protocol import StateVariant, recover_secret
 from .session import (
@@ -154,8 +155,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _print_table(n: int, variant: StateVariant, payload: int, attack: AttackModel) -> None:
-    table = exact_round_analysis(n, variant, payload, attack)
+def _print_table(payload: int, table: dict[RecordKey, float]) -> None:
     print(f"payload {payload} joint distribution:")
     for (alice_a, alice_big_a, signs, eve), p in sorted(
         table.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], str(kv[0][3]))
@@ -179,15 +179,16 @@ def cmd_analyze(args) -> int:
         f"variant={variant.name} (hadamard positions: {positions}) "
         f"parties={args.parties} attack={attack.kind}{target}"
     )
+    tables = exact_tables(attack, variant)
     payloads = (args.payload,) if args.payload is not None else (0, 1)
     for payload in payloads:
-        _print_table(args.parties, variant, payload, attack)
-    rate = conditional_detection_rate(attack, variant, args.condition_bell)
+        _print_table(payload, tables[payload])
+    rate = conditional_detection_rate(tables, args.condition_bell)
     if args.condition_bell is None:
         print(f"detection_rate = {rate:.8f}")
     else:
         print(f"detection_rate = {rate:.8f}  (conditioned on Bell outcome {args.condition_bell})")
-    info = eve_mutual_information(attack, variant)
+    info = eve_mutual_information(tables)
     print(f"eve_mutual_information = {info:.8f} bits")
     return 0
 

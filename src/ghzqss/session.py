@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .attacks import (
     check_round_capacity,
     draws_per_round,
     eve_mutual_information,
+    exact_tables,
     route_rounds,
 )
 from .protocol import (
@@ -225,8 +226,11 @@ def run_session(config: SessionConfig) -> SessionResult:
 
     mi: float | None = None
     if config.mode == "exact":
-        values = [eve_mutual_information(config.attack, v) for v in standard_variants(config.n)]
-        mi = sum(values) / len(values)
+        mi = 0.0  # an unattacked round leaves no record, so no oracle run is needed
+        if config.attack.active:
+            variants = standard_variants(config.n)
+            values = [eve_mutual_information(exact_tables(config.attack, v)) for v in variants]
+            mi = sum(values) / len(values)
 
     report = SessionReport(
         config=config,
@@ -238,36 +242,6 @@ def run_session(config: SessionConfig) -> SessionResult:
         per_variant_stats=stats,
     )
     return SessionResult(report, transcript)
-
-
-def config_to_dict(config: SessionConfig) -> dict:
-    return {
-        "n": config.n,
-        "rounds": config.rounds,
-        "check_fraction": config.check_fraction,
-        "attack": {
-            "kind": config.attack.kind,
-            "target_receiver": config.attack.target_receiver,
-        },
-        "seed": config.seed,
-        "mode": config.mode,
-        "abort_threshold": config.abort_threshold,
-        "message": config.message,
-        "all_subsets": config.all_subsets,
-    }
-
-
-def report_to_dict(report: SessionReport) -> dict:
-    return {
-        "config": config_to_dict(report.config),
-        "check_error_rate": report.check_error_rate,
-        "detected": report.detected,
-        "recovered_message": report.recovered_message,
-        "message_bit_error_rate": report.message_bit_error_rate,
-        "eve_mutual_information": report.eve_mutual_information,
-        "per_variant_stats": report.per_variant_stats,
-        "transcript_path": report.transcript_path,
-    }
 
 
 def transcript_lines(transcript: Transcript) -> list[str]:
@@ -312,6 +286,6 @@ def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     result.report.transcript_path = TRANSCRIPT_NAME
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w") as fh:
-        json.dump(report_to_dict(result.report), fh, indent=2)
+        json.dump(asdict(result.report), fh, indent=2)
         fh.write("\n")
     return transcript_path, report_path

@@ -181,7 +181,7 @@ def _project_z(state: StateVector, qubit: int, value: int) -> StateVector:
     arr[:, 1 - value, :] = 0.0
     flat = arr.reshape(-1)
     norm = float(np.linalg.norm(flat))
-    if norm <= 1e-7:
+    if norm * norm <= DEAD_EPS:
         raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
     return StateVector(state.num_qubits, flat / norm)
 

@@ -21,6 +21,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
+    exact_tables,
     sample_round_records,
 )
 from ghzqss.cli import main
@@ -77,7 +78,7 @@ def test_perfect_recovery_exact():
         for n in (3, 4, 5, 6):
             for variant in standard_variants(n):
                 for payload in (0, 1):
-                    table = exact_round_analysis(n, variant, payload, AttackModel())
+                    table = exact_round_analysis(variant, payload, AttackModel())
                     wrong = sum(
                         p
                         for (a, _big, signs, _eve), p in table.items()
@@ -131,9 +132,9 @@ def test_intercept_fifty_percent_rates():
         attack = AttackModel("intercept_resend_bell")
         psi2 = StateVariant.from_index(3, 2)
         psi3 = StateVariant.from_index(3, 3)
-        assert abs(conditional_detection_rate(attack, psi2, 0) - 0.5) < 1e-10
-        assert abs(conditional_detection_rate(attack, psi3, 0) - 0.5) < 1e-10
-        assert abs(conditional_detection_rate(attack, psi2, 1) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_tables(attack, psi2), 0) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_tables(attack, psi3), 0) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_tables(attack, psi2), 1) - 0.5) < 1e-10
 
 
 def test_collective_attack_zero_information():
@@ -147,9 +148,9 @@ def test_collective_attack_zero_information():
         for kind, vidx in matched:
             attack = AttackModel(kind)
             variant = StateVariant.from_index(3, vidx)
-            assert abs(eve_mutual_information(attack, variant)) < 1e-10
+            assert abs(eve_mutual_information(exact_tables(attack, variant))) < 1e-10
             for payload in (0, 1):
-                dist = eve_record_distribution(attack, variant, payload)
+                dist = eve_record_distribution(exact_round_analysis(variant, payload, attack))
                 assert set(dist) == {0, 1}
                 assert abs(dist[0] - 0.5) < 1e-10
                 assert abs(dist[1] - 0.5) < 1e-10
@@ -204,7 +205,7 @@ def test_oracle_sample_agreement():
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
                     counts = sample_round_records(variant, payload, attack, us)
-                    exact = exact_round_analysis(3, variant, payload, attack)
+                    exact = exact_round_analysis(variant, payload, attack)
                     assert set(counts) <= set(exact)
                     for key, p in exact.items():
                         se = math.sqrt(rounds * p * (1 - p))

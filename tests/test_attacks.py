@@ -22,6 +22,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
+    exact_tables,
     route_rounds,
     run_round,
     sample_round_records,
@@ -163,7 +164,7 @@ def test_collective_cnot_is_z_transparent():
 
 
 def test_exact_analysis_clean_round_is_uniform_on_support():
-    table = exact_round_analysis(3, V[1], 0, AttackModel())
+    table = exact_round_analysis(V[1], 0, AttackModel())
     assert len(table) == 8
     for (a, _big, signs, eve), p in table.items():
         assert eve is None
@@ -175,27 +176,23 @@ def test_exact_analysis_clean_round_is_uniform_on_support():
 @pytest.mark.parametrize("vidx", (1, 2, 3, 4))
 @pytest.mark.parametrize("payload", (0, 1))
 def test_exact_analysis_is_a_distribution(kind, vidx, payload):
-    table = exact_round_analysis(3, V[vidx], payload, AttackModel(kind))
+    table = exact_round_analysis(V[vidx], payload, AttackModel(kind))
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(p > 0 for p in table.values())
 
 
 def test_exact_analysis_validation():
     with pytest.raises(ValueError):
-        exact_round_analysis(4, V[1], 0, AttackModel())
-    with pytest.raises(ValueError):
-        exact_round_analysis(3, V[1], 2, AttackModel())
+        exact_round_analysis(V[1], 2, AttackModel())
     with pytest.raises(RegisterCapacityError):
-        exact_round_analysis(
-            23, StateVariant.from_index(23, 1), 0, AttackModel("collective_cnot")
-        )
+        exact_round_analysis(StateVariant.from_index(23, 1), 0, AttackModel("collective_cnot"))
 
 
 @pytest.mark.parametrize("kind,rates", sorted(DETECTION_RATES.items()))
 def test_detection_rates_per_variant(kind, rates):
     attack = AttackModel(kind)
     for vidx, expected in zip((1, 2, 3, 4), rates):
-        assert conditional_detection_rate(attack, V[vidx]) == pytest.approx(
+        assert conditional_detection_rate(exact_tables(attack, V[vidx])) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -208,37 +205,46 @@ def test_averaged_detection_rates():
 
 
 def test_conditioned_intercept_rates():
-    assert conditional_detection_rate(INTERCEPT, V[2], 0) == pytest.approx(0.5, abs=1e-10)
-    assert conditional_detection_rate(INTERCEPT, V[3], 0) == pytest.approx(0.5, abs=1e-10)
-    assert conditional_detection_rate(INTERCEPT, V[2], 1) == pytest.approx(0.5, abs=1e-10)
+    psi2, psi3 = exact_tables(INTERCEPT, V[2]), exact_tables(INTERCEPT, V[3])
+    assert conditional_detection_rate(psi2, 0) == pytest.approx(0.5, abs=1e-10)
+    assert conditional_detection_rate(psi3, 0) == pytest.approx(0.5, abs=1e-10)
+    assert conditional_detection_rate(psi2, 1) == pytest.approx(0.5, abs=1e-10)
 
 
 def test_conditioning_on_impossible_outcome_raises():
     # the psi1 intercept record never reads 3, and a clean round has none
     with pytest.raises(ValueError):
-        conditional_detection_rate(INTERCEPT, V[1], 3)
+        conditional_detection_rate(exact_tables(INTERCEPT, V[1]), 3)
     with pytest.raises(ValueError):
-        conditional_detection_rate(AttackModel(), V[1], 0)
+        conditional_detection_rate(exact_tables(AttackModel(), V[1]), 0)
 
 
 @pytest.mark.parametrize("key,expected", sorted(BELL_DISTRIBUTIONS.items()))
 def test_eve_record_distributions(key, expected):
     kind, vidx = key
     for payload in (0, 1):
-        dist = eve_record_distribution(AttackModel(kind), V[vidx], payload)
+        dist = eve_record_distribution(exact_round_analysis(V[vidx], payload, AttackModel(kind)))
         assert set(dist) == set(expected)
         for bell, p in expected.items():
             assert dist[bell] == pytest.approx(p, abs=1e-10)
 
 
 def test_clean_round_has_no_record():
-    assert eve_record_distribution(AttackModel(), V[1], 0) == pytest.approx({None: 1.0})
+    table = exact_round_analysis(V[1], 0, AttackModel())
+    assert eve_record_distribution(table) == pytest.approx({None: 1.0})
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("vidx", (1, 2, 3, 4))
 def test_eve_mutual_information_is_zero_everywhere(kind, vidx):
-    assert eve_mutual_information(AttackModel(kind), V[vidx]) == pytest.approx(0.0, abs=1e-10)
+    tables = exact_tables(AttackModel(kind), V[vidx])
+    assert eve_mutual_information(tables) == pytest.approx(0.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("n", (3, 5))
+def test_clean_tables_carry_exactly_zero_information(n):
+    for variant in standard_variants(n):
+        assert eve_mutual_information(exact_tables(AttackModel(), variant)) == 0.0
 
 
 @pytest.mark.parametrize(
@@ -250,7 +256,7 @@ def test_matched_collective_key_identity(kind, vidx):
     # announced sign is independent noise
     attack = AttackModel(kind)
     for payload in (0, 1):
-        table = exact_round_analysis(3, V[vidx], payload, attack)
+        table = exact_round_analysis(V[vidx], payload, attack)
         own = {0: 0.0, 1: 0.0}
         for (a, _big, signs, eve), p in table.items():
             assert a ^ eve ^ signs[-1] == payload
@@ -355,7 +361,7 @@ def test_every_boundary_row_lands_on_a_possible_record(kind):
     replayed = np.flatnonzero(us[:, a_column] == BOUNDARY_DRAWS[-1])[::25]
     for vidx in (1, 2, 3, 4):
         for payload in (0, 1):
-            exact = exact_round_analysis(3, V[vidx], payload, attack)
+            exact = exact_round_analysis(V[vidx], payload, attack)
             records = routed_records(V[vidx], payload, attack, us)
             assert set(records) <= set(exact)
             for i in replayed:
@@ -367,7 +373,7 @@ def test_bulk_sampler_matches_exact_distribution():
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
     counts = sample_round_records(V[2], 1, INTERCEPT, us)
-    exact = exact_round_analysis(3, V[2], 1, INTERCEPT)
+    exact = exact_round_analysis(V[2], 1, INTERCEPT)
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         se = math.sqrt(n * p * (1 - p))

@@ -1,9 +1,11 @@
 """Command-line behavior: exit codes, files, printed analysis."""
 
 import json
+import sys
 
 import pytest
 
+from ghzqss import attacks
 from ghzqss.cli import main
 
 
@@ -207,6 +209,32 @@ def test_analyze_intercept_rejects_own_particle_target(capsys):
     )
     assert code == 2
     assert "error:" in err
+
+
+def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):
+    # analyze folds every figure over one pair of oracle tables, and an
+    # unattacked exact-mode session needs no oracle run at all
+    calls = []
+    oracle = attacks.exact_round_analysis
+
+    def counted(*args):
+        calls.append(args)
+        return oracle(*args)
+
+    # every ghzqss namespace that holds the oracle, so no caller escapes the count
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzqss") and hasattr(module, "exact_round_analysis"):
+            monkeypatch.setattr(module, "exact_round_analysis", counted)
+    code, _out, _err = run_cli(
+        capsys, "analyze", "--variant", "psi2", "--attack", "intercept-resend"
+    )
+    assert code == 0
+    assert len(calls) == 2
+    calls.clear()
+    out_dir = str(tmp_path / "clean")
+    code, _out, _err = run_cli(capsys, "run", "--mode", "exact", "--rounds", "16", "--out", out_dir)
+    assert code == 0
+    assert calls == []
 
 
 def test_analyze_respects_env_free_success_contract(capsys):

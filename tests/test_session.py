@@ -1,6 +1,7 @@
 """Session orchestration: configs, the check, outputs, determinism."""
 
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -13,7 +14,6 @@ from ghzqss.session import (
     _stream,
     default_output_dir,
     eavesdrop_check,
-    report_to_dict,
     run_session,
     transcript_lines,
     write_outputs,
@@ -245,7 +245,7 @@ def test_different_seeds_differ():
 
 def test_report_dict_is_json_ready():
     result = run_session(small_config(mode="exact"))
-    text = json.dumps(report_to_dict(result.report))
+    text = json.dumps(asdict(result.report))
     assert "per_variant_stats" in text
 
 
