@@ -51,7 +51,6 @@ from .protocol import (
     standard_variants,
 )
 from .statevec import (
-    DEAD_EPS,
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
@@ -249,8 +248,6 @@ def exact_round_analysis(
     table: dict[RecordKey, float] = {}
     for eve, weight, branch in branches:
         for bits, p in outcome_distribution(branch, readout).items():
-            if p <= DEAD_EPS:
-                continue
             key = (bits[0], bits[1], bits[2:], eve)
             table[key] = table.get(key, 0.0) + weight * p
     return table
@@ -284,7 +281,7 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
             total += 0.5 * p
             if recover_secret(alice_a, signs) != payload:
                 wrong += 0.5 * p
-    if total <= 1e-12:
+    if total == 0.0:
         raise ValueError("conditioning event has zero probability")
     return wrong / total
 

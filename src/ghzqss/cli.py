@@ -160,8 +160,6 @@ def _print_table(payload: int, table: dict[RecordKey, float]) -> None:
     for (alice_a, alice_big_a, signs, eve), p in sorted(
         table.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], str(kv[0][3]))
     ):
-        if p <= 1e-12:
-            continue
         sign_text = "".join("-" if s else "+" for s in signs)
         eve_text = "-" if eve is None else str(eve)
         print(
@@ -175,20 +173,21 @@ def cmd_analyze(args) -> int:
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
     positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
     target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
+    # every figure is computed before the first print, so a failure leaves stdout empty
+    tables = exact_tables(attack, variant)
+    rate = conditional_detection_rate(tables, args.condition_bell)
+    info = eve_mutual_information(tables)
     print(
         f"variant={variant.name} (hadamard positions: {positions}) "
         f"parties={args.parties} attack={attack.kind}{target}"
     )
-    tables = exact_tables(attack, variant)
     payloads = (args.payload,) if args.payload is not None else (0, 1)
     for payload in payloads:
         _print_table(payload, tables[payload])
-    rate = conditional_detection_rate(tables, args.condition_bell)
     if args.condition_bell is None:
         print(f"detection_rate = {rate:.8f}")
     else:
         print(f"detection_rate = {rate:.8f}  (conditioned on Bell outcome {args.condition_bell})")
-    info = eve_mutual_information(tables)
     print(f"eve_mutual_information = {info:.8f} bits")
     return 0
 

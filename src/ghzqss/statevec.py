@@ -19,8 +19,10 @@ Conventions used by every caller in this package:
   bit (from the first measured qubit) plus twice the parity bit.
 
 Registers are dense complex128 arrays and are refused above 24 qubits.
-Amplitudes whose magnitude falls below 1e-12 after a Hadamard are truncated
-to exact zero so that impossible outcomes stay impossible.
+Gates return amplitudes as computed, so an exact cancellation can leave a
+residue of order 1e-17.  An outcome with p <= DEAD_EPS is impossible
+everywhere: it is never drawn, never collapsed onto and never listed by
+``outcome_distribution``.  This module is the only one that decides it.
 """
 
 from __future__ import annotations
@@ -34,8 +36,7 @@ import numpy as np
 
 MAX_QUBITS = 24
 NORM_ATOL = 1e-10
-TRUNCATE_EPS = 1e-12
-# an outcome this improbable is dead: never chosen, never collapsed onto
+# an outcome this improbable is dead: never chosen, collapsed onto or listed
 DEAD_EPS = 1e-15
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
@@ -138,18 +139,6 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
 
 
-def _truncate(amps: np.ndarray) -> np.ndarray:
-    # Exact cancellations can leave ~1e-17 residue; zero it so enumeration
-    # reports genuinely impossible outcomes as probability 0.
-    mask = np.abs(amps) < TRUNCATE_EPS
-    if mask.any():
-        amps = amps.copy()
-        amps[mask] = 0.0
-        # restore unit norm lost to truncation (change is < 2^24 * eps^2)
-        amps = amps / np.linalg.norm(amps)
-    return amps
-
-
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     """Hadamard on one qubit: |0> -> |+>, |1> -> |->."""
     _check_qubit(state, qubit)
@@ -159,7 +148,7 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     out = np.empty_like(arr)
     out[:, 0, :] = (a0 + a1) * _INV_SQRT2
     out[:, 1, :] = (a0 - a1) * _INV_SQRT2
-    return StateVector(state.num_qubits, _truncate(out.reshape(-1)))
+    return StateVector(state.num_qubits, out.reshape(-1))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -330,9 +319,9 @@ def measure_batch(
 def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:
     """Exact Born distribution for measuring ``plan`` = [(qubit, basis), ...].
 
-    Basis entries are "Z" or "X".  The returned dict enumerates every
-    2^len(plan) outcome tuple (including zero-probability ones), keyed in
-    plan order; for X entries the bit means 0 = |+>, 1 = |->.
+    Basis entries are "Z" or "X".  The returned dict lists exactly the
+    outcome tuples with p > DEAD_EPS, in C order of the bits, keyed in plan
+    order; for X entries the bit means 0 = |+>, 1 = |->.
     """
     qubits = [q for q, _ in plan]
     if len(set(qubits)) != len(qubits):
@@ -349,4 +338,5 @@ def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], floa
     axes = tuple(q for q in range(state.num_qubits) if q not in set(qubits))
     marg = probs.sum(axis=axes) if axes else probs
     marg = marg.transpose([keep.index(q) for q in qubits])
-    return {tuple(int(b) for b in idx): float(p) for idx, p in np.ndenumerate(marg)}
+    live = marg > DEAD_EPS
+    return dict(zip(map(tuple, np.argwhere(live).tolist()), marg[live].tolist()))

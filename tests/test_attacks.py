@@ -156,6 +156,7 @@ def test_collective_cnot_is_z_transparent():
     plan = [(0, "Z"), (1, "Z"), (2, "Z")]
     clean = outcome_distribution(prepare_variant(V[1]), plan)
     tapped = outcome_distribution(tap_collective(prepare_variant(V[1]), 2, False), plan)
+    assert tapped.keys() == clean.keys()
     for bits, p in clean.items():
         assert tapped[bits] == pytest.approx(p, abs=1e-12)
 

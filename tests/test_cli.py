@@ -189,15 +189,33 @@ def test_analyze_variant_name_case_insensitive(capsys):
 
 
 def test_analyze_bad_variant_exits_2(capsys):
-    code, _out, err = run_cli(capsys, "analyze", "--variant", "bell3")
+    code, out, err = run_cli(capsys, "analyze", "--variant", "bell3")
     assert code == 2
     assert "error:" in err
-    code, _out, _err = run_cli(capsys, "analyze", "--variant", "psi9")
+    assert out == ""
+    code, out, _err = run_cli(capsys, "analyze", "--variant", "psi9")
     assert code == 2
+    assert out == ""
+
+
+def test_analyze_impossible_condition_exits_2_before_printing(capsys):
+    # without an attack no record carries a Bell outcome; the failed command
+    # must not leave the tables it would have printed on stdout
+    code, out, err = run_cli(capsys, "analyze", "--condition-bell", "0")
+    assert code == 2
+    assert "zero probability" in err
+    assert out == ""
+
+
+def test_analyze_capacity_failure_exits_3_before_printing(capsys):
+    code, out, err = run_cli(capsys, "analyze", "--parties", "24", "--attack", "collective-cnot")
+    assert code == 3
+    assert "error:" in err
+    assert out == ""
 
 
 def test_analyze_intercept_rejects_own_particle_target(capsys):
-    code, _out, err = run_cli(
+    code, out, err = run_cli(
         capsys,
         "analyze",
         "--variant",
@@ -209,6 +227,7 @@ def test_analyze_intercept_rejects_own_particle_target(capsys):
     )
     assert code == 2
     assert "error:" in err
+    assert out == ""
 
 
 def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):

@@ -120,8 +120,8 @@ def test_cnot_permutes_basis():
         apply_cnot(basis_state(2, 0), 1, 1)
 
 
-def test_hadamard_truncates_cancelled_amplitudes():
-    # |+> -> |0> must leave amplitude exactly 0 on |1>, not 1e-17 residue
+def test_hadamard_cancels_amplitudes_exactly():
+    # |+> -> |0>: the two equal halves cancel to exactly 0 on |1>
     plus = apply_hadamard(basis_state(1, 0), 0)
     back = apply_hadamard(plus, 0)
     assert back.amps[1] == 0.0
@@ -177,14 +177,19 @@ def test_measure_z_on_deterministic_state():
 def test_measure_z_never_picks_a_dead_outcome():
     # p(0) rounds to 1 - 2^-52 and p(1) is exactly 0; a draw above p(0)
     # must still land on the only live outcome
-    state = StateVector(1, np.array([1.0 - 2.0**-53, 0.0]))
+    rounded = StateVector(1, np.array([1.0 - 2.0**-53, 0.0]))
     u = 1.0 - 2.0**-53
-    assert z_projections(state, 0)[0][1] < u
-    outcome, post = measure_z(state, 0, u)
-    assert outcome.value == 0
-    assert_amps(post, [1, 0])
-    [(value, picked, _post)] = measure_batch(state, "Z", (0,), [u, 0.0])
-    assert (value, list(picked)) == (0, [0, 1])
+    assert z_projections(rounded, 0)[0][1] < u
+    # p(1) = 1e-34 is a nonzero residue below the dead bound: just as impossible
+    residue = StateVector(1, np.array([1.0, 1e-17]))
+    for state in (rounded, residue):
+        outcome, post = measure_z(state, 0, u)
+        assert outcome.value == 0
+        assert_amps(post, [1, 0])
+        [(value, picked, _post)] = measure_batch(state, "Z", (0,), [u, 0.0])
+        assert (value, list(picked)) == (0, [0, 1])
+        assert z_projections(state, 0)[1][2] is None
+        assert outcome_distribution(state, [(0, "Z")]).keys() == {(0,)}
 
 
 def test_every_live_outcome_can_be_collapsed_onto():
@@ -370,10 +375,13 @@ def sparse_states(draw, max_qubits=4):
 
 @given(sparse_states(), st.data())
 @example(StateVector(1, np.array([1.0 - 2.0**-53, 0.0])), None)
+@example(StateVector(1, np.array([1.0, 1e-17])), None)
 @settings(deadline=None)
 def test_measure_batch_follows_the_spec(state, data):
     k = state.num_qubits
-    if data is None:  # the dead-branch case: p(1) = 0, the sample above p(0)
+    # the dead-branch cases: p(1) = 0 or a residue of 1e-34, the sample at
+    # the top of [0, 1)
+    if data is None:
         basis, qubits, samples = "Z", (0,), [1.0 - 2.0**-53, 0.5]
     else:
         basis = data.draw(st.sampled_from(("Z", "X", "Bell") if k > 1 else ("Z", "X")))
@@ -425,10 +433,10 @@ def test_bell_reversed_qubit_order():
 def test_outcome_distribution_ghz_z_plan():
     ghz = state_from_amplitudes(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / RT2)
     dist = outcome_distribution(ghz, [(0, "Z"), (1, "Z"), (2, "Z")])
-    assert len(dist) == 8
+    # only live outcomes are listed
+    assert dist.keys() == {(0, 0, 0), (1, 1, 1)}
     assert dist[(0, 0, 0)] == pytest.approx(0.5)
     assert dist[(1, 1, 1)] == pytest.approx(0.5)
-    assert dist[(0, 1, 0)] == pytest.approx(0.0)
 
 
 def test_outcome_distribution_x_entries_and_plan_order():
@@ -442,9 +450,9 @@ def test_outcome_distribution_ghz_x_parity():
     # X x X x X stabilizes the GHZ state: only even-parity sign patterns
     ghz = state_from_amplitudes(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / RT2)
     dist = outcome_distribution(ghz, [(0, "X"), (1, "X"), (2, "X")])
-    for bits, p in dist.items():
-        expected = 0.25 if sum(bits) % 2 == 0 else 0.0
-        assert p == pytest.approx(expected, abs=1e-12)
+    assert dist.keys() == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
+    for p in dist.values():
+        assert p == pytest.approx(0.25, abs=1e-12)
 
 
 def test_outcome_distribution_validation():
