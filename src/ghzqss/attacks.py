@@ -27,7 +27,8 @@ oracle pass per payload.  ``route_rounds`` walks many rounds of one (variant,
 payload) through their shared outcome tree at once: every measurement splits
 the rows by the same threshold rule ``run_round`` applies one draw at a
 time, and a branch's collapsed state is computed once, only when some row
-reaches it.  Each row's record is exactly the one ``run_round`` produces
+reaches it and a later measurement reads it, so the last readout collapses
+nothing.  Each row's record is exactly the one ``run_round`` produces
 from that row's draws; ``sample_round_records`` counts them.
 """
 
@@ -337,7 +338,9 @@ def route_rounds(
     order ``run_round`` consumes them.  Returns (record, row indices) for
     each leaf some row reaches; the record is (alice_a, alice_A,
     receiver_signs, eve_record) as in ``exact_round_analysis``, and equals
-    what ``run_round`` returns for each of those rows' draws.
+    what ``run_round`` returns for each of those rows' draws.  Each inner
+    node of the tree is collapsed once; the last readout is not collapsed,
+    since nothing reads that state.
     """
     n = variant.n
     uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -352,13 +355,16 @@ def route_rounds(
 
     def walk(state: StateVector, rows: np.ndarray, path: tuple[int, ...]) -> None:
         depth = len(path)
-        if depth == len(steps):
-            eve, bits = (path[0], path[1:]) if tap is not None else (None, path)
-            leaves.append(((bits[0], bits[1], bits[2:], eve), rows))
-            return
         basis, qubits, finish = steps[depth]
-        for value, picked, post in measure_batch(state, basis, qubits, uniforms[rows, depth]):
-            walk(finish(post) if finish else post, rows[picked], path + (value,))
+        groups, collapse = measure_batch(state, basis, qubits, uniforms[rows, depth])
+        for value, picked in groups:
+            branch = path + (value,)
+            if depth + 1 < len(steps):
+                post = collapse(value)
+                walk(finish(post) if finish else post, rows[picked], branch)
+            else:  # the last readout: nothing reads the collapsed state
+                eve, bits = (branch[0], branch[1:]) if tap is not None else (None, branch)
+                leaves.append(((bits[0], bits[1], bits[2:], eve), rows[picked]))
 
     walk(state, np.arange(uniforms.shape[0]), ())
     return leaves

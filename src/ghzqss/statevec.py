@@ -7,6 +7,11 @@ Conventions used by every caller in this package:
   reads 0.
 - Operations are functional.  They return new ``StateVector`` values and never
   mutate their input, so states can be shared freely between callers.
+- Gate arithmetic runs on raw amplitude arrays in private helpers (``_h``,
+  ``_cx``, ``_project_z``); a measurement rotates, projects and rotates
+  back on arrays.  Only the state a public function returns is wrapped in
+  a ``StateVector``, so each returned state is validated exactly once, by
+  the one ``__post_init__`` check of shape, finiteness and norm.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
   draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
@@ -82,14 +87,13 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected "
                 f"({1 << self.num_qubits},)"
             )
-        if not np.all(np.isfinite(amps)):
-            raise ValueError("amplitudes must be finite")
         norm_sq = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-        if abs(norm_sq - 1.0) > NORM_ATOL:
+        # a non-finite amplitude makes norm_sq inf or NaN, so the finiteness
+        # scan is needed only when the norm check fails
+        if not abs(norm_sq - 1.0) <= NORM_ATOL:
+            if not np.all(np.isfinite(amps)):
+                raise ValueError("amplitudes must be finite")
             raise ValueError(f"state norm^2 = {norm_sq!r} is not 1")
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -139,16 +143,48 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
         raise ValueError(f"qubit {qubit} out of range for {state.num_qubits}-qubit state")
 
 
+def _h(amps: np.ndarray, qubit: int) -> np.ndarray:
+    """Hadamard on one qubit of a raw amplitude array, into a new array."""
+    arr = amps.reshape(1 << qubit, 2, -1)
+    out = np.empty_like(arr)
+    np.add(arr[:, 0, :], arr[:, 1, :], out=out[:, 0, :])
+    np.subtract(arr[:, 0, :], arr[:, 1, :], out=out[:, 1, :])
+    out *= _INV_SQRT2
+    return out.reshape(-1)
+
+
+def _cx(amps: np.ndarray, k: int, control: int, target: int) -> np.ndarray:
+    """CNOT on a raw k-qubit amplitude array, into a new array.
+
+    Inside the control-is-1 slice the target's two halves swap places.
+    """
+    out = amps.copy()
+    on = tuple(1 if q == control else slice(None) for q in range(k))
+    # the target's axis within the slice, once the control axis is gone
+    axis = target - (target > control)
+    out.reshape([2] * k)[on] = np.flip(amps.reshape([2] * k)[on], axis=axis)
+    return out
+
+
+def _project_z(amps: np.ndarray, qubit: int, value: int) -> np.ndarray:
+    """Project a raw amplitude array onto ``qubit`` = ``value`` and renormalize.
+
+    Raises NormalizationError if the projection's norm^2 is at or below
+    DEAD_EPS.
+    """
+    arr = amps.reshape(1 << qubit, 2, -1).copy()
+    arr[:, 1 - value, :] = 0.0
+    flat = arr.reshape(-1)
+    norm = float(np.linalg.norm(flat))
+    if norm * norm <= DEAD_EPS:
+        raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
+    return flat / norm
+
+
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     """Hadamard on one qubit: |0> -> |+>, |1> -> |->."""
     _check_qubit(state, qubit)
-    arr = state.amps.reshape(1 << qubit, 2, -1)
-    a0 = arr[:, 0, :]
-    a1 = arr[:, 1, :]
-    out = np.empty_like(arr)
-    out[:, 0, :] = (a0 + a1) * _INV_SQRT2
-    out[:, 1, :] = (a0 - a1) * _INV_SQRT2
-    return StateVector(state.num_qubits, out.reshape(-1))
+    return StateVector(state.num_qubits, _h(state.amps, qubit))
 
 
 def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
@@ -157,22 +193,7 @@ def apply_cnot(state: StateVector, control: int, target: int) -> StateVector:
     _check_qubit(state, target)
     if control == target:
         raise ValueError("control and target must be distinct")
-    k = state.num_qubits
-    idx = np.arange(1 << k)
-    on = (idx >> (k - 1 - control)) & 1 == 1
-    out = state.amps.copy()
-    out[idx[on]] = state.amps[idx[on] ^ (1 << (k - 1 - target))]
-    return StateVector(k, out)
-
-
-def _project_z(state: StateVector, qubit: int, value: int) -> StateVector:
-    arr = state.amps.reshape(1 << qubit, 2, -1).copy()
-    arr[:, 1 - value, :] = 0.0
-    flat = arr.reshape(-1)
-    norm = float(np.linalg.norm(flat))
-    if norm * norm <= DEAD_EPS:
-        raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
-    return StateVector(state.num_qubits, flat / norm)
+    return StateVector(state.num_qubits, _cx(state.amps, state.num_qubits, control, target))
 
 
 def _branches(
@@ -184,17 +205,19 @@ def _branches(
     X after a Hadamard; "Bell" reads two distinct qubits after CNOT(q1 ->
     q2) then H(q1), as index = phase bit (q1) + 2 * parity bit (q2).
     ``collapse(value)`` projects onto that outcome and rotates back, so a
-    Bell collapse re-synthesizes the measured pair.
+    Bell collapse re-synthesizes the measured pair.  The rotations and
+    projections run on raw arrays; only the collapsed state is wrapped.
     """
     for q in qubits:
         _check_qubit(state, q)
+    k = state.num_qubits
     if basis == "Bell":
         q1, q2 = qubits
         if q1 == q2:
             raise ValueError("Bell measurement needs two distinct qubits")
-        rotated = apply_hadamard(apply_cnot(state, q1, q2), q1)
-        probs = rotated.probabilities().reshape([2] * rotated.num_qubits)
-        axes = tuple(q for q in range(rotated.num_qubits) if q not in qubits)
+        rotated = _h(_cx(state.amps, k, q1, q2), q1)
+        probs = (np.abs(rotated) ** 2).reshape([2] * k)
+        axes = tuple(q for q in range(k) if q not in qubits)
         joint = probs.sum(axis=axes) if axes else probs
         if q1 > q2:  # remaining axes come out in increasing qubit order
             joint = joint.T
@@ -203,17 +226,17 @@ def _branches(
 
         def collapse(index: int) -> StateVector:
             post = _project_z(_project_z(rotated, q1, index & 1), q2, index >> 1)
-            return apply_cnot(apply_hadamard(post, q1), q1, q2)
+            return StateVector(k, _cx(_h(post, q1), k, q1, q2))
 
     elif basis in ("Z", "X"):
         (qubit,) = qubits
-        rotated = apply_hadamard(state, qubit) if basis == "X" else state
-        arr = rotated.amps.reshape(1 << qubit, 2, -1)
+        rotated = _h(state.amps, qubit) if basis == "X" else state.amps
+        arr = rotated.reshape(1 << qubit, 2, -1)
         outcome_probs = [float(np.sum(np.abs(arr[:, value, :]) ** 2)) for value in (0, 1)]
 
         def collapse(value: int) -> StateVector:
             post = _project_z(rotated, qubit, value)
-            return apply_hadamard(post, qubit) if basis == "X" else post
+            return StateVector(k, _h(post, qubit) if basis == "X" else post)
 
     else:
         raise ValueError(f"basis must be 'Z', 'X' or 'Bell', got {basis!r}")
@@ -296,24 +319,26 @@ def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tup
 
 def measure_batch(
     state: StateVector, basis: str, qubits: tuple[int, ...], samples
-) -> list[tuple[int, np.ndarray, StateVector]]:
+) -> tuple[list[tuple[int, np.ndarray]], Callable[[int], StateVector]]:
     """One measurement applied to many copies of ``state``, one sample each.
 
     ``basis`` is "Z" or "X" on one qubit or "Bell" on two.  Each copy gets
     the outcome that ``measure_z``, ``measure_x`` or ``measure_bell`` gives
-    for its sample, from the same probabilities.  Returns (outcome, indices
-    of the copies that got it, collapsed state) in outcome order, for the
-    outcomes at least one copy got; each of those is collapsed once, to the
-    state the scalar measurement returns.
+    for its sample, from the same probabilities.  Returns the groups
+    (outcome, indices of the copies that got it) in outcome order, for the
+    outcomes at least one copy got, and ``collapse``: ``collapse(outcome)``
+    is the state the scalar measurement returns for that outcome.  Nothing
+    is collapsed until the caller asks, so a caller that reads no
+    post-state pays for none.
     """
     probs, collapse = _branches(state, basis, qubits)
     outcomes = _choose(probs, np.asarray(samples, dtype=np.float64))
-    out = []
+    groups = []
     for value in range(len(probs)):
         picked = np.flatnonzero(outcomes == value)
         if picked.size:
-            out.append((value, picked, collapse(value)))
-    return out
+            groups.append((value, picked))
+    return groups, collapse
 
 
 def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:
@@ -326,14 +351,14 @@ def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], floa
     qubits = [q for q, _ in plan]
     if len(set(qubits)) != len(qubits):
         raise ValueError("plan lists a qubit more than once")
-    rotated = state
+    rotated = state.amps
     for q, basis in plan:
         _check_qubit(state, q)
         if basis == "X":
-            rotated = apply_hadamard(rotated, q)
+            rotated = _h(rotated, q)
         elif basis != "Z":
             raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    probs = rotated.probabilities().reshape([2] * state.num_qubits)
+    probs = (np.abs(rotated) ** 2).reshape([2] * state.num_qubits)
     keep = sorted(qubits)
     axes = tuple(q for q in range(state.num_qubits) if q not in set(qubits))
     marg = probs.sum(axis=axes) if axes else probs

@@ -37,6 +37,7 @@ from ghzqss.protocol import (
     recover_secret,
     standard_variants,
 )
+from ghzqss import statevec
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 
 RT2 = math.sqrt(2.0)
@@ -324,6 +325,39 @@ def test_bulk_sampler_replays_run_round_exactly(kind, vidx):
         for record in expected:
             counts[record] = counts.get(record, 0) + 1
         assert sample_round_records(variant, payload, attack, us) == counts
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+@pytest.mark.parametrize("n", (3, 5))
+def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatch):
+    calls = []
+    branches = statevec._branches
+
+    def counted(state, basis, qubits):
+        probs, collapse = branches(state, basis, qubits)
+
+        def counting_collapse(value):
+            calls.append(value)
+            return collapse(value)
+
+        return probs, counting_collapse
+
+    monkeypatch.setattr(statevec, "_branches", counted)
+    attack = AttackModel(kind)
+    for variant in standard_variants(n):
+        for payload in (0, 1):
+            us = np.random.default_rng((n, variant.index, payload)).random(
+                (64, draws_per_round(attack, n))
+            )
+            calls.clear()
+            leaves = route_rounds(variant, payload, attack, us)
+            paths = [
+                ((eve,) if attack.active else ()) + (a, big_a, *signs)
+                for (a, big_a, signs, eve), _rows in leaves
+            ]
+            # one collapse per inner node of the tree the rows reach
+            inner = {path[:depth] for path in paths for depth in range(1, len(path))}
+            assert len(calls) == len(inner)
 
 
 # 0, the dyadic cumulative branch probabilities of n=3 rounds (many computed

@@ -27,12 +27,19 @@ ANALYZE = [
      "--payload", "1"),
     ("analyze", "--parties", "4", "--variant", "psi2", "--attack", "intercept-resend",
      "--condition-bell", "2"),
+] + [
+    ("analyze", "--parties", "10", "--variant", variant, "--attack", attack)
+    for variant, attack in (("Psi1", "intercept-resend"), ("Psi6", "collective-h-cnot"))
 ]
 
 RUN = [
     ("run", "--parties", str(n), "--rounds", "200", "--seed", "7", "--attack", attack,
      "--random-message", "8")
     for n in (3, 4)
+    for attack in ATTACKS
+] + [
+    ("run", "--parties", "9", "--rounds", "120", "--seed", "7", "--attack", attack,
+     "--random-message", "8")
     for attack in ATTACKS
 ] + [
     ("run", "--parties", "4", "--rounds", "200", "--seed", "3", "--all-subsets",
@@ -134,6 +141,18 @@ GOLDEN = {
         "8351022ba3f5c4d5186cdc73352440d27dfb76d7685be24358558ed62dd79389",
     "run --parties 4 --rounds 200 --seed 3 --all-subsets --attack collective-h-cnot":
         "6ef237104ff55e77e114232614c75e928ed9900f0d40b17b24f56a980335e152",
+    "run --parties 9 --rounds 120 --seed 7 --attack none --random-message 8":
+        "922421167c636bc0ce036774afbbbfae8983f7598e556a876e4fdb6b82afa431",
+    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --random-message 8":
+        "5f5c46e55809736a31db8d0eefc037abefb3addf4240f11c976ff357060d4669",
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --random-message 8":
+        "89bb649eaed3c188a435b7e3bdf1e53206202ca9ba9988a55e52c9440d6df3b3",
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --random-message 8":
+        "17d6f764aae69e34a4e223206fec3c81b3e567aa145b8a7905559ce3f6b553ef",
+    "analyze --parties 10 --variant Psi1 --attack intercept-resend":
+        "196fc1ef261bc448b95b913c0a1330721e8f17de314cd0b4cc5ffac6f9909f18",
+    "analyze --parties 10 --variant Psi6 --attack collective-h-cnot":
+        "ebecfbd24577c0e660c5f3ffa8e1b7eec88b299d857e213160861c813be421bd",
 }
 
 

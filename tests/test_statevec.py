@@ -85,6 +85,22 @@ def test_state_from_amplitudes_validation():
         StateVector(1, np.array([np.nan, 0.0]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0), complex(0, np.nan)])
+def test_state_vector_refuses_non_finite_amplitudes(bad):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        StateVector(1, np.array([bad, 0.0]))
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        StateVector(2, np.array([0.5, 0.5, 0.5, bad]))
+
+
+def test_state_vector_norm_tolerance():
+    with pytest.raises(ValueError, match="is not 1"):
+        StateVector(1, np.array([math.sqrt(1.0 + 1e-9), 0.0]))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="is not 1"):
+        StateVector(1, np.array([1e200, 0.0]))  # finite, but norm^2 overflows to inf
+    StateVector(1, np.array([math.sqrt(1.0 + 5e-11), 0.0]))  # within NORM_ATOL
+
+
 def test_append_ancilla_positions():
     plus = state_from_amplitudes([1 / RT2, 1 / RT2])
     one = basis_state(1, 1)
@@ -118,6 +134,38 @@ def test_cnot_permutes_basis():
     assert_amps(apply_cnot(basis_state(2, 1), 1, 0), [0, 0, 0, 1])  # reversed roles
     with pytest.raises(ValueError):
         apply_cnot(basis_state(2, 0), 1, 1)
+
+
+def random_state(rng, k):
+    v = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+    return StateVector(k, v / np.linalg.norm(v))
+
+
+def test_cnot_equals_the_basis_permutation_exactly():
+    # restated: amplitude i comes from i with the target bit flipped when the
+    # control bit of i is 1, so the gate moves amplitudes and computes none
+    rng = np.random.default_rng(20261018)
+    for k in range(2, 6):
+        for control, target in itertools.permutations(range(k), 2):
+            state = random_state(rng, k)
+            cbit, tbit = 1 << (k - 1 - control), 1 << (k - 1 - target)
+            source = [i ^ tbit if i & cbit else i for i in range(1 << k)]
+            out = apply_cnot(state, control, target)
+            assert (out.amps == state.amps[source]).all()
+
+
+def test_hadamard_equals_its_float_expression_exactly():
+    rng = np.random.default_rng(20261019)
+    for k in range(1, 6):
+        state = random_state(rng, k)
+        for q in range(k):
+            qbit = 1 << (k - 1 - q)
+            expected = [
+                (state.amps[i & ~qbit] + (-1 if i & qbit else 1) * state.amps[i | qbit])
+                * (1.0 / math.sqrt(2.0))
+                for i in range(1 << k)
+            ]
+            assert (apply_hadamard(state, q).amps == np.array(expected)).all()
 
 
 def test_hadamard_cancels_amplitudes_exactly():
@@ -186,7 +234,7 @@ def test_measure_z_never_picks_a_dead_outcome():
         outcome, post = measure_z(state, 0, u)
         assert outcome.value == 0
         assert_amps(post, [1, 0])
-        [(value, picked, _post)] = measure_batch(state, "Z", (0,), [u, 0.0])
+        [(value, picked)], _collapse = measure_batch(state, "Z", (0,), [u, 0.0])
         assert (value, list(picked)) == (0, [0, 1])
         assert z_projections(state, 0)[1][2] is None
         assert outcome_distribution(state, [(0, "Z")]).keys() == {(0,)}
@@ -203,9 +251,9 @@ def test_every_live_outcome_can_be_collapsed_onto():
     (_v0, _p0, zero), (_v1, _p1, one) = z_projections(state, 0)
     assert_amps(zero, [1, 0])
     assert_amps(one, [0, 1])
-    [(value, picked, post)] = measure_batch(state, "Z", (0,), [u])
+    [(value, picked)], collapse = measure_batch(state, "Z", (0,), [u])
     assert (value, list(picked)) == (1, [0])
-    assert_amps(post, [0, 1])
+    assert_amps(collapse(value), [0, 1])
 
 
 def test_z_projections_mark_impossible_branches():
@@ -307,9 +355,10 @@ def test_measure_batch_matches_scalar_measurements(state, samples, data):
     basis = data.draw(st.sampled_from(("Z", "X", "Bell") if k > 1 else ("Z", "X")))
     qubits = tuple(data.draw(st.permutations(range(k)))[: 2 if basis == "Bell" else 1])
     scalar = {"Z": measure_z, "X": measure_x, "Bell": measure_bell}[basis]
-    groups = measure_batch(state, basis, qubits, samples)
-    assert sorted(i for _v, picked, _post in groups for i in picked) == list(range(len(samples)))
-    for value, picked, post in groups:
+    groups, collapse = measure_batch(state, basis, qubits, samples)
+    assert sorted(i for _v, picked in groups for i in picked) == list(range(len(samples)))
+    for value, picked in groups:
+        post = collapse(value)
         for i in picked:
             outcome, expected = scalar(state, *qubits, samples[i])
             assert outcome.value == value
@@ -401,15 +450,16 @@ def test_measure_batch_follows_the_spec(state, data):
         )
         samples = data.draw(st.lists(sample, min_size=1, max_size=8))
     got = {}
-    for value, picked, post in measure_batch(state, basis, qubits, samples):
-        np.testing.assert_allclose(post.amps, spec[value][1], atol=1e-9)
+    groups, collapse = measure_batch(state, basis, qubits, samples)
+    for value, picked in groups:
+        np.testing.assert_allclose(collapse(value).amps, spec[value][1], atol=1e-9)
         got.update((int(i), value) for i in picked)
     assert got == {i: spec_choose(probs, u) for i, u in enumerate(samples)}
 
 
 def test_measure_batch_skips_impossible_outcomes_and_validates():
-    groups = measure_batch(basis_state(2, 1), "Bell", (0, 1), [0.2, 0.999999, 0.3])
-    assert [(v, list(picked)) for v, picked, _post in groups] == [(2, [0, 2]), (3, [1])]
+    groups, _collapse = measure_batch(basis_state(2, 1), "Bell", (0, 1), [0.2, 0.999999, 0.3])
+    assert [(v, list(picked)) for v, picked in groups] == [(2, [0, 2]), (3, [1])]
     with pytest.raises(ValueError):
         measure_batch(basis_state(2, 0), "Y", (0,), [0.5])
     with pytest.raises(ValueError):
@@ -471,10 +521,12 @@ def test_outcome_distribution_sums_to_one(state):
 
 
 def test_projection_guard_raises_on_dead_branch():
-    with pytest.raises(NormalizationError):
-        from ghzqss.statevec import _project_z
+    from ghzqss.statevec import _project_z
 
-        _project_z(basis_state(1, 0), 0, 1)
+    # zero weight, and a residue of norm^2 1e-16 at or below DEAD_EPS
+    for amps in (basis_state(1, 0).amps, np.array([1.0, 1e-8], dtype=complex)):
+        with pytest.raises(NormalizationError):
+            _project_z(amps, 0, 1)
 
 
 def test_sampled_frequencies_track_probabilities():
@@ -486,7 +538,8 @@ def test_sampled_frequencies_track_probabilities():
     n = 100_000
     us = np.random.default_rng(42).random(n)
     outcomes = np.empty(n, dtype=int)
-    for value, picked, _post in measure_batch(state, "Z", (1,), us):
+    groups, _collapse = measure_batch(state, "Z", (1,), us)
+    for value, picked in groups:
         outcomes[picked] = value
     # the scalar path gives the same outcomes, checked on a prefix
     assert [measure_z(state, 1, u)[0].value for u in us[:2000]] == list(outcomes[:2000])
