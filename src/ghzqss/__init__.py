@@ -18,9 +18,7 @@ from .attacks import (
     exact_tables,
     route_rounds,
     run_round,
-    sample_round_records,
     tap_collective,
-    tap_intercept_resend,
 )
 from .protocol import (
     RoundOutcome,

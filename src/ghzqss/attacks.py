@@ -16,20 +16,21 @@ another receiver, i.e. strictly before the round's variant is announced:
   sign he later announces comes from a particle already collapsed into a
   Bell pair with the probe.
 
-Both the exact oracle and the batched sampler build a round from one
-prefix (prepare, tap, correct, encode, deferred Bell measurement), so they
-model the identical process.  ``exact_round_analysis`` enumerates the exact
-joint distribution of one round's classical record and backs every security
-number in this package: ``exact_tables`` runs it once per payload bit, and
-the detection rate, the attacker's record distribution and information
-are pure folds over that pair of tables, so ``ghzqss analyze`` makes one
-oracle pass per payload.  ``route_rounds`` walks many rounds of one (variant,
-payload) through their shared outcome tree at once: every measurement splits
-the rows by the same threshold rule ``run_round`` applies one draw at a
-time, and a branch's collapsed state is computed once, only when some row
-reaches it and a later measurement reads it, so the last readout collapses
-nothing.  Each row's record is exactly the one ``run_round`` produces
-from that row's draws; ``sample_round_records`` counts them.
+Every path builds a round from one prefix, ``_round_prefix`` (prepare,
+tap, correct, encode, deferred Bell measurement), so the exact oracle, the
+batched walk and the one-round reference model the identical circuit.
+``exact_round_analysis`` enumerates the exact joint distribution of one
+round's classical record and backs every security number in this package:
+``exact_tables`` runs it once per payload bit, and the detection rate, the
+attacker's record distribution and information are pure folds over that
+pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
+``route_rounds`` walks many rounds of one (variant, payload) through their
+shared outcome tree at once: every measurement splits the rows by the same
+threshold rule ``run_round`` applies one draw at a time, and a branch's
+collapsed state is computed once, only when some row reaches it and a
+later measurement reads it, so the last readout collapses nothing.  Each
+row's record is exactly the one ``run_round``, the reference the walk is
+tested against, produces from that row's draws.
 """
 
 from __future__ import annotations
@@ -113,19 +114,6 @@ def check_round_capacity(n: int, attack: AttackModel) -> None:
         )
 
 
-def tap_intercept_resend(
-    state: StateVector, bob_qubit: int, target_qubit: int, randomness: float
-) -> tuple[StateVector, int]:
-    """Bell-measure (attacker's qubit, in-flight qubit) and resend.
-
-    Returns the post-state and the attacker's record, the Bell index.  The
-    post-state carries the measured Bell pair on those two qubits, so the
-    forwarded particle is exactly what the legitimate receiver gets.
-    """
-    outcome, state = measure_bell(state, bob_qubit, target_qubit, randomness)
-    return state, outcome.value
-
-
 def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -> StateVector:
     """Entangle a fresh probe (appended at the back) with the flying qubit.
 
@@ -153,28 +141,20 @@ def draws_per_round(attack: AttackModel, n: int) -> int:
 
 
 def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) -> RoundOutcome:
-    """Sample one full round: prepare, tap, correct, encode, measure.
+    """Sample one full round, one draw at a time.
 
-    Draw order: the intercept tap (if any) while the particles fly, then
-    after encoding the attacker's deferred Bell measurement (if any), then
-    the sender's two Z readouts, then each receiver's X readout.
+    The circuit comes from ``_round_prefix``; this is the reference that
+    ``route_rounds`` replays row by row.  Draw order: the attacker's Bell
+    measurement (if any), then the sender's two Z readouts, then each
+    receiver's X readout.
     """
-    variant = plan.variant
-    n = variant.n
-    state = prepare_variant(variant)
+    state, tap = _round_prefix(plan.variant, plan.payload_bit, attack)
     eve_record: int | None = None
-    if attack.kind == "intercept_resend_bell":
-        target = attack.resolve_target(n)
-        state, eve_record = tap_intercept_resend(state, 1, target - 1, rng.random())
-    elif attack.collective:
-        target = attack.resolve_target(n)
-        state = tap_collective(state, target - 1, attack.kind == "collective_h_cnot")
-    state = receiver_correction(state, variant)
-    state = encode_round(state, plan.payload_bit)
-    if attack.collective:
-        outcome, state = measure_bell(state, 2, state.num_qubits - 1, rng.random())
-        eve_record = outcome.value
-    measured = measure_round(state, n, rng)
+    if tap is not None:
+        qubits, finish = tap
+        outcome, post = measure_bell(state, *qubits, rng.random())
+        state, eve_record = finish(post), outcome.value
+    measured = measure_round(state, plan.variant.n, rng)
     return RoundOutcome(
         plan=plan,
         alice_a=measured.alice_a,
@@ -232,8 +212,6 @@ def exact_round_analysis(
     enumeration is the oracle the sampled path is checked against, so it
     never draws randomness.
     """
-    if payload_bit not in (0, 1):
-        raise ValueError("payload bit must be 0 or 1")
     n = variant.n
     check_round_capacity(n, attack)
     state, tap = _round_prefix(variant, payload_bit, attack)
@@ -368,16 +346,3 @@ def route_rounds(
 
     walk(state, np.arange(uniforms.shape[0]), ())
     return leaves
-
-
-def sample_round_records(
-    variant: StateVariant,
-    payload_bit: int,
-    attack: AttackModel,
-    uniforms: np.ndarray,
-) -> dict[RecordKey, int]:
-    """How many rows of ``uniforms`` give each record, per ``route_rounds``."""
-    return {
-        record: int(rows.size)
-        for record, rows in route_rounds(variant, payload_bit, attack, uniforms)
-    }

@@ -108,7 +108,7 @@ def _parse_variant(args) -> StateVariant:
     if args.hadamard_positions is not None:
         text = args.hadamard_positions.strip()
         positions = [int(p) for p in text.split(",") if p.strip()] if text else []
-        return StateVariant.from_positions(args.parties, positions)
+        return StateVariant(args.parties, positions)
     name = args.variant.strip().lower()
     if not name.startswith("psi"):
         raise ValueError(f"variant name {args.variant!r} should look like psi2")

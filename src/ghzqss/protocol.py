@@ -105,10 +105,6 @@ class StateVariant:
             return cls(n, frozenset(range(2, n + 1)))
         raise ValueError(f"variant index {index} out of range 1..{n + 1}")
 
-    @classmethod
-    def from_positions(cls, n: int, positions) -> "StateVariant":
-        return cls(n, frozenset(int(p) for p in positions))
-
 
 def standard_variants(n: int) -> tuple[StateVariant, ...]:
     """The n+1 variants of the protocol, in index order."""
@@ -119,7 +115,7 @@ def random_variant(n: int, rng: np.random.Generator, all_subsets: bool = False) 
     if all_subsets:
         mask = int(rng.integers(0, 1 << (n - 1)))
         positions = {p for p in range(2, n + 1) if (mask >> (p - 2)) & 1}
-        return StateVariant.from_positions(n, positions)
+        return StateVariant(n, positions)
     return StateVariant.from_index(n, int(rng.integers(1, n + 2)))
 
 

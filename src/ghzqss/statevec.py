@@ -46,8 +46,6 @@ DEAD_EPS = 1e-15
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-BELL_LABELS = ("phi+", "phi-", "psi+", "psi-")
-
 
 class RegisterCapacityError(ValueError):
     """An operation would exceed the dense-register qubit cap."""
@@ -231,8 +229,8 @@ def _branches(
     elif basis in ("Z", "X"):
         (qubit,) = qubits
         rotated = _h(state.amps, qubit) if basis == "X" else state.amps
-        arr = rotated.reshape(1 << qubit, 2, -1)
-        outcome_probs = [float(np.sum(np.abs(arr[:, value, :]) ** 2)) for value in (0, 1)]
+        view = (np.abs(rotated) ** 2).reshape(1 << qubit, 2, -1)
+        outcome_probs = [float(np.sum(view[:, value, :])) for value in (0, 1)]
 
         def collapse(value: int) -> StateVector:
             post = _project_z(rotated, qubit, value)

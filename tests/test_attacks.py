@@ -25,9 +25,7 @@ from ghzqss.attacks import (
     exact_tables,
     route_rounds,
     run_round,
-    sample_round_records,
     tap_collective,
-    tap_intercept_resend,
 )
 from ghzqss.protocol import (
     RoundPlan,
@@ -125,8 +123,8 @@ def test_draws_per_round():
 def test_intercept_tap_collapse_on_psi2(bell):
     state = prepare_variant(V[2])
     u = 0.25 * bell + 0.1  # lands inside outcome `bell` of the uniform quartiles
-    post, record = tap_intercept_resend(state, 1, 2, u)
-    assert record == bell
+    outcome, post = statevec.measure_bell(state, 1, 2, u)
+    assert outcome.value == bell
     np.testing.assert_allclose(post.amps, PSI2_TAP_STATES[bell], atol=1e-12)
 
 
@@ -321,10 +319,6 @@ def test_bulk_sampler_replays_run_round_exactly(kind, vidx):
         )
         expected = [replayed_record(variant, payload, attack, row) for row in us]
         assert routed_records(variant, payload, attack, us) == expected
-        counts = {}
-        for record in expected:
-            counts[record] = counts.get(record, 0) + 1
-        assert sample_round_records(variant, payload, attack, us) == counts
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -407,7 +401,7 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    counts = sample_round_records(V[2], 1, INTERCEPT, us)
+    counts = {record: rows.size for record, rows in route_rounds(V[2], 1, INTERCEPT, us)}
     exact = exact_round_analysis(V[2], 1, INTERCEPT)
     assert set(counts) <= set(exact)
     for key, p in exact.items():
@@ -417,6 +411,6 @@ def test_bulk_sampler_matches_exact_distribution():
 
 def test_bulk_sampler_shape_validation():
     with pytest.raises(ValueError):
-        sample_round_records(V[1], 0, INTERCEPT, np.zeros((10, 4)))
+        route_rounds(V[1], 0, INTERCEPT, np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        sample_round_records(V[1], 0, AttackModel(), np.zeros(40))
+        route_rounds(V[1], 0, AttackModel(), np.zeros(40))

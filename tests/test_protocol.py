@@ -86,7 +86,7 @@ def test_variant_indexing_and_names():
 
 
 def test_nonstandard_variant_naming():
-    v = StateVariant.from_positions(5, {2, 4})
+    v = StateVariant(5, {2, 4})
     assert not v.is_standard
     assert v.index is None
     assert v.name == "h2,4"
@@ -124,7 +124,7 @@ def test_prepare_psi4_amplitudes():
 
 def test_prepare_matches_direct_tensor_construction():
     # independent construction: branch tensors written out literally
-    v = StateVariant.from_positions(5, {4})
+    v = StateVariant(5, {4})
     expected = (kron_all([KET0, KET0, KET0, PLUS, KET0]) + kron_all([KET1, KET1, KET1, MINUS, KET1])) / RT2
     np.testing.assert_allclose(prepare_variant(v).amps, expected, atol=1e-15)
 
