@@ -28,9 +28,14 @@ pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
 shared outcome tree at once: every measurement splits the rows by the same
 threshold rule ``run_round`` applies one draw at a time, and a branch's
 collapsed state is computed once, only when some row reaches it and a
-later measurement reads it, so the last readout collapses nothing.  Each
-row's record is exactly the one ``run_round``, the reference the walk is
-tested against, produces from that row's draws.
+later measurement reads it, so the last readout collapses nothing.  The
+attacker's Bell tap at the root is read on full states.  The readout
+after it is fixed by the protocol (the sender reads Z on qubits 0 and 1,
+each receiver X on its own qubit, in index order), so each readout is of
+the leading unmeasured qubit, and the walk keeps each branch as a
+compact ``statevec._Block`` that only holds the unmeasured qubits'
+amplitudes.  Each row's record is exactly the one ``run_round``, the
+reference the walk is tested against, produces from that row's draws.
 """
 
 from __future__ import annotations
@@ -56,6 +61,8 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
+    _Block,
+    _leading_batch,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -319,6 +326,15 @@ def route_rounds(
     what ``run_round`` returns for each of those rows' draws.  Each inner
     node of the tree is collapsed once; the last readout is not collapsed,
     since nothing reads that state.
+
+    The Bell tap, if any, is measured on the full state with
+    ``measure_batch``.  The Z and X readouts read qubits 0, 1, 2, ... in
+    order, so each one reads the leading qubit of a ``_Block`` (the
+    unmeasured qubits' amplitudes, the sender's Z bits and the number of
+    X-measured qubits) with ``statevec._leading_batch``; its
+    probabilities equal those of a full-state readout bit for bit, and
+    every block passes the same norm and finiteness check a
+    ``StateVector`` does.
     """
     n = variant.n
     uniforms = np.asarray(uniforms, dtype=np.float64)
@@ -326,23 +342,28 @@ def route_rounds(
     if uniforms.ndim != 2 or uniforms.shape[1] != width:
         raise ValueError(f"uniforms must have shape (rounds, {width})")
     state, tap = _round_prefix(variant, payload_bit, attack)
-    steps = [(basis, (q,), None) for q, basis in _readout(n)]
+    rows = np.arange(uniforms.shape[0])
+    roots: list[tuple[int | None, StateVector, np.ndarray]] = [(None, state, rows)]
     if tap is not None:
-        steps.insert(0, ("Bell", *tap))
+        qubits, finish = tap
+        groups, collapse = measure_batch(state, "Bell", qubits, uniforms[:, 0])
+        roots = [(eve, finish(collapse(eve)), rows[picked]) for eve, picked in groups]
+    # _readout reads qubits 0, 1, 2, ... in order, so each readout is of
+    # the leading unmeasured qubit of its block
+    bases = [basis for _q, basis in _readout(n)]
+    first = width - len(bases)  # the readouts' first column, after the tap's
     leaves: list[tuple[RecordKey, np.ndarray]] = []
 
-    def walk(state: StateVector, rows: np.ndarray, path: tuple[int, ...]) -> None:
-        depth = len(path)
-        basis, qubits, finish = steps[depth]
-        groups, collapse = measure_batch(state, basis, qubits, uniforms[rows, depth])
+    def walk(block: _Block, rows: np.ndarray, bits: tuple[int, ...], eve: int | None) -> None:
+        depth = len(bits)
+        groups, collapse = _leading_batch(block, bases[depth], uniforms[rows, first + depth])
         for value, picked in groups:
-            branch = path + (value,)
-            if depth + 1 < len(steps):
-                post = collapse(value)
-                walk(finish(post) if finish else post, rows[picked], branch)
+            branch = bits + (value,)
+            if depth + 1 < len(bases):
+                walk(collapse(value), rows[picked], branch, eve)
             else:  # the last readout: nothing reads the collapsed state
-                eve, bits = (branch[0], branch[1:]) if tap is not None else (None, branch)
-                leaves.append(((bits[0], bits[1], bits[2:], eve), rows[picked]))
+                leaves.append(((branch[0], branch[1], branch[2:], eve), rows[picked]))
 
-    walk(state, np.arange(uniforms.shape[0]), ())
+    for eve, root, root_rows in roots:
+        walk(_Block(root.amps), root_rows, (), eve)
     return leaves

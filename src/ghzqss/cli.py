@@ -5,14 +5,16 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-Exit codes: 0 success, 1 recovery-table mismatch, 2 usage or validation
-error, 3 register capacity exceeded.  Nothing is written to stderr on
-success.
+Exit codes: 0 success, 1 recovery-table mismatch or stdout closed by its
+reader (e.g. piped into ``head``), 2 usage or validation error, 3 register
+capacity exceeded.  Nothing is written to stderr on success or when stdout
+is closed.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -213,10 +215,25 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            return cmd_run(args)
-        if args.command == "analyze":
-            return cmd_analyze(args)
-        return cmd_table1(args)
+            code = cmd_run(args)
+        elif args.command == "analyze":
+            code = cmd_analyze(args)
+        else:
+            code = cmd_table1(args)
+        # a closed stdout must surface here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the recipe in the ``signal`` docs: point stdout at devnull so the
+        # interpreter's flush at exit cannot fail again, and exit 1 quietly
+        try:
+            fd = sys.stdout.fileno()
+        except (OSError, ValueError):  # a stream without a descriptor, e.g. redirect_stdout
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
     except RegisterCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,21 @@ Conventions used by every caller in this package:
   ``_cx``, ``_project_z``); a measurement rotates, projects and rotates
   back on arrays.  Only the state a public function returns is wrapped in
   a ``StateVector``, so each returned state is validated exactly once, by
-  the one ``__post_init__`` check of shape, finiteness and norm.
+  the one norm and finiteness check (``_check_norm``, which
+  ``__post_init__`` runs after the shape check).
+- The batched outcome-tree walk (``attacks.route_rounds``) reads a round's
+  qubits in index order, sender Z first and then receiver X, so every
+  qubit a walk branch has measured is a leading one.  A branch is kept as
+  a ``_Block``: its amplitudes over the unmeasured qubits, the Z bits read
+  and the number of X-measured qubits.  The full register is zero off
+  those Z bits and holds the block once, up to sign, per pattern of the
+  X-measured qubits.  ``_leading_branches`` reads the block's leading
+  qubit: the Hadamard, squared magnitudes, projection, division by the
+  norm and the X rotate-back touch only the block, while the two outcome
+  sums and the projection norm run on the materialized full array
+  through the helpers ``_branches`` uses, so every probability and norm
+  is bit-identical to a full-register readout.  Every block a collapse
+  returns passes the same ``_check_norm``, counting its copies.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
   draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
@@ -36,6 +50,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,13 +100,22 @@ class StateVector:
                 f"amplitude vector has shape {amps.shape}, expected "
                 f"({1 << self.num_qubits},)"
             )
-        norm_sq = float(np.sum(amps.real * amps.real + amps.imag * amps.imag))
-        # a non-finite amplitude makes norm_sq inf or NaN, so the finiteness
-        # scan is needed only when the norm check fails
-        if not abs(norm_sq - 1.0) <= NORM_ATOL:
-            if not np.all(np.isfinite(amps)):
-                raise ValueError("amplitudes must be finite")
-            raise ValueError(f"state norm^2 = {norm_sq!r} is not 1")
+        _check_norm(amps)
+
+
+def _check_norm(amps: np.ndarray, multiplicity: int = 1) -> None:
+    """The one norm and finiteness check, for ``multiplicity`` copies of ``amps``.
+
+    A walk block stands for a register that holds it once per X-measured
+    pattern, so its copies together must have norm^2 1.
+    """
+    norm_sq = multiplicity * float((amps.real * amps.real + amps.imag * amps.imag).sum())
+    # a non-finite amplitude makes norm_sq inf or NaN, so the finiteness
+    # scan is needed only when the norm check fails
+    if not abs(norm_sq - 1.0) <= NORM_ATOL:
+        if not np.all(np.isfinite(amps)):
+            raise ValueError("amplitudes must be finite")
+        raise ValueError(f"state norm^2 = {norm_sq!r} is not 1")
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -164,19 +188,32 @@ def _cx(amps: np.ndarray, k: int, control: int, target: int) -> np.ndarray:
     return out
 
 
+def _norm(flat: np.ndarray, qubit: int, value: int) -> float:
+    """The norm of an array projected onto ``qubit`` = ``value``.
+
+    Raises NormalizationError if the norm^2 is at or below DEAD_EPS.
+    """
+    norm = float(np.linalg.norm(flat))
+    if norm * norm <= DEAD_EPS:
+        raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
+    return norm
+
+
 def _project_z(amps: np.ndarray, qubit: int, value: int) -> np.ndarray:
     """Project a raw amplitude array onto ``qubit`` = ``value`` and renormalize.
 
-    Raises NormalizationError if the projection's norm^2 is at or below
-    DEAD_EPS.
+    Raises NormalizationError, through ``_norm``, for a dead projection.
     """
     arr = amps.reshape(1 << qubit, 2, -1).copy()
     arr[:, 1 - value, :] = 0.0
     flat = arr.reshape(-1)
-    norm = float(np.linalg.norm(flat))
-    if norm * norm <= DEAD_EPS:
-        raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
-    return flat / norm
+    return flat / _norm(flat, qubit, value)
+
+
+def _half_sums(weights: np.ndarray, qubit: int) -> list[float]:
+    """The squared magnitudes ``weights`` summed where ``qubit`` reads 0, then 1."""
+    view = weights.reshape(1 << qubit, 2, -1)
+    return [float(view[:, value, :].sum()) for value in (0, 1)]
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
@@ -229,8 +266,7 @@ def _branches(
     elif basis in ("Z", "X"):
         (qubit,) = qubits
         rotated = _h(state.amps, qubit) if basis == "X" else state.amps
-        view = (np.abs(rotated) ** 2).reshape(1 << qubit, 2, -1)
-        outcome_probs = [float(np.sum(view[:, value, :])) for value in (0, 1)]
+        outcome_probs = _half_sums(np.abs(rotated) ** 2, qubit)
 
         def collapse(value: int) -> StateVector:
             post = _project_z(rotated, qubit, value)
@@ -330,13 +366,93 @@ def measure_batch(
     post-state pays for none.
     """
     probs, collapse = _branches(state, basis, qubits)
+    return _groups(probs, samples), collapse
+
+
+def _groups(probs: list[float], samples) -> list[tuple[int, np.ndarray]]:
+    """(outcome, indices of the samples that select it), in outcome order.
+
+    Only the outcomes at least one sample selects are listed.
+    """
     outcomes = _choose(probs, np.asarray(samples, dtype=np.float64))
     groups = []
     for value in range(len(probs)):
-        picked = np.flatnonzero(outcomes == value)
+        (picked,) = np.nonzero(outcomes == value)
         if picked.size:
             groups.append((value, picked))
-    return groups, collapse
+    return groups
+
+
+class _Block(NamedTuple):
+    """A walk branch whose leading qubits are measured, Z readouts first.
+
+    The full register holds ``amps`` (over the unmeasured qubits) where the
+    Z-measured qubits read ``zbits``, once for each pattern of the
+    ``copies`` X-measured qubits after them, up to sign, and zeros
+    elsewhere.
+    """
+
+    amps: np.ndarray
+    zbits: tuple[int, ...] = ()
+    copies: int = 0
+
+
+def _embed(values: np.ndarray, block: _Block, tail: tuple[int, ...] = ()) -> np.ndarray:
+    """The full register's array holding per-block ``values``, zeros elsewhere.
+
+    ``values`` sits where the Z-measured qubits read ``block.zbits`` and
+    the qubits right after the X-measured ones read ``tail``, once per X
+    pattern, every copy signed +.
+    """
+    zbits, copies = block.zbits, block.copies
+    full = np.zeros(values.size << len(zbits) << copies << len(tail), dtype=values.dtype)
+    shape = (2,) * len(zbits) + (1 << copies,) + (2,) * len(tail) + (-1,)
+    full.reshape(shape)[zbits + (slice(None),) + tail] = values
+    return full
+
+
+def _leading_branches(block: _Block, basis: str) -> tuple[list[float], Callable[[int], _Block]]:
+    """``_branches`` for a Z or X readout of the block's leading unmeasured qubit.
+
+    The Hadamard, the squared magnitudes, the projection, the division by
+    the norm and the X rotate-back run on the block.  With the other half
+    projected away, the rotate-back leaves the kept half times 1/sqrt2 at
+    both values of the read qubit, up to sign, so an X readout adds a
+    copy.  The two sums and the norm run on the materialized full array
+    through ``_half_sums`` and ``_norm``, so every probability and
+    norm equals what ``_branches`` computes on the full state.  Each
+    collapsed block passes the one norm and finiteness check.
+    """
+    amps, zbits, copies = block
+    if basis == "X":
+        rotated = _h(amps, 0)
+    elif basis == "Z" and not copies:
+        rotated = amps
+    else:
+        raise ValueError(f"a walk block reads 'Z' (before any 'X') or 'X', got {basis!r}")
+    qubit = len(zbits) + copies
+    probs = _half_sums(_embed(np.abs(rotated) ** 2, block), qubit)
+
+    def collapse(value: int) -> _Block:
+        half = rotated.reshape(2, -1)[value]
+        kept = half / _norm(_embed(half, block, (value,)), qubit, value)
+        if basis == "X":
+            kept *= _INV_SQRT2
+            child = _Block(kept, zbits, copies + 1)
+        else:
+            child = _Block(kept, zbits + (value,), copies)
+        _check_norm(kept, 1 << child.copies)
+        return child
+
+    return probs, collapse
+
+
+def _leading_batch(
+    block: _Block, basis: str, samples
+) -> tuple[list[tuple[int, np.ndarray]], Callable[[int], _Block]]:
+    """``measure_batch`` for the leading-qubit readout of a walk block."""
+    probs, collapse = _leading_branches(block, basis)
+    return _groups(probs, samples), collapse
 
 
 def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:

@@ -325,18 +325,22 @@ def test_bulk_sampler_replays_run_round_exactly(kind, vidx):
 @pytest.mark.parametrize("n", (3, 5))
 def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatch):
     calls = []
-    branches = statevec._branches
 
-    def counted(state, basis, qubits):
-        probs, collapse = branches(state, basis, qubits)
+    def counted(branches):
+        def counting_branches(*args):
+            probs, collapse = branches(*args)
 
-        def counting_collapse(value):
-            calls.append(value)
-            return collapse(value)
+            def counting_collapse(value):
+                calls.append(value)
+                return collapse(value)
 
-        return probs, counting_collapse
+            return probs, counting_collapse
 
-    monkeypatch.setattr(statevec, "_branches", counted)
+        return counting_branches
+
+    # the tap collapses through _branches, the readouts through the kernel
+    for name in ("_branches", "_leading_branches"):
+        monkeypatch.setattr(statevec, name, counted(getattr(statevec, name)))
     attack = AttackModel(kind)
     for variant in standard_variants(n):
         for payload in (0, 1):

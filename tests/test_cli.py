@@ -1,6 +1,9 @@
 """Command-line behavior: exit codes, files, printed analysis."""
 
+import contextlib
+import io
 import json
+import os
 import sys
 
 import pytest
@@ -26,6 +29,30 @@ def test_table1_prints_all_rows(capsys):
     assert len(lines) == 9  # header plus eight rows
     secrets = [line.split()[-1] for line in lines[1:]]
     assert secrets == ["0", "1", "1", "0", "1", "0", "0", "1"]
+
+
+class ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_exits_1_and_writes_no_error(capsys):
+    # e.g. `ghzqss analyze --parties 6 | head -1`; this stream has no fileno()
+    with contextlib.redirect_stdout(ClosedStdout()):
+        code = main(["analyze", "--parties", "6"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_closed_pipe_is_pointed_at_devnull(capsys):
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    with open(write_fd, "w") as pipe, contextlib.redirect_stdout(pipe):
+        code = main(["analyze", "--parties", "6", "--attack", "collective-cnot"])
+        # the descriptor now writes to devnull, so closing the file flushes cleanly
+        assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
+    assert code == 1
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------------------------ run

@@ -14,6 +14,10 @@ from ghzqss.statevec import (
     NormalizationError,
     RegisterCapacityError,
     StateVector,
+    _Block,
+    _branches,
+    _check_norm,
+    _leading_branches,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -99,6 +103,15 @@ def test_state_vector_norm_tolerance():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="is not 1"):
         StateVector(1, np.array([1e200, 0.0]))  # finite, but norm^2 overflows to inf
     StateVector(1, np.array([math.sqrt(1.0 + 5e-11), 0.0]))  # within NORM_ATOL
+
+
+def test_walk_block_check_counts_every_copy():
+    # a block standing for 4 copies must hold norm^2 1/4
+    _check_norm(np.array([0.5, 0.0]), 4)
+    with pytest.raises(ValueError, match="is not 1"):
+        _check_norm(np.array([1.0, 0.0]), 4)
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        _check_norm(np.array([np.nan, 0.5]), 4)
 
 
 def test_append_ancilla_positions():
@@ -455,6 +468,68 @@ def test_measure_batch_follows_the_spec(state, data):
         np.testing.assert_allclose(collapse(value).amps, spec[value][1], atol=1e-9)
         got.update((int(i), value) for i in picked)
     assert got == {i: spec_choose(probs, u) for i, u in enumerate(samples)}
+
+
+def full_register(block, signs):
+    """The register a walk block stands for: the block where the Z-measured
+    qubits read its Z bits, once per X pattern times that pattern's sign,
+    zeros elsewhere."""
+    z = len(block.zbits)
+    full = np.zeros((1 << z, 1 << block.copies, block.amps.size), dtype=complex)
+    full[int("".join(map(str, block.zbits)), 2) if z else 0] = np.outer(signs, block.amps)
+    return StateVector(full.size.bit_length() - 1, full.reshape(-1))
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dead=st.booleans(),
+    residue=st.none(),
+)
+# the residue examples: the read qubit's 1-half holds 1e-17 (p = 1e-34) or
+# nothing, next to an amplitude of 1 - 2^-53
+@example(seed=0, dead=False, residue=1e-17)
+@example(seed=1, dead=False, residue=0.0)
+@settings(max_examples=12, deadline=None)
+def test_leading_readout_equals_branches_bit_for_bit(k, seed, dead, residue):
+    rng = np.random.default_rng(seed)
+    for d in range(k):  # every leading-qubit readout position
+        z = int(rng.integers(0, d + 1))  # Z readouts first, then X copies
+        block_size, copies = 1 << (k - d), d - z
+        if residue is None:
+            amps = rng.normal(size=block_size) + 1j * rng.normal(size=block_size)
+            if dead:  # zero about half, keeping one, so some branches die
+                drop = rng.random(block_size) < 0.5
+                drop[rng.integers(block_size)] = False
+                amps[drop] = 0.0
+            amps /= np.linalg.norm(amps)
+        else:
+            amps = np.zeros(block_size, dtype=complex)
+            amps[0], amps[block_size // 2] = 1.0 - 2.0**-53, residue
+        amps /= math.sqrt(1 << copies)
+        block = _Block(amps, tuple(int(b) for b in rng.integers(0, 2, size=z)), copies)
+        state = full_register(block, rng.choice((-1.0, 1.0), size=1 << copies))
+        for basis in ("Z", "X") if copies == 0 else ("X",):
+            probs, collapse = _leading_branches(block, basis)
+            expected_probs, expected_collapse = _branches(state, basis, (d,))
+            assert probs == expected_probs
+            for value in (0, 1):
+                try:
+                    expected = expected_collapse(value)
+                except NormalizationError:  # norm^2 <= DEAD_EPS
+                    with pytest.raises(NormalizationError):
+                        collapse(value)
+                    continue
+                child = collapse(value)
+                live = full_register(child, np.ones(1 << child.copies))
+                assert np.array_equal(np.abs(live.amps), np.abs(expected.amps))
+
+
+def test_leading_readout_validates_its_basis():
+    with pytest.raises(ValueError):
+        _leading_branches(_Block(np.array([0.5, 0.5]), (0,), 1), "Z")  # Z after an X
+    with pytest.raises(ValueError):
+        _leading_branches(_Block(np.array([1.0, 0.0])), "Bell")
 
 
 def test_measure_batch_skips_impossible_outcomes_and_validates():
