@@ -24,6 +24,14 @@ round's classical record and backs every security number in this package:
 ``exact_tables`` runs it once per payload bit, and the detection rate, the
 attacker's record distribution and information are pure folds over that
 pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
+A table is a ``RecordTable``: three arrays (packed readout bits, Bell
+record, probability) that callers may also read as a read-only mapping
+from record keys to probabilities.  The folds are array operations, and
+every float equals the one a loop over the records in table order gives:
+sums run left to right (``np.cumsum`` or ``np.add.at``, never the
+pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
+cells of the information sum, since ``np.log2`` may differ in the last
+bit.
 ``route_rounds`` walks many rounds of one (variant, payload) through their
 shared outcome tree at once: every measurement splits the rows by the same
 threshold rule ``run_round`` applies one draw at a time, and a branch's
@@ -41,7 +49,7 @@ reference the walk is tested against, produces from that row's draws.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, ItemsView, Iterator, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,6 +71,8 @@ from .statevec import (
     StateVector,
     _Block,
     _leading_batch,
+    _live_outcomes,
+    _unpack,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -70,7 +80,6 @@ from .statevec import (
     bell_projections,
     measure_batch,
     measure_bell,
-    outcome_distribution,
 )
 
 ATTACK_KINDS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
@@ -108,12 +117,14 @@ class AttackModel:
         return target
 
 
-def check_round_capacity(n: int, attack: AttackModel) -> None:
-    """Refuse rounds whose register exceeds the dense-register qubit cap.
+def validate_round(n: int, attack: AttackModel) -> None:
+    """Refuse a round whose attack targets no receiver or whose register is too large.
 
-    A round holds the n carriers plus the sender's work qubit, and one
-    more for the collective attacker's probe.
+    The target must be a receiver, whether or not an attack runs.  A round
+    holds the n carriers plus the sender's work qubit, and one more for the
+    collective attacker's probe; the dense register has a qubit cap.
     """
+    attack.resolve_target(n)
     needed = n + 1 + (1 if attack.collective else 0)
     if needed > MAX_QUBITS:
         raise RegisterCapacityError(
@@ -208,21 +219,93 @@ def _round_prefix(
     return finish(state), None
 
 
+@dataclass(frozen=True, eq=False)
+class RecordTable(Mapping):
+    """One payload's exact record distribution: three parallel read-only arrays.
+
+    Record i has its readout bits packed in ``index[i]`` (alice_a most
+    significant, then alice_A, then each receiver's sign in party order,
+    ``width`` bits in all), the attacker's Bell outcome ``eve[i]`` (-1 when
+    no attack leaves a record) and its probability ``p[i]``.  Records run
+    eve-major, then by ascending index, i.e. C order of the bits, and only
+    live records are listed.  Read as a mapping, in that same order, a
+    record's key is (alice_a, alice_A, receiver_signs, eve_record) with
+    eve_record None without an attack, and its value is ``p[i]``.
+    """
+
+    width: int
+    index: np.ndarray
+    eve: np.ndarray
+    p: np.ndarray
+
+    def __post_init__(self) -> None:
+        for array in (self.index, self.eve, self.p):
+            array.flags.writeable = False
+
+    def bits(self) -> np.ndarray:
+        """Each record's readout bits, one row per record, alice_a first."""
+        return _unpack(self.index, self.width)
+
+    def __len__(self) -> int:
+        return self.p.size
+
+    def __iter__(self) -> Iterator[RecordKey]:
+        eves = [None if eve < 0 else eve for eve in self.eve.tolist()]
+        return (
+            (bits[0], bits[1], tuple(bits[2:]), eve)
+            for bits, eve in zip(self.bits().tolist(), eves)
+        )
+
+    def __getitem__(self, key: RecordKey) -> float:
+        try:
+            alice_a, alice_big_a, signs, eve = key
+            bits = (alice_a, alice_big_a, *signs)
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
+        if len(bits) == self.width and all(b in (0, 1) for b in bits) and eve in (None, 0, 1, 2, 3):
+            index = int("".join("1" if b else "0" for b in bits), 2)
+            code = -1 if eve is None else eve
+            (hits,) = np.nonzero((self.index == index) & (self.eve == code))
+            if hits.size:
+                return float(self.p[hits[0]])
+        raise KeyError(key)
+
+    def items(self) -> ItemsView:
+        return _RecordItems(self)
+
+    def values(self) -> ValuesView:
+        return _RecordValues(self)
+
+
+# the views read the probabilities straight from the array, where the
+# generic views would look up every key
+class _RecordItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping.p.tolist())
+
+
+class _RecordValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping.p.tolist())
+
+
 def exact_round_analysis(
     variant: StateVariant, payload_bit: int, attack: AttackModel
-) -> dict[RecordKey, float]:
+) -> RecordTable:
     """Exact joint distribution of one round's classical record.
 
     Keys are (alice_a, alice_A, receiver_signs, eve_record); eve_record is
     None without an attack, else the Bell outcome index.  Only outcomes with
     nonzero probability appear, and the kept probabilities sum to 1.  This
     enumeration is the oracle the sampled path is checked against, so it
-    never draws randomness.
+    never draws randomness.  Each live Bell branch's readout comes from
+    ``statevec._live_outcomes``, the core of ``outcome_distribution``, and
+    its probabilities are scaled by the branch's.
     """
     n = variant.n
-    check_round_capacity(n, attack)
+    validate_round(n, attack)
     state, tap = _round_prefix(variant, payload_bit, attack)
-    branches: list[tuple[int | None, float, StateVector]] = [(None, 1.0, state)]
+    branches: list[tuple[int, float, StateVector]] = [(-1, 1.0, state)]
     if tap is not None:
         qubits, finish = tap
         branches = [
@@ -231,15 +314,15 @@ def exact_round_analysis(
             if post is not None
         ]
     readout = _readout(n)
-    table: dict[RecordKey, float] = {}
+    parts = []
     for eve, weight, branch in branches:
-        for bits, p in outcome_distribution(branch, readout).items():
-            key = (bits[0], bits[1], bits[2:], eve)
-            table[key] = table.get(key, 0.0) + weight * p
-    return table
+        index, probs = _live_outcomes(branch, readout)
+        parts.append((index, np.full(index.size, eve), weight * probs))
+    index, eve, p = (np.concatenate(column) for column in zip(*parts))
+    return RecordTable(len(readout), index, eve, p)
 
 
-ExactTables = dict[int, dict[RecordKey, float]]
+ExactTables = dict[int, RecordTable]
 
 
 def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
@@ -251,33 +334,49 @@ def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
     return {payload: exact_round_analysis(variant, payload, attack) for payload in (0, 1)}
 
 
+def _ordered_sum(values: np.ndarray) -> float:
+    """values[0] + values[1] + ..., added left to right; 0.0 when empty.
+
+    This is the float a loop over the records gives.  ``np.sum`` adds
+    pairwise (and ``math.fsum``, or ``sum`` from Python 3.12 on, is
+    compensated), so the last bit could differ.
+    """
+    return float(np.cumsum(values)[-1]) if values.size else 0.0
+
+
 def conditional_detection_rate(tables: ExactTables, condition: int | None = None) -> float:
     """Probability a single check round flags an error, from ``exact_tables``.
 
     The payload bit is uniform.  ``condition`` restricts to rounds where the
     attacker's Bell record equals that outcome index; conditioning on an
-    impossible outcome is an error.
+    impossible outcome is an error.  Both sums run over payload 0's records
+    and then payload 1's, in table order.
     """
-    wrong = 0.0
-    total = 0.0
+    weights, errors = [], []
     for payload in (0, 1):
-        for (alice_a, _alice_A, signs, eve), p in tables[payload].items():
-            if condition is not None and eve != condition:
-                continue
-            total += 0.5 * p
-            if recover_secret(alice_a, signs) != payload:
-                wrong += 0.5 * p
+        table = tables[payload]
+        bits = table.bits()
+        # the recovery rule XORs whole columns: alice_a, then each receiver's signs
+        flagged = recover_secret(bits[:, 0], bits[:, 2:].T) != payload
+        kept = np.full(len(table), True)
+        if condition is not None:
+            kept = (table.eve == condition) & (table.eve >= 0)
+        weights.append(0.5 * table.p[kept])
+        errors.append(weights[-1][flagged[kept]])
+    total = _ordered_sum(np.concatenate(weights))
     if total == 0.0:
         raise ValueError("conditioning event has zero probability")
-    return wrong / total
+    return _ordered_sum(np.concatenate(errors)) / total
 
 
-def eve_record_distribution(table: dict[RecordKey, float]) -> dict[int | None, float]:
+def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
     """Marginal distribution of the attacker's Bell record in one payload's table."""
-    out: dict[int | None, float] = {}
-    for (_a, _big_a, _signs, eve), p in table.items():
-        out[eve] = out.get(eve, 0.0) + p
-    return out
+    # records run eve-major, so each record's block is contiguous and in order
+    eves, starts = np.unique(table.eve, return_index=True)
+    return {
+        None if eve < 0 else eve: _ordered_sum(block)
+        for eve, block in zip(eves.tolist(), np.split(table.p, starts[1:]))
+    }
 
 
 def eve_mutual_information(tables: ExactTables) -> float:
@@ -286,22 +385,27 @@ def eve_mutual_information(tables: ExactTables) -> float:
     The view is the Bell record together with the attacker's own announced
     X sign (receiver 2's readout), i.e. everything he holds before any
     sender announcement.  Tables without an attacker record (no attack)
-    carry exactly zero information.
+    carry exactly zero information.  Each of the at most 16 (view,
+    payload) cells sums its records in table order (``np.add.at``), and
+    the cells' terms are added in the order their first records appear,
+    payload 0 first, with ``math.log2`` on each.
     """
-    if all(eve is None for table in tables.values() for (*_, eve) in table):
+    if all((tables[payload].eve < 0).all() for payload in (0, 1)):
         return 0.0
-    joint: dict[tuple, float] = {}
+    joint = np.zeros((2, 8))  # [payload, 2 * Bell record + own sign]
+    cells: list[tuple[int, int]] = []
     for payload in (0, 1):
-        for (_a, _big_a, signs, eve), p in tables[payload].items():
-            key = ((eve, signs[0]), payload)
-            joint[key] = joint.get(key, 0.0) + 0.5 * p
-    obs_marginal: dict[tuple, float] = {}
-    for (obs, _payload), p in joint.items():
-        obs_marginal[obs] = obs_marginal.get(obs, 0.0) + p
+        table = tables[payload]
+        view = 2 * table.eve + table.bits()[:, 2]
+        np.add.at(joint[payload], view, 0.5 * table.p)
+        seen, first = np.unique(view, return_index=True)
+        cells += [(payload, cell) for cell in seen[np.argsort(first)].tolist()]
+    view_marginal = joint[0] + joint[1]
     info = 0.0
-    for (obs, _payload), p in joint.items():
+    for payload, cell in cells:
+        p = float(joint[payload, cell])
         if p > 0.0:
-            info += p * math.log2(p / (obs_marginal[obs] * 0.5))
+            info += p * math.log2(p / (float(view_marginal[cell]) * 0.5))
     return max(info, 0.0)
 
 

@@ -5,6 +5,10 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
+``analyze`` renders each payload's table from its arrays, one ``%``
+format over all lines, and writes its whole output at once, after every
+figure is computed.
+
 Exit codes: 0 success, 1 recovery-table mismatch or stdout closed by its
 reader (e.g. piped into ``head``), 2 usage or validation error, 3 register
 capacity exceeded.  Nothing is written to stderr on success or when stdout
@@ -21,7 +25,7 @@ import numpy as np
 
 from .attacks import (
     AttackModel,
-    RecordKey,
+    RecordTable,
     conditional_detection_rate,
     eve_mutual_information,
     exact_tables,
@@ -157,40 +161,53 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _print_table(payload: int, table: dict[RecordKey, float]) -> None:
-    print(f"payload {payload} joint distribution:")
-    for (alice_a, alice_big_a, signs, eve), p in sorted(
-        table.items(), key=lambda kv: (kv[0][0], kv[0][1], kv[0][2], str(kv[0][3]))
-    ):
-        sign_text = "".join("-" if s else "+" for s in signs)
-        eve_text = "-" if eve is None else str(eve)
-        print(
-            f"  alice_a={alice_a} alice_A={alice_big_a} signs={sign_text} "
-            f"eve={eve_text}  p={p:.8f}"
-        )
+# the text of a record's attacker field, indexed by RecordTable.eve (-1: no record)
+_EVE_TEXT = np.array(["0", "1", "2", "3", "-"], dtype=object)
+
+
+def _table_text(payload: int, table: RecordTable) -> str:
+    """One payload's joint distribution as ``analyze`` prints it.
+
+    Lines run in ascending (alice_a, alice_A, signs, eve).  The columns are
+    gathered from the table's arrays and formatted by one ``%`` over all
+    lines; ``%.8f`` gives the same digits as ``format(p, ".8f")``.
+    """
+    order = np.lexsort((table.eve, table.index))
+    bits = table.bits()[order]
+    columns = np.empty((order.size, 5), dtype=object)
+    columns[:, 0] = bits[:, 0]
+    columns[:, 1] = bits[:, 1]
+    # each row of sign characters, read as one string
+    columns[:, 2] = np.where(bits[:, 2:], "-", "+").view(f"<U{table.width - 2}")[:, 0]
+    columns[:, 3] = _EVE_TEXT[table.eve[order]]
+    columns[:, 4] = table.p[order]
+    line = "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
+    return f"payload {payload} joint distribution:\n" + (line * order.size) % tuple(
+        columns.ravel().tolist()
+    )
 
 
 def cmd_analyze(args) -> int:
     variant = _parse_variant(args)
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
-    positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
-    target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
-    # every figure is computed before the first print, so a failure leaves stdout empty
+    # every figure is computed before the one write, so a failure leaves stdout empty
     tables = exact_tables(attack, variant)
     rate = conditional_detection_rate(tables, args.condition_bell)
     info = eve_mutual_information(tables)
-    print(
+    positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
+    target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
+    text = [
         f"variant={variant.name} (hadamard positions: {positions}) "
-        f"parties={args.parties} attack={attack.kind}{target}"
-    )
+        f"parties={args.parties} attack={attack.kind}{target}\n"
+    ]
     payloads = (args.payload,) if args.payload is not None else (0, 1)
-    for payload in payloads:
-        _print_table(payload, tables[payload])
-    if args.condition_bell is None:
-        print(f"detection_rate = {rate:.8f}")
-    else:
-        print(f"detection_rate = {rate:.8f}  (conditioned on Bell outcome {args.condition_bell})")
-    print(f"eve_mutual_information = {info:.8f} bits")
+    text += [_table_text(payload, tables[payload]) for payload in payloads]
+    condition = ""
+    if args.condition_bell is not None:
+        condition = f"  (conditioned on Bell outcome {args.condition_bell})"
+    text.append(f"detection_rate = {rate:.8f}{condition}\n")
+    text.append(f"eve_mutual_information = {info:.8f} bits\n")
+    sys.stdout.write("".join(text))
     return 0
 
 

@@ -130,7 +130,12 @@ def prepare_variant(variant: StateVariant) -> StateVector:
         else:
             branch0.append(_KET0)
             branch1.append(_KET1)
-    amps = (reduce(np.kron, branch0) + reduce(np.kron, branch1)) * _INV_SQRT2
+    # the outer-product chain multiplies in np.kron's left-to-right order,
+    # so the amplitudes equal the Kronecker chain's bit for bit
+    amps = (
+        reduce(np.multiply.outer, branch0).reshape(-1)
+        + reduce(np.multiply.outer, branch1).reshape(-1)
+    ) * _INV_SQRT2
     return StateVector(variant.n, amps)
 
 

@@ -30,11 +30,11 @@ import numpy as np
 
 from .attacks import (
     AttackModel,
-    check_round_capacity,
     draws_per_round,
     eve_mutual_information,
     exact_tables,
     route_rounds,
+    validate_round,
 )
 from .protocol import (
     RoundOutcome,
@@ -75,7 +75,7 @@ class SessionConfig:
     def validate(self) -> None:
         if self.n < 3:
             raise ValueError("protocol needs at least three parties")
-        check_round_capacity(self.n, self.attack)
+        validate_round(self.n, self.attack)
         check_message(self.message, self.rounds, self.check_fraction)
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
@@ -83,8 +83,6 @@ class SessionConfig:
             raise ValueError(f"mode must be 'sample' or 'exact', got {self.mode!r}")
         if not 0.0 <= self.abort_threshold <= 1.0:
             raise ValueError("abort threshold must lie in [0, 1]")
-        if self.attack.active:
-            self.attack.resolve_target(self.n)
 
 
 @dataclass

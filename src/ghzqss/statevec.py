@@ -455,12 +455,13 @@ def _leading_batch(
     return _groups(probs, samples), collapse
 
 
-def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:
-    """Exact Born distribution for measuring ``plan`` = [(qubit, basis), ...].
+def _live_outcomes(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:
+    """The live outcomes of measuring ``plan`` = [(qubit, basis), ...], as arrays.
 
-    Basis entries are "Z" or "X".  The returned dict lists exactly the
-    outcome tuples with p > DEAD_EPS, in C order of the bits, keyed in plan
-    order; for X entries the bit means 0 = |+>, 1 = |->.
+    Returns each outcome with p > DEAD_EPS as its packed index (its bits
+    in plan order, the first most significant), in ascending order, and
+    its probability.  Basis entries are "Z" or "X"; for X entries the bit
+    means 0 = |+>, 1 = |->.
     """
     qubits = [q for q, _ in plan]
     if len(set(qubits)) != len(qubits):
@@ -476,6 +477,22 @@ def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], floa
     keep = sorted(qubits)
     axes = tuple(q for q in range(state.num_qubits) if q not in set(qubits))
     marg = probs.sum(axis=axes) if axes else probs
-    marg = marg.transpose([keep.index(q) for q in qubits])
-    live = marg > DEAD_EPS
-    return dict(zip(map(tuple, np.argwhere(live).tolist()), marg[live].tolist()))
+    flat = marg.transpose([keep.index(q) for q in qubits]).reshape(-1)
+    (index,) = np.nonzero(flat > DEAD_EPS)
+    return index, flat[index]
+
+
+def _unpack(index: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bits of each packed outcome index, one row each, first bit first."""
+    return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:
+    """Exact Born distribution for measuring ``plan`` = [(qubit, basis), ...].
+
+    Basis entries are "Z" or "X".  The returned dict lists exactly the
+    outcome tuples with p > DEAD_EPS, in C order of the bits, keyed in plan
+    order; for X entries the bit means 0 = |+>, 1 = |->.
+    """
+    index, probs = _live_outcomes(state, plan)
+    return dict(zip(map(tuple, _unpack(index, len(plan)).tolist()), probs.tolist()))

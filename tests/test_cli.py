@@ -257,6 +257,36 @@ def test_analyze_intercept_rejects_own_particle_target(capsys):
     assert out == ""
 
 
+OUTSIDE_TARGETS = [
+    (attack, target)
+    for attack in ("none", "intercept-resend", "collective-cnot", "collective-h-cnot")
+    for target in ("1", "9")
+]
+
+
+@pytest.mark.parametrize("attack,target", OUTSIDE_TARGETS)
+def test_analyze_target_outside_the_receivers_exits_2(capsys, attack, target):
+    code, out, err = run_cli(
+        capsys, "analyze", "--parties", "3", "--attack", attack, "--target-receiver", target
+    )
+    assert code == 2
+    assert f"target receiver {target} outside [2, 3]" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("attack,target", OUTSIDE_TARGETS)
+def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, target):
+    out_dir = tmp_path / "target"
+    code, out, err = run_cli(
+        capsys, "run", "--parties", "3", "--rounds", "8", "--attack", attack,
+        "--target-receiver", target, "--out", str(out_dir),
+    )
+    assert code == 2
+    assert f"target receiver {target} outside [2, 3]" in err
+    assert out == ""
+    assert not out_dir.exists()
+
+
 def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):
     # analyze folds every figure over one pair of oracle tables, and an
     # unattacked exact-mode session needs no oracle run at all

@@ -1,13 +1,17 @@
 """Golden outputs: exact bytes of a fixed set of CLI commands, pinned by sha256.
 
 Each command's stdout (and, for ``run``, its transcript and report) must
-hash to the recorded digest, so any change that moves a printed digit or a
-transcript byte fails here.  Exact-mode reports are left out: their
+hash to the recorded digest, and so must the stdout of
+``scripts/attack_analysis.py --parties 4``, so any change that moves a
+printed digit or a transcript byte fails here.  Exact-mode reports are left out: their
 full-precision mutual information may differ in the last ulp on another
 numpy build.  The digests were recorded on Python 3.11 with numpy 2.4.6.
 """
 
 import hashlib
+import importlib.util
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +34,27 @@ ANALYZE = [
 ] + [
     ("analyze", "--parties", "10", "--variant", variant, "--attack", attack)
     for variant, attack in (("Psi1", "intercept-resend"), ("Psi6", "collective-h-cnot"))
+] + [
+    # every Bell condition that has positive probability, on the default
+    # variant and on Psi2, where intercept-resend is caught
+    ("analyze", "--parties", "4", *variant, "--attack", attack, "--condition-bell", str(bell))
+    for variant, attack, bells in (
+        ((), "intercept-resend", (0, 1)),
+        ((), "collective-h-cnot", (0, 1, 2, 3)),
+        (("--variant", "Psi2"), "intercept-resend", (0, 1, 3)),
+        (("--variant", "Psi2"), "collective-h-cnot", (0, 1, 2, 3)),
+    )
+    for bell in bells
+] + [
+    ("analyze", "--parties", "5", "--variant", variant, "--attack", attack, "--payload", payload)
+    for variant, attack in (("Psi3", "intercept-resend"), ("Psi6", "collective-cnot"))
+    for payload in ("0", "1")
+] + [
+    ("analyze", "--parties", "5", "--hadamard-positions", "2,4", "--attack", attack)
+    for attack in ATTACKS
+] + [
+    ("analyze", "--parties", "10", "--variant", variant, "--attack", attack)
+    for variant, attack in (("Psi3", "none"), ("Psi10", "collective-cnot"))
 ]
 
 RUN = [
@@ -153,7 +178,56 @@ GOLDEN = {
         "196fc1ef261bc448b95b913c0a1330721e8f17de314cd0b4cc5ffac6f9909f18",
     "analyze --parties 10 --variant Psi6 --attack collective-h-cnot":
         "ebecfbd24577c0e660c5f3ffa8e1b7eec88b299d857e213160861c813be421bd",
+    "analyze --parties 4 --attack intercept-resend --condition-bell 0":
+        "f2f06b3cd65397438d8b6cd9e0961b6ddb9d334acfb91e75291df6b9991e044e",
+    "analyze --parties 4 --attack intercept-resend --condition-bell 1":
+        "3b2ff9a489498fbfa2e2efcfd5d0eff894c2f2271c7cf5875db79310598a75d1",
+    "analyze --parties 4 --attack collective-h-cnot --condition-bell 0":
+        "acb8a7799c9a4ea1c9f03033ee1557ce2a15d40dcff1757b6300a3c25f3bd4e1",
+    "analyze --parties 4 --attack collective-h-cnot --condition-bell 1":
+        "207533219ad6b0ef4eb7ce3f569538e1ba3a61757db6b27620b31a8bb5fcc096",
+    "analyze --parties 4 --attack collective-h-cnot --condition-bell 2":
+        "a284145b281fb7af8e052a8ef2e88ad108b9e52f8183570ca9e893351590c391",
+    "analyze --parties 4 --attack collective-h-cnot --condition-bell 3":
+        "ade7dd862b7d94d35d8419c2d7cb5d680316d98120497f4e6b9f98e0977958b5",
+    "analyze --parties 4 --variant Psi2 --attack intercept-resend --condition-bell 0":
+        "65c822fff81ce66f5e3c9987b0d93a7a13b0f46f77317636d11a712fe3c5f4f6",
+    "analyze --parties 4 --variant Psi2 --attack intercept-resend --condition-bell 1":
+        "fc0a269190b7a8d7895d676fb86b835ab9fbeadbf2b34ee9402f0ccb93927e25",
+    "analyze --parties 4 --variant Psi2 --attack intercept-resend --condition-bell 3":
+        "88f770e3d82de08c43fb31438a0b89448a57ca38acc56878fa13f5f4640b6352",
+    "analyze --parties 4 --variant Psi2 --attack collective-h-cnot --condition-bell 0":
+        "789da267482c96cd109596f84433da3db8eec9b00b3e281437cb5df15c8ff126",
+    "analyze --parties 4 --variant Psi2 --attack collective-h-cnot --condition-bell 1":
+        "a6226793bcfa006815df5a76a8fb72edc8120aa2f5984e635b9d321daec2aca9",
+    "analyze --parties 4 --variant Psi2 --attack collective-h-cnot --condition-bell 2":
+        "784eb31219083ff2d605f83bcbe2d14d08b885d881f0d98ef43449919d85af28",
+    "analyze --parties 4 --variant Psi2 --attack collective-h-cnot --condition-bell 3":
+        "897ed61274b1ee88062309de48ba52cf6ae89d8c8b264b09ae25d4c7e42e9e71",
+    "analyze --parties 5 --variant Psi3 --attack intercept-resend --payload 0":
+        "984b7bcde63ccf86b12481604f0400910d94c0acaa20a1efa8b9a1e0f6f4f551",
+    "analyze --parties 5 --variant Psi3 --attack intercept-resend --payload 1":
+        "20605dc0d1eb857cc0bb0313faa0e6a33c1103e57dcd4d3e98984f5febf6f1ed",
+    "analyze --parties 5 --variant Psi6 --attack collective-cnot --payload 0":
+        "c1fce9105b0db55d2fa3aefd37e38139ad9ba909ff5aae1a83ec53a98c01ad4e",
+    "analyze --parties 5 --variant Psi6 --attack collective-cnot --payload 1":
+        "cd1e2e6d68eb673884ab9c360d75364898b3a486c9f63968588ef5150f4f4061",
+    "analyze --parties 5 --hadamard-positions 2,4 --attack none":
+        "f0c0421556acdf97f8aa432e70ff9b1e36d5105a3987b7bc73d4422d19f9b107",
+    "analyze --parties 5 --hadamard-positions 2,4 --attack intercept-resend":
+        "c1c489d1dee97b5559a156bf4fddb6cf6b22848eb5037268350c4a6d9eebe87b",
+    "analyze --parties 5 --hadamard-positions 2,4 --attack collective-cnot":
+        "f4720a0aabdc8e104fec6c4e2ba6958c508306a4f43bd03ae6b4721b20abc9e6",
+    "analyze --parties 5 --hadamard-positions 2,4 --attack collective-h-cnot":
+        "7705f2030b7600407a782d80e0907913e6d59b5bbe87b38b6772360aa3cfbf25",
+    "analyze --parties 10 --variant Psi3 --attack none":
+        "9d0464a2d2042bac3045e80e69dbd20bd2a234718f7af246cb549d3efcea19ca",
+    "analyze --parties 10 --variant Psi10 --attack collective-cnot":
+        "bd6faa0ac87f395e9b6fefa68ffa144257bc7a83b5395523a421a9587a3ea809",
 }
+
+# stdout of ``scripts/attack_analysis.py --parties 4``
+ATTACK_ANALYSIS_N4 = "742153b86a295c10549907ba602377e357d432baef098e8bdd0146393dd3a67c"
 
 
 def command_bytes(argv, out_dir, capsys) -> bytes:
@@ -173,3 +247,15 @@ def command_bytes(argv, out_dir, capsys) -> bytes:
 def test_command_output_matches_its_golden_digest(argv, tmp_path, capsys):
     digest = hashlib.sha256(command_bytes(argv, tmp_path / "out", capsys)).hexdigest()
     assert digest == GOLDEN[" ".join(argv)]
+
+
+def test_attack_analysis_script_output_matches_its_golden_digest(monkeypatch, capsys):
+    path = Path(__file__).resolve().parent.parent / "scripts" / "attack_analysis.py"
+    spec = importlib.util.spec_from_file_location("attack_analysis", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), "--parties", "4"])
+    assert script.main() == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == ATTACK_ANALYSIS_N4

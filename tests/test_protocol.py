@@ -1,5 +1,6 @@
 """Protocol mechanics: variants, carriers, encoding, recovery, planning."""
 
+import itertools
 import math
 from functools import reduce
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzqss import protocol
 from ghzqss.protocol import (
     RoundPlan,
     StateVariant,
@@ -127,6 +129,30 @@ def test_prepare_matches_direct_tensor_construction():
     v = StateVariant(5, {4})
     expected = (kron_all([KET0, KET0, KET0, PLUS, KET0]) + kron_all([KET1, KET1, KET1, MINUS, KET1])) / RT2
     np.testing.assert_allclose(prepare_variant(v).amps, expected, atol=1e-15)
+
+
+def kron_carrier(variant):
+    """The carrier as two left-to-right chains of ``np.kron``, one per branch."""
+    branch0 = [protocol._KET0]
+    branch1 = [protocol._KET1]
+    for party in range(2, variant.n + 1):
+        x_arm = party in variant.hadamard_positions
+        branch0.append(protocol._PLUS if x_arm else protocol._KET0)
+        branch1.append(protocol._MINUS if x_arm else protocol._KET1)
+    return (reduce(np.kron, branch0) + reduce(np.kron, branch1)) * protocol._INV_SQRT2
+
+
+def test_prepare_equals_the_kron_chain_bit_for_bit():
+    # every receiver subset at n=3..8, and the standard variants up to n=13
+    variants = [
+        StateVariant(n, subset)
+        for n in range(3, 9)
+        for k in range(n)
+        for subset in itertools.combinations(range(2, n + 1), k)
+    ] + [v for n in range(9, 14) for v in standard_variants(n)]
+    assert len(variants) == 312
+    for v in variants:
+        assert np.array_equal(prepare_variant(v).amps, kron_carrier(v)), v
 
 
 @pytest.mark.parametrize("n", range(3, 9))
