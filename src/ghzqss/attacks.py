@@ -24,9 +24,10 @@ round's classical record and backs every security number in this package:
 ``exact_tables`` runs it once per payload bit, and the detection rate, the
 attacker's record distribution and information are pure folds over that
 pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
-A table is a ``RecordTable``: three arrays (packed readout bits, Bell
-record, probability) that callers may also read as a read-only mapping
-from record keys to probabilities.  The folds are array operations, and
+A record is always held as arrays: a table is a ``RecordTable``, three
+read-only arrays (packed readout bits, Bell record or -1 without an
+attack, probability), and each branch of the oracle is read by
+``statevec.outcome_distribution``.  The folds are array operations, and
 every float equals the one a loop over the records in table order gives:
 sums run left to right (``np.cumsum`` or ``np.add.at``, never the
 pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
@@ -42,14 +43,16 @@ after it is fixed by the protocol (the sender reads Z on qubits 0 and 1,
 each receiver X on its own qubit, in index order), so each readout is of
 the leading unmeasured qubit, and the walk keeps each branch as a
 compact ``statevec._Block`` that only holds the unmeasured qubits'
-amplitudes.  Each row's record is exactly the one ``run_round``, the
-reference the walk is tested against, produces from that row's draws.
+amplitudes.  It returns one record per row, as the row's readout bits
+(laid out as ``RecordTable.bits()`` lays them out) and its Bell record,
+and each is exactly the one ``run_round``, the reference the walk is
+tested against, produces from that row's draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, ItemsView, Iterator, Mapping, ValuesView
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,8 +74,6 @@ from .statevec import (
     StateVector,
     _Block,
     _leading_batch,
-    _live_outcomes,
-    _unpack,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -80,6 +81,7 @@ from .statevec import (
     bell_projections,
     measure_batch,
     measure_bell,
+    outcome_distribution,
 )
 
 ATTACK_KINDS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
@@ -182,8 +184,6 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
     )
 
 
-RecordKey = tuple[int, int, tuple[int, ...], int | None]
-
 # the attacker's Bell measurement: its qubit pair, and the step that takes
 # each collapsed branch on to the state the next measurement sees
 _Tap = tuple[tuple[int, int], Callable[[StateVector], StateVector]]
@@ -220,7 +220,7 @@ def _round_prefix(
 
 
 @dataclass(frozen=True, eq=False)
-class RecordTable(Mapping):
+class RecordTable:
     """One payload's exact record distribution: three parallel read-only arrays.
 
     Record i has its readout bits packed in ``index[i]`` (alice_a most
@@ -228,9 +228,7 @@ class RecordTable(Mapping):
     ``width`` bits in all), the attacker's Bell outcome ``eve[i]`` (-1 when
     no attack leaves a record) and its probability ``p[i]``.  Records run
     eve-major, then by ascending index, i.e. C order of the bits, and only
-    live records are listed.  Read as a mapping, in that same order, a
-    record's key is (alice_a, alice_A, receiver_signs, eve_record) with
-    eve_record None without an attack, and its value is ``p[i]``.
+    live records are listed.
     """
 
     width: int
@@ -246,61 +244,24 @@ class RecordTable(Mapping):
         """Each record's readout bits, one row per record, alice_a first."""
         return _unpack(self.index, self.width)
 
-    def __len__(self) -> int:
-        return self.p.size
 
-    def __iter__(self) -> Iterator[RecordKey]:
-        eves = [None if eve < 0 else eve for eve in self.eve.tolist()]
-        return (
-            (bits[0], bits[1], tuple(bits[2:]), eve)
-            for bits, eve in zip(self.bits().tolist(), eves)
-        )
-
-    def __getitem__(self, key: RecordKey) -> float:
-        try:
-            alice_a, alice_big_a, signs, eve = key
-            bits = (alice_a, alice_big_a, *signs)
-        except (TypeError, ValueError):
-            raise KeyError(key) from None
-        if len(bits) == self.width and all(b in (0, 1) for b in bits) and eve in (None, 0, 1, 2, 3):
-            index = int("".join("1" if b else "0" for b in bits), 2)
-            code = -1 if eve is None else eve
-            (hits,) = np.nonzero((self.index == index) & (self.eve == code))
-            if hits.size:
-                return float(self.p[hits[0]])
-        raise KeyError(key)
-
-    def items(self) -> ItemsView:
-        return _RecordItems(self)
-
-    def values(self) -> ValuesView:
-        return _RecordValues(self)
-
-
-# the views read the probabilities straight from the array, where the
-# generic views would look up every key
-class _RecordItems(ItemsView):
-    def __iter__(self):
-        return zip(self._mapping, self._mapping.p.tolist())
-
-
-class _RecordValues(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping.p.tolist())
+def _unpack(index: np.ndarray, width: int) -> np.ndarray:
+    """The ``width`` bits of each packed index, one row each, most significant first."""
+    return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def exact_round_analysis(
     variant: StateVariant, payload_bit: int, attack: AttackModel
 ) -> RecordTable:
-    """Exact joint distribution of one round's classical record.
+    """Exact joint distribution of one round's classical record, as a ``RecordTable``.
 
-    Keys are (alice_a, alice_A, receiver_signs, eve_record); eve_record is
-    None without an attack, else the Bell outcome index.  Only outcomes with
-    nonzero probability appear, and the kept probabilities sum to 1.  This
-    enumeration is the oracle the sampled path is checked against, so it
-    never draws randomness.  Each live Bell branch's readout comes from
-    ``statevec._live_outcomes``, the core of ``outcome_distribution``, and
-    its probabilities are scaled by the branch's.
+    A record is the readout bits (alice_a, alice_A, then each receiver's
+    sign) and the attacker's Bell outcome, -1 without an attack.  Only
+    outcomes with p > DEAD_EPS appear, and the kept probabilities sum to 1.
+    This enumeration is the oracle the sampled path is checked against, so
+    it never draws randomness.  Each live Bell branch's readout comes from
+    ``statevec.outcome_distribution``, and its probabilities are scaled by
+    the branch's.
     """
     n = variant.n
     validate_round(n, attack)
@@ -316,7 +277,7 @@ def exact_round_analysis(
     readout = _readout(n)
     parts = []
     for eve, weight, branch in branches:
-        index, probs = _live_outcomes(branch, readout)
+        index, probs = outcome_distribution(branch, readout)
         parts.append((index, np.full(index.size, eve), weight * probs))
     index, eve, p = (np.concatenate(column) for column in zip(*parts))
     return RecordTable(len(readout), index, eve, p)
@@ -358,7 +319,7 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
         bits = table.bits()
         # the recovery rule XORs whole columns: alice_a, then each receiver's signs
         flagged = recover_secret(bits[:, 0], bits[:, 2:].T) != payload
-        kept = np.full(len(table), True)
+        kept = np.full(table.p.size, True)
         if condition is not None:
             kept = (table.eve == condition) & (table.eve >= 0)
         weights.append(0.5 * table.p[kept])
@@ -420,16 +381,17 @@ def route_rounds(
     payload_bit: int,
     attack: AttackModel,
     uniforms: np.ndarray,
-) -> list[tuple[RecordKey, np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Route many rounds of one (variant, payload) through their outcome tree.
 
     ``uniforms`` has one row per round and one column per draw, in the
-    order ``run_round`` consumes them.  Returns (record, row indices) for
-    each leaf some row reaches; the record is (alice_a, alice_A,
-    receiver_signs, eve_record) as in ``exact_round_analysis``, and equals
-    what ``run_round`` returns for each of those rows' draws.  Each inner
-    node of the tree is collapsed once; the last readout is not collapsed,
-    since nothing reads that state.
+    order ``run_round`` consumes them.  Returns each round's record as two
+    arrays with one row per round: its readout bits, laid out as
+    ``RecordTable.bits()`` lays them out (alice_a, alice_A, then each
+    receiver's sign), and its Bell record (-1 without an attack).  Each
+    row's record equals what ``run_round`` returns for that row's draws.
+    Each inner node of the tree is collapsed once; the last readout is not
+    collapsed, since nothing reads that state.
 
     The Bell tap, if any, is measured on the full state with
     ``measure_batch``.  The Z and X readouts read qubits 0, 1, 2, ... in
@@ -447,27 +409,30 @@ def route_rounds(
         raise ValueError(f"uniforms must have shape (rounds, {width})")
     state, tap = _round_prefix(variant, payload_bit, attack)
     rows = np.arange(uniforms.shape[0])
-    roots: list[tuple[int | None, StateVector, np.ndarray]] = [(None, state, rows)]
+    eves = np.full(rows.size, -1)
+    roots: list[tuple[StateVector, np.ndarray]] = [(state, rows)]
     if tap is not None:
         qubits, finish = tap
         groups, collapse = measure_batch(state, "Bell", qubits, uniforms[:, 0])
-        roots = [(eve, finish(collapse(eve)), rows[picked]) for eve, picked in groups]
+        roots = []
+        for eve, picked in groups:
+            eves[picked] = eve
+            roots.append((finish(collapse(eve)), picked))
     # _readout reads qubits 0, 1, 2, ... in order, so each readout is of
     # the leading unmeasured qubit of its block
     bases = [basis for _q, basis in _readout(n)]
     first = width - len(bases)  # the readouts' first column, after the tap's
-    leaves: list[tuple[RecordKey, np.ndarray]] = []
+    # each row's readout bits, packed as RecordTable.index packs them
+    index = np.empty(rows.size, dtype=int)
 
-    def walk(block: _Block, rows: np.ndarray, bits: tuple[int, ...], eve: int | None) -> None:
-        depth = len(bits)
+    def walk(block: _Block, rows: np.ndarray, depth: int, prefix: int) -> None:
         groups, collapse = _leading_batch(block, bases[depth], uniforms[rows, first + depth])
         for value, picked in groups:
-            branch = bits + (value,)
             if depth + 1 < len(bases):
-                walk(collapse(value), rows[picked], branch, eve)
+                walk(collapse(value), rows[picked], depth + 1, 2 * prefix + value)
             else:  # the last readout: nothing reads the collapsed state
-                leaves.append(((branch[0], branch[1], branch[2:], eve), rows[picked]))
+                index[rows[picked]] = 2 * prefix + value
 
-    for eve, root, root_rows in roots:
-        walk(_Block(root.amps), root_rows, (), eve)
-    return leaves
+    for root, root_rows in roots:
+        walk(_Block(root.amps), root_rows, 0, 0)
+    return _unpack(index, len(bases)), eves

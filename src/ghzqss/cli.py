@@ -110,6 +110,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process; parsing leaves it unchanged, so every call shares it
+_PARSER = _build_parser()
+
+
 def _parse_variant(args) -> StateVariant:
     if args.hadamard_positions is not None:
         text = args.hadamard_positions.strip()
@@ -228,8 +232,7 @@ def cmd_table1(_args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         if args.command == "run":
             code = cmd_run(args)

@@ -7,7 +7,9 @@ are reproducible bit for bit and independent of execution order.
 
 Rounds are simulated in batches: the session groups them by (variant,
 payload), draws each round's row of uniforms from its own stream, and walks
-each group's outcome tree once (``attacks.route_rounds``).  Every round gets
+each group's outcome tree once (``attacks.route_rounds``).  The walk
+returns each round's readout bits and Bell record as arrays, and the
+session turns each row into the round's ``RoundOutcome``.  Every round gets
 exactly the outcome that simulating it alone with ``attacks.run_round``
 would give.
 
@@ -139,12 +141,17 @@ def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> list[RoundOutc
     by_index: dict[int, RoundOutcome] = {}
     for (variant, payload_bit), members in groups.items():
         uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in members])
-        for (alice_a, alice_A, signs, eve), rows in route_rounds(
-            variant, payload_bit, attack, uniforms
-        ):
-            for row in rows:
-                plan = members[row]
-                by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, eve)
+        bits, eves = route_rounds(variant, payload_bit, attack, uniforms)
+        columns = zip(
+            members,
+            bits[:, 0].tolist(),
+            bits[:, 1].tolist(),
+            map(tuple, bits[:, 2:].tolist()),
+            eves.tolist(),
+        )
+        for plan, alice_a, alice_A, signs, eve in columns:
+            record = None if eve < 0 else eve  # -1: no attack, no record
+            by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, record)
     return [by_index[plan.round_index] for plan in plans]
 
 

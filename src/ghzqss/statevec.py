@@ -36,6 +36,10 @@ Conventions used by every caller in this package:
 - Bell outcome indices: 0 = (|00>+|11>)/sqrt2, 1 = (|00>-|11>)/sqrt2,
   2 = (|01>+|10>)/sqrt2, 3 = (|01>-|10>)/sqrt2.  The index packs the phase
   bit (from the first measured qubit) plus twice the parity bit.
+- Exact enumeration (``outcome_distribution``) returns two arrays: the
+  packed index of each live outcome (its bits in plan order, the first
+  most significant) and its probability.  ``attacks.RecordTable`` packs
+  a round's readout bits the same way.
 
 Registers are dense complex128 arrays and are refused above 24 qubits.
 Gates return amplitudes as computed, so an exact cancellation can leave a
@@ -455,13 +459,13 @@ def _leading_batch(
     return _groups(probs, samples), collapse
 
 
-def _live_outcomes(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:
-    """The live outcomes of measuring ``plan`` = [(qubit, basis), ...], as arrays.
+def outcome_distribution(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:
+    """Exact Born distribution for measuring ``plan`` = [(qubit, basis), ...].
 
-    Returns each outcome with p > DEAD_EPS as its packed index (its bits
-    in plan order, the first most significant), in ascending order, and
-    its probability.  Basis entries are "Z" or "X"; for X entries the bit
-    means 0 = |+>, 1 = |->.
+    Returns two arrays: the packed index of each outcome with p > DEAD_EPS
+    (its bits in plan order, the first most significant), in ascending
+    order, and its probability.  Basis entries are "Z" or "X"; for X
+    entries the bit means 0 = |+>, 1 = |->.
     """
     qubits = [q for q, _ in plan]
     if len(set(qubits)) != len(qubits):
@@ -480,19 +484,3 @@ def _live_outcomes(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:
     flat = marg.transpose([keep.index(q) for q in qubits]).reshape(-1)
     (index,) = np.nonzero(flat > DEAD_EPS)
     return index, flat[index]
-
-
-def _unpack(index: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bits of each packed outcome index, one row each, first bit first."""
-    return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
-
-
-def outcome_distribution(state: StateVector, plan) -> dict[tuple[int, ...], float]:
-    """Exact Born distribution for measuring ``plan`` = [(qubit, basis), ...].
-
-    Basis entries are "Z" or "X".  The returned dict lists exactly the
-    outcome tuples with p > DEAD_EPS, in C order of the bits, keyed in plan
-    order; for X entries the bit means 0 = |+>, 1 = |->.
-    """
-    index, probs = _live_outcomes(state, plan)
-    return dict(zip(map(tuple, _unpack(index, len(plan)).tolist()), probs.tolist()))

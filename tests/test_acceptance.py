@@ -10,6 +10,7 @@ import json
 import math
 import time
 from contextlib import contextmanager, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from ghzqss.protocol import (
 )
 from ghzqss.session import SessionConfig, run_session, write_outputs
 from ghzqss.statevec import outcome_distribution
+from records import distribution_dict, record_counts, table_dict
 
 ATTACKS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
 SWEEP_SEED = 2  # frozen by search: all 3-sigma cells pass for this seed
@@ -78,7 +80,7 @@ def test_perfect_recovery_exact():
         for n in (3, 4, 5, 6):
             for variant in standard_variants(n):
                 for payload in (0, 1):
-                    table = exact_round_analysis(variant, payload, AttackModel())
+                    table = table_dict(exact_round_analysis(variant, payload, AttackModel()))
                     wrong = sum(
                         p
                         for (a, _big, signs, _eve), p in table.items()
@@ -105,7 +107,9 @@ def test_receiver_parity_structure():
             for payload in (0, 1):
                 # route one: the parity carrier itself, expanded in X
                 state = receiver_parity_state(n - 1, payload)
-                dist = outcome_distribution(state, [(q, "X") for q in range(n - 1)])
+                dist = distribution_dict(
+                    outcome_distribution(state, [(q, "X") for q in range(n - 1)]), n - 1
+                )
                 live = {bits: p for bits, p in dist.items() if p > 1e-12}
                 assert len(live) == terms
                 for bits, p in live.items():
@@ -118,7 +122,7 @@ def test_receiver_parity_structure():
                     receiver_correction(prepare_variant(variant), variant), payload
                 )
                 plan = [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
-                joint = outcome_distribution(encoded, plan)
+                joint = distribution_dict(outcome_distribution(encoded, plan), len(plan))
                 live = {bits: p for bits, p in joint.items() if p > 1e-12}
                 assert len(live) == 4 * terms
                 for bits, p in live.items():
@@ -189,8 +193,8 @@ def test_byte_identical_determinism(tmp_path):
         first = run_once(tmp_path / "one")
         second = run_once(tmp_path / "two")
         for a, b in zip(first, second):
-            assert open(a, "rb").read() == open(b, "rb").read()
-        assert json.loads(open(first[1]).read())["config"]["seed"] == 90210
+            assert Path(a).read_bytes() == Path(b).read_bytes()
+        assert json.loads(Path(first[1]).read_text())["config"]["seed"] == 90210
 
 
 def test_oracle_sample_agreement():
@@ -204,11 +208,8 @@ def test_oracle_sample_agreement():
                 for payload in (0, 1):
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
-                    counts = {
-                        record: rows.size
-                        for record, rows in route_rounds(variant, payload, attack, us)
-                    }
-                    exact = exact_round_analysis(variant, payload, attack)
+                    counts = record_counts(*route_rounds(variant, payload, attack, us))
+                    exact = table_dict(exact_round_analysis(variant, payload, attack))
                     assert set(counts) <= set(exact)
                     for key, p in exact.items():
                         se = math.sqrt(rounds * p * (1 - p))

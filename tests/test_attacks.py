@@ -7,6 +7,7 @@ tests guard those values as regressions.
 
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from ghzqss.protocol import (
 )
 from ghzqss import statevec
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
+from records import distribution_dict, record_counts, row_records, table_dict
 
 RT2 = math.sqrt(2.0)
 
@@ -153,8 +155,10 @@ def test_collective_cnot_is_z_transparent():
     # without variant Hadamards or encoding, the legitimate Z statistics are
     # untouched by the probe: the tap commutes with the Z-branch structure
     plan = [(0, "Z"), (1, "Z"), (2, "Z")]
-    clean = outcome_distribution(prepare_variant(V[1]), plan)
-    tapped = outcome_distribution(tap_collective(prepare_variant(V[1]), 2, False), plan)
+    clean = distribution_dict(outcome_distribution(prepare_variant(V[1]), plan), len(plan))
+    tapped = distribution_dict(
+        outcome_distribution(tap_collective(prepare_variant(V[1]), 2, False), plan), len(plan)
+    )
     assert tapped.keys() == clean.keys()
     for bits, p in clean.items():
         assert tapped[bits] == pytest.approx(p, abs=1e-12)
@@ -164,7 +168,7 @@ def test_collective_cnot_is_z_transparent():
 
 
 def test_exact_analysis_clean_round_is_uniform_on_support():
-    table = exact_round_analysis(V[1], 0, AttackModel())
+    table = table_dict(exact_round_analysis(V[1], 0, AttackModel()))
     assert len(table) == 8
     for (a, _big, signs, eve), p in table.items():
         assert eve is None
@@ -176,9 +180,31 @@ def test_exact_analysis_clean_round_is_uniform_on_support():
 @pytest.mark.parametrize("vidx", (1, 2, 3, 4))
 @pytest.mark.parametrize("payload", (0, 1))
 def test_exact_analysis_is_a_distribution(kind, vidx, payload):
-    table = exact_round_analysis(V[vidx], payload, AttackModel(kind))
+    table = table_dict(exact_round_analysis(V[vidx], payload, AttackModel(kind)))
     assert sum(table.values()) == pytest.approx(1.0, abs=1e-12)
     assert all(p > 0 for p in table.values())
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+@pytest.mark.parametrize("n,vidx", [(3, 1), (3, 2), (3, 4), (4, 3), (5, 6)])
+def test_oracle_reads_each_branch_through_outcome_distribution(kind, n, vidx, monkeypatch):
+    # the oracle's readout goes through the public name, so tracing it sees
+    # every call: one without an attack, else one per live Bell branch
+    calls = []
+    distribution = statevec.outcome_distribution
+
+    def counted(*args):
+        calls.append(args)
+        return distribution(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ghzqss") and hasattr(module, "outcome_distribution"):
+            monkeypatch.setattr(module, "outcome_distribution", counted)
+    table = exact_round_analysis(StateVariant.from_index(n, vidx), 1, AttackModel(kind))
+    live_branches = len(eve_record_distribution(table))
+    assert len(calls) == (live_branches if kind != "none" else 1)
+    if kind != "none":
+        assert live_branches > 1
 
 
 def test_exact_analysis_validation():
@@ -256,7 +282,7 @@ def test_matched_collective_key_identity(kind, vidx):
     # announced sign is independent noise
     attack = AttackModel(kind)
     for payload in (0, 1):
-        table = exact_round_analysis(V[vidx], payload, attack)
+        table = table_dict(exact_round_analysis(V[vidx], payload, attack))
         own = {0: 0.0, 1: 0.0}
         for (a, _big, signs, eve), p in table.items():
             assert a ^ eve ^ signs[-1] == payload
@@ -299,12 +325,7 @@ def replayed_record(variant, payload, attack, row):
 
 def routed_records(variant, payload, attack, us):
     """Each row's record from one outcome-tree walk, in row order."""
-    records = [None] * len(us)
-    for record, rows in route_rounds(variant, payload, attack, us):
-        for row in rows:
-            assert records[row] is None
-            records[row] = record
-    return records
+    return row_records(*route_rounds(variant, payload, attack, us))
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -348,10 +369,10 @@ def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatc
                 (64, draws_per_round(attack, n))
             )
             calls.clear()
-            leaves = route_rounds(variant, payload, attack, us)
+            records = routed_records(variant, payload, attack, us)
             paths = [
                 ((eve,) if attack.active else ()) + (a, big_a, *signs)
-                for (a, big_a, signs, eve), _rows in leaves
+                for (a, big_a, signs, eve) in records
             ]
             # one collapse per inner node of the tree the rows reach
             inner = {path[:depth] for path in paths for depth in range(1, len(path))}
@@ -394,7 +415,7 @@ def test_every_boundary_row_lands_on_a_possible_record(kind):
     replayed = np.flatnonzero(us[:, a_column] == BOUNDARY_DRAWS[-1])[::25]
     for vidx in (1, 2, 3, 4):
         for payload in (0, 1):
-            exact = exact_round_analysis(V[vidx], payload, attack)
+            exact = table_dict(exact_round_analysis(V[vidx], payload, attack))
             records = routed_records(V[vidx], payload, attack, us)
             assert set(records) <= set(exact)
             for i in replayed:
@@ -405,8 +426,8 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    counts = {record: rows.size for record, rows in route_rounds(V[2], 1, INTERCEPT, us)}
-    exact = exact_round_analysis(V[2], 1, INTERCEPT)
+    counts = record_counts(*route_rounds(V[2], 1, INTERCEPT, us))
+    exact = table_dict(exact_round_analysis(V[2], 1, INTERCEPT))
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         se = math.sqrt(n * p * (1 - p))

@@ -26,6 +26,7 @@ from ghzqss.protocol import (
     standard_variants,
 )
 from ghzqss.statevec import outcome_distribution, state_from_amplitudes, z_projections
+from records import distribution_dict
 
 RT2 = math.sqrt(2.0)
 KET0 = np.array([1.0, 0.0])
@@ -341,7 +342,7 @@ def test_receiver_parity_state_structure(parity):
 @pytest.mark.parametrize("parity", (0, 1))
 def test_receiver_parity_state_x_expansion(parity):
     state = receiver_parity_state(3, parity)
-    dist = outcome_distribution(state, [(0, "X"), (1, "X"), (2, "X")])
+    dist = distribution_dict(outcome_distribution(state, [(0, "X"), (1, "X"), (2, "X")]), 3)
     live = {bits for bits, p in dist.items() if p > 1e-12}
     assert len(live) == 4  # 2^(receivers-1) equal-weight terms
     assert all(sum(bits) % 2 == parity for bits in live)

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
@@ -186,13 +187,13 @@ def test_intercept_error_rate_matches_quarter():
 def test_write_outputs_and_report_shape(tmp_path):
     result = run_session(small_config())
     t_path, r_path = write_outputs(result, str(tmp_path / "out"))
-    report = json.loads(open(r_path).read())
+    report = json.loads(Path(r_path).read_text())
     assert report["config"]["seed"] == 99
     assert report["config"]["attack"]["kind"] == "none"
     assert report["detected"] is False
     assert report["recovered_message"] == "101"
     assert report["transcript_path"] == TRANSCRIPT_NAME
-    lines = open(t_path).read().splitlines()
+    lines = Path(t_path).read_text().splitlines()
     assert len(lines) == 12
 
 
@@ -233,8 +234,8 @@ def test_byte_identical_reruns(tmp_path):
     config_b = small_config(rounds=30, message="11001", seed=2718)
     pa = write_outputs(run_session(config_a), str(tmp_path / "a"))
     pb = write_outputs(run_session(config_b), str(tmp_path / "b"))
-    assert open(pa[0], "rb").read() == open(pb[0], "rb").read()
-    assert open(pa[1], "rb").read() == open(pb[1], "rb").read()
+    assert Path(pa[0]).read_bytes() == Path(pb[0]).read_bytes()
+    assert Path(pa[1]).read_bytes() == Path(pb[1]).read_bytes()
 
 
 def test_different_seeds_differ():

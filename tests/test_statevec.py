@@ -32,6 +32,7 @@ from ghzqss.statevec import (
     x_projections,
     z_projections,
 )
+from records import distribution_dict
 
 RT2 = math.sqrt(2.0)
 
@@ -65,7 +66,7 @@ def assert_amps(state, expected, atol=1e-12):
 def test_qubit0_is_most_significant():
     st2 = basis_state(2, 2)  # |10>
     assert st2.amps[2] == 1.0
-    dist = outcome_distribution(st2, [(0, "Z"), (1, "Z")])
+    dist = distribution_dict(outcome_distribution(st2, [(0, "Z"), (1, "Z")]), 2)
     assert dist[(1, 0)] == pytest.approx(1.0)
 
 
@@ -250,7 +251,7 @@ def test_measure_z_never_picks_a_dead_outcome():
         [(value, picked)], _collapse = measure_batch(state, "Z", (0,), [u, 0.0])
         assert (value, list(picked)) == (0, [0, 1])
         assert z_projections(state, 0)[1][2] is None
-        assert outcome_distribution(state, [(0, "Z")]).keys() == {(0,)}
+        assert distribution_dict(outcome_distribution(state, [(0, "Z")]), 1).keys() == {(0,)}
 
 
 def test_every_live_outcome_can_be_collapsed_onto():
@@ -557,7 +558,7 @@ def test_bell_reversed_qubit_order():
 
 def test_outcome_distribution_ghz_z_plan():
     ghz = state_from_amplitudes(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / RT2)
-    dist = outcome_distribution(ghz, [(0, "Z"), (1, "Z"), (2, "Z")])
+    dist = distribution_dict(outcome_distribution(ghz, [(0, "Z"), (1, "Z"), (2, "Z")]), 3)
     # only live outcomes are listed
     assert dist.keys() == {(0, 0, 0), (1, 1, 1)}
     assert dist[(0, 0, 0)] == pytest.approx(0.5)
@@ -567,14 +568,14 @@ def test_outcome_distribution_ghz_z_plan():
 def test_outcome_distribution_x_entries_and_plan_order():
     # |+->: X-plan is deterministic, and keys follow plan order not qubit order
     state = state_from_amplitudes(np.array([1, -1, 1, -1]) / 2.0)
-    dist = outcome_distribution(state, [(1, "X"), (0, "X")])
+    dist = distribution_dict(outcome_distribution(state, [(1, "X"), (0, "X")]), 2)
     assert dist[(1, 0)] == pytest.approx(1.0)
 
 
 def test_outcome_distribution_ghz_x_parity():
     # X x X x X stabilizes the GHZ state: only even-parity sign patterns
     ghz = state_from_amplitudes(np.array([1, 0, 0, 0, 0, 0, 0, 1]) / RT2)
-    dist = outcome_distribution(ghz, [(0, "X"), (1, "X"), (2, "X")])
+    dist = distribution_dict(outcome_distribution(ghz, [(0, "X"), (1, "X"), (2, "X")]), 3)
     assert dist.keys() == {(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)}
     for p in dist.values():
         assert p == pytest.approx(0.25, abs=1e-12)
@@ -591,7 +592,7 @@ def test_outcome_distribution_validation():
 @settings(deadline=None)
 def test_outcome_distribution_sums_to_one(state):
     plan = [(q, "X" if q % 2 else "Z") for q in range(state.num_qubits)]
-    dist = outcome_distribution(state, plan)
+    dist = distribution_dict(outcome_distribution(state, plan), len(plan))
     assert sum(dist.values()) == pytest.approx(1.0)
 
 
