@@ -33,27 +33,31 @@ sums run left to right (``np.cumsum`` or ``np.add.at``, never the
 pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
 cells of the information sum, since ``np.log2`` may differ in the last
 bit.
-``route_rounds`` walks many rounds of one (variant, payload) through their
-shared outcome tree at once: every measurement splits the rows by the same
-threshold rule ``run_round`` applies one draw at a time, and a branch's
-collapsed state is computed once, only when some row reaches it and a
-later measurement reads it, so the last readout collapses nothing.  The
-attacker's Bell tap at the root is read on full states.  The readout
-after it is fixed by the protocol (the sender reads Z on qubits 0 and 1,
-each receiver X on its own qubit, in index order), so each readout is of
-the leading unmeasured qubit, and the walk keeps each branch as a
-compact ``statevec._Block`` that only holds the unmeasured qubits'
-amplitudes.  It returns one record per row, as the row's readout bits
-(laid out as ``RecordTable.bits()`` lays them out) and its Bell record,
-and each is exactly the one ``run_round``, the reference the walk is
-tested against, produces from that row's draws.
+``route_rounds`` walks all the rounds of a session through their outcome
+trees in one level-by-level walk: each (variant, payload) builds its
+round once, the attacker's Bell tap is read on its full states, and its
+live branches are the walk's roots.  The readout after it is fixed by the
+protocol (the sender reads Z on qubits 0 and 1, each receiver X on its own
+qubit, in index order), so each readout is of the leading unmeasured
+qubit, and the walk keeps each branch as a compact ``statevec._Block``
+that only holds the unmeasured qubits' amplitudes.  At each depth it
+stacks the blocks of every tree and reads them in one pass: every row
+gets its outcome by the same threshold rule ``run_round`` applies one
+draw at a time, and a branch's collapsed state is computed once, only
+when some row reaches it and a later measurement reads it, so the last
+readout collapses nothing.  The roots are walked in batches of bounded
+bytes.  It returns one record per row, as the row's readout bits (laid
+out as ``RecordTable.bits()`` lays them out) and its Bell record, and
+each is exactly the one ``run_round``, the reference the walk is tested
+against, produces from that row's draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -72,8 +76,9 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
+    _CHUNK_BYTES,
     _Block,
-    _leading_batch,
+    _leading_level,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -119,15 +124,19 @@ class AttackModel:
         return target
 
 
+def _register_qubits(n: int, attack: AttackModel) -> int:
+    """A round's n carriers and the sender's work qubit, plus the collective probe."""
+    return n + 1 + (1 if attack.collective else 0)
+
+
 def validate_round(n: int, attack: AttackModel) -> None:
     """Refuse a round whose attack targets no receiver or whose register is too large.
 
-    The target must be a receiver, whether or not an attack runs.  A round
-    holds the n carriers plus the sender's work qubit, and one more for the
-    collective attacker's probe; the dense register has a qubit cap.
+    The target must be a receiver, whether or not an attack runs.  The
+    dense register has a qubit cap.
     """
     attack.resolve_target(n)
-    needed = n + 1 + (1 if attack.collective else 0)
+    needed = _register_qubits(n, attack)
     if needed > MAX_QUBITS:
         raise RegisterCapacityError(
             f"{n} parties need {needed} qubits, above the {MAX_QUBITS}-qubit cap"
@@ -377,62 +386,59 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
 
 
 def route_rounds(
-    variant: StateVariant,
-    payload_bit: int,
-    attack: AttackModel,
-    uniforms: np.ndarray,
+    variants, payloads, attack: AttackModel, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Route many rounds of one (variant, payload) through their outcome tree.
+    """Route many rounds through their outcome trees, one level at a time.
 
-    ``uniforms`` has one row per round and one column per draw, in the
-    order ``run_round`` consumes them.  Returns each round's record as two
-    arrays with one row per round: its readout bits, laid out as
-    ``RecordTable.bits()`` lays them out (alice_a, alice_A, then each
-    receiver's sign), and its Bell record (-1 without an attack).  Each
-    row's record equals what ``run_round`` returns for that row's draws.
-    Each inner node of the tree is collapsed once; the last readout is not
-    collapsed, since nothing reads that state.
-
-    The Bell tap, if any, is measured on the full state with
-    ``measure_batch``.  The Z and X readouts read qubits 0, 1, 2, ... in
-    order, so each one reads the leading qubit of a ``_Block`` (the
-    unmeasured qubits' amplitudes, the sender's Z bits and the number of
-    X-measured qubits) with ``statevec._leading_batch``; its
-    probabilities equal those of a full-state readout bit for bit, and
-    every block passes the same norm and finiteness check a
-    ``StateVector`` does.
+    Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of a
+    round of ``variants[i]`` carrying ``payloads[i]``; one variant or
+    payload stands for all rows.  Returns each round's readout bits, laid
+    out as ``RecordTable.bits()``, and its Bell record (-1 without an
+    attack): what ``run_round`` returns for that row's draws.  Each
+    (variant, payload) builds its round once, and its Bell tap is read on
+    full states with ``measure_batch``.  The branches it reaches are the
+    roots, walked in batches of at most ``_CHUNK_BYTES``; a batch's stack
+    never grows, since a depth at most doubles the blocks and halves them.
+    Each depth reads the leading qubit of every block of a batch at once
+    (``statevec._leading_level``), and each inner node is collapsed once.
     """
-    n = variant.n
     uniforms = np.asarray(uniforms, dtype=np.float64)
+    variants = np.array(variants, dtype=object)
+    n = variants.flat[0].n
     width = draws_per_round(attack, n)
     if uniforms.ndim != 2 or uniforms.shape[1] != width:
         raise ValueError(f"uniforms must have shape (rounds, {width})")
-    state, tap = _round_prefix(variant, payload_bit, attack)
-    rows = np.arange(uniforms.shape[0])
-    eves = np.full(rows.size, -1)
-    roots: list[tuple[StateVector, np.ndarray]] = [(state, rows)]
-    if tap is not None:
-        qubits, finish = tap
-        groups, collapse = measure_batch(state, "Bell", qubits, uniforms[:, 0])
-        roots = []
-        for eve, picked in groups:
-            eves[picked] = eve
-            roots.append((finish(collapse(eve)), picked))
-    # _readout reads qubits 0, 1, 2, ... in order, so each readout is of
-    # the leading unmeasured qubit of its block
+    rows = len(uniforms)
+    groups: dict[tuple[StateVariant, int], int] = {}  # each (variant, payload)'s number
+    keys = zip(np.broadcast_to(variants, rows).tolist(), np.broadcast_to(payloads, rows).tolist())
+    group = np.array([groups.setdefault(key, len(groups)) for key in keys])
+    eves = np.full(rows, -1)
+
+    def roots() -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for (variant, payload_bit), number in groups.items():
+            members = np.flatnonzero(group == number)
+            state, tap = _round_prefix(variant, payload_bit, attack)
+            if tap is None:
+                yield state.amps, members
+                continue
+            qubits, finish = tap
+            picks, collapse = measure_batch(state, "Bell", qubits, uniforms[members, 0])
+            for eve, picked in picks:
+                eves[members[picked]] = eve
+                yield finish(collapse(eve)).amps, members[picked]
+
     bases = [basis for _q, basis in _readout(n)]
     first = width - len(bases)  # the readouts' first column, after the tap's
-    # each row's readout bits, packed as RecordTable.index packs them
-    index = np.empty(rows.size, dtype=int)
-
-    def walk(block: _Block, rows: np.ndarray, depth: int, prefix: int) -> None:
-        groups, collapse = _leading_batch(block, bases[depth], uniforms[rows, first + depth])
-        for value, picked in groups:
-            if depth + 1 < len(bases):
-                walk(collapse(value), rows[picked], depth + 1, 2 * prefix + value)
-            else:  # the last readout: nothing reads the collapsed state
-                index[rows[picked]] = 2 * prefix + value
-
-    for root, root_rows in roots:
-        walk(_Block(root.amps), root_rows, 0, 0)
+    index = np.zeros(rows, dtype=int)  # the readout bits, packed as RecordTable.index
+    branches = roots()
+    per_batch = max(1, _CHUNK_BYTES >> 4 + _register_qubits(n, attack))  # complex128 roots
+    while batch := list(islice(branches, per_batch)):
+        walked = np.concatenate([members for _amps, members in batch])
+        node = np.repeat(np.arange(len(batch)), [members.size for _amps, members in batch])
+        stack = _Block(np.array([amps for amps, _members in batch]), np.zeros((len(batch), 0), int))
+        batch.clear()
+        for depth, basis in enumerate(bases):
+            samples, last = uniforms[walked, first + depth], depth + 1 == len(bases)
+            values, node, stack = _leading_level(stack, basis, node, samples, last)
+            index[walked] = 2 * index[walked] + values
     return _unpack(index, len(bases)), eves

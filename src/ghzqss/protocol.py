@@ -62,8 +62,7 @@ class StateVariant:
     hadamard_positions: frozenset[int]
 
     def __post_init__(self) -> None:
-        if self.n < 3:
-            raise ValueError("protocol needs at least three parties")
+        check_parties(self.n)
         positions = frozenset(int(p) for p in self.hadamard_positions)
         object.__setattr__(self, "hadamard_positions", positions)
         bad = [p for p in positions if not 2 <= p <= self.n]
@@ -104,6 +103,12 @@ class StateVariant:
         if index == n + 1:
             return cls(n, frozenset(range(2, n + 1)))
         raise ValueError(f"variant index {index} out of range 1..{n + 1}")
+
+
+def check_parties(n: int) -> None:
+    """The protocol needs a sender and at least two receivers."""
+    if n < 3:
+        raise ValueError("protocol needs at least three parties")
 
 
 def standard_variants(n: int) -> tuple[StateVariant, ...]:
@@ -266,10 +271,14 @@ def plan_sequences(
     """
     num_check = check_message(message, num_rounds, check_fraction)
     check_rounds = set(int(i) for i in rng.permutation(num_rounds)[:num_check])
+    standard = standard_variants(n)
     plans = []
     cursor = 0
     for i in range(num_rounds):
-        variant = random_variant(n, rng, all_subsets)
+        if all_subsets:
+            variant = random_variant(n, rng, all_subsets)
+        else:  # random_variant's draw, from variants built once
+            variant = standard[int(rng.integers(1, n + 2)) - 1]
         if i in check_rounds:
             role, payload = "check", int(rng.integers(2))
         else:

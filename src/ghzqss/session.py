@@ -5,13 +5,13 @@ variants, announcement order) draws from a dedicated stream, and every round
 draws from its own stream derived from (seed, round index), so transcripts
 are reproducible bit for bit and independent of execution order.
 
-Rounds are simulated in batches: the session groups them by (variant,
-payload), draws each round's row of uniforms from its own stream, and walks
-each group's outcome tree once (``attacks.route_rounds``).  The walk
-returns each round's readout bits and Bell record as arrays, and the
-session turns each row into the round's ``RoundOutcome``.  Every round gets
-exactly the outcome that simulating it alone with ``attacks.run_round``
-would give.
+Rounds are simulated together: the session draws each round's row of
+uniforms from its own stream, in plan order, and routes every round
+through one level-by-level walk of their outcome trees
+(``attacks.route_rounds``).  The walk returns each round's readout bits
+and Bell record as arrays, and the session turns each row into the
+round's ``RoundOutcome``.  Every round gets exactly the outcome that
+simulating it alone with ``attacks.run_round`` would give.
 
 The public log kept on the transcript mirrors what actually goes over the
 classical channel, in order: receipt confirmation, the variant announcement,
@@ -41,10 +41,10 @@ from .attacks import (
 from .protocol import (
     RoundOutcome,
     RoundPlan,
-    StateVariant,
     Transcript,
     announcement_schedule,
     check_message,
+    check_parties,
     plan_sequences,
     recover_secret,
     standard_variants,
@@ -58,6 +58,12 @@ def _stream(seed: int, round_index: int) -> np.random.Generator:
     # numpy seed material must be non-negative, so the planning stream
     # (index -1) maps to entropy word 0 and round i maps to i + 1
     return np.random.default_rng(np.random.SeedSequence((seed, round_index + 1)))
+
+
+def check_abort_threshold(abort_threshold: float) -> None:
+    """A session aborts when its check error rate exceeds this threshold in [0, 1]."""
+    if not 0.0 <= abort_threshold <= 1.0:
+        raise ValueError("abort threshold must lie in [0, 1]")
 
 
 @dataclass
@@ -75,16 +81,14 @@ class SessionConfig:
     all_subsets: bool = False
 
     def validate(self) -> None:
-        if self.n < 3:
-            raise ValueError("protocol needs at least three parties")
+        check_parties(self.n)
         validate_round(self.n, self.attack)
         check_message(self.message, self.rounds, self.check_fraction)
         if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
             raise ValueError("seed must be an integer in [0, 2^64)")
         if self.mode not in ("sample", "exact"):
             raise ValueError(f"mode must be 'sample' or 'exact', got {self.mode!r}")
-        if not 0.0 <= self.abort_threshold <= 1.0:
-            raise ValueError("abort threshold must lie in [0, 1]")
+        check_abort_threshold(self.abort_threshold)
 
 
 @dataclass
@@ -111,8 +115,7 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     Works from the announcement log, i.e. from the values the receivers
     actually published in their scheduled order, not from private state.
     """
-    if not 0.0 <= abort_threshold <= 1.0:
-        raise ValueError("abort threshold must lie in [0, 1]")
+    check_abort_threshold(abort_threshold)
     by_index = {o.plan.round_index: o for o in transcript.rounds}
     total = 0
     errors = 0
@@ -132,27 +135,17 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
 
 
 def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> list[RoundOutcome]:
-    """Outcomes of all rounds, one outcome-tree walk per (variant, payload)."""
-    attack = config.attack
-    width = draws_per_round(attack, config.n)
-    groups: dict[tuple[StateVariant, int], list[RoundPlan]] = {}
-    for plan in plans:
-        groups.setdefault((plan.variant, plan.payload_bit), []).append(plan)
-    by_index: dict[int, RoundOutcome] = {}
-    for (variant, payload_bit), members in groups.items():
-        uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in members])
-        bits, eves = route_rounds(variant, payload_bit, attack, uniforms)
-        columns = zip(
-            members,
-            bits[:, 0].tolist(),
-            bits[:, 1].tolist(),
-            map(tuple, bits[:, 2:].tolist()),
-            eves.tolist(),
-        )
-        for plan, alice_a, alice_A, signs, eve in columns:
-            record = None if eve < 0 else eve  # -1: no attack, no record
-            by_index[plan.round_index] = RoundOutcome(plan, alice_a, alice_A, signs, record)
-    return [by_index[plan.round_index] for plan in plans]
+    """Outcomes of all rounds, from one level-by-level walk of the session."""
+    width = draws_per_round(config.attack, config.n)
+    uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in plans])
+    variants = [p.variant for p in plans]
+    bits, eves = route_rounds(variants, [p.payload_bit for p in plans], config.attack, uniforms)
+    alice_a, alice_A, *sign_columns = bits.T.tolist()
+    columns = zip(plans, alice_a, alice_A, zip(*sign_columns), eves.tolist())
+    return [
+        RoundOutcome(plan, a, big_a, signs, None if eve < 0 else eve)  # -1: no attack, no record
+        for plan, a, big_a, signs, eve in columns
+    ]
 
 
 def run_session(config: SessionConfig) -> SessionResult:

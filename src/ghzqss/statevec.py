@@ -13,19 +13,21 @@ Conventions used by every caller in this package:
   a ``StateVector``, so each returned state is validated exactly once, by
   the one norm and finiteness check (``_check_norm``, which
   ``__post_init__`` runs after the shape check).
-- The batched outcome-tree walk (``attacks.route_rounds``) reads a round's
-  qubits in index order, sender Z first and then receiver X, so every
-  qubit a walk branch has measured is a leading one.  A branch is kept as
-  a ``_Block``: its amplitudes over the unmeasured qubits, the Z bits read
+- The outcome-tree walk (``attacks.route_rounds``) reads a round's qubits
+  in index order, sender Z first and then receiver X, so every qubit a
+  walk branch has measured is a leading one.  A branch is kept as a
+  ``_Block``: its amplitudes over the unmeasured qubits, the Z bits read
   and the number of X-measured qubits.  The full register is zero off
   those Z bits and holds the block once, up to sign, per pattern of the
-  X-measured qubits.  ``_leading_branches`` reads the block's leading
-  qubit: the Hadamard, squared magnitudes, projection, division by the
-  norm and the X rotate-back touch only the block, while the two outcome
-  sums and the projection norm run on the materialized full array
-  through the helpers ``_branches`` uses, so every probability and norm
-  is bit-identical to a full-register readout.  Every block a collapse
-  returns passes the same ``_check_norm``, counting its copies.
+  X-measured qubits.  The walk stacks the blocks of one depth, one per
+  row, and ``_leading_readout`` reads every block's leading qubit at once:
+  the Hadamard, squared magnitudes, projection, division by the norm and
+  the X rotate-back touch only the blocks, while the two outcome sums and
+  the projection norms run on each block laid out in its full register
+  (a chunk of registers at a time), so every probability and norm is
+  bit-identical to a full-register readout.  ``_leading_branches`` is its
+  one-block case.  Every block a collapse returns passes the same
+  ``_check_norm``, counting its copies.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
   draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
@@ -53,7 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -111,15 +113,18 @@ def _check_norm(amps: np.ndarray, multiplicity: int = 1) -> None:
     """The one norm and finiteness check, for ``multiplicity`` copies of ``amps``.
 
     A walk block stands for a register that holds it once per X-measured
-    pattern, so its copies together must have norm^2 1.
+    pattern, so its copies together must have norm^2 1.  A stack of blocks
+    is checked row by row.
     """
-    norm_sq = multiplicity * float((amps.real * amps.real + amps.imag * amps.imag).sum())
+    norm_sq = multiplicity * (amps.real * amps.real + amps.imag * amps.imag).sum(axis=-1)
+    if amps.ndim > 1:  # a stack, one block per row: its worst row decides
+        norm_sq = norm_sq[np.argmax(abs(norm_sq - 1.0))]
     # a non-finite amplitude makes norm_sq inf or NaN, so the finiteness
     # scan is needed only when the norm check fails
-    if not abs(norm_sq - 1.0) <= NORM_ATOL:
+    if not abs(float(norm_sq) - 1.0) <= NORM_ATOL:
         if not np.all(np.isfinite(amps)):
             raise ValueError("amplitudes must be finite")
-        raise ValueError(f"state norm^2 = {norm_sq!r} is not 1")
+        raise ValueError(f"state norm^2 = {float(norm_sq)!r} is not 1")
 
 
 def basis_state(num_qubits: int, index: int) -> StateVector:
@@ -170,13 +175,16 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 
 
 def _h(amps: np.ndarray, qubit: int) -> np.ndarray:
-    """Hadamard on one qubit of a raw amplitude array, into a new array."""
-    arr = amps.reshape(1 << qubit, 2, -1)
+    """Hadamard on one qubit of a raw amplitude array, into a new array.
+
+    A stack of blocks, one per row, is rotated on each row's ``qubit``.
+    """
+    arr = amps.reshape(-1, 2, amps.shape[-1] >> qubit + 1)
     out = np.empty_like(arr)
     np.add(arr[:, 0, :], arr[:, 1, :], out=out[:, 0, :])
     np.subtract(arr[:, 0, :], arr[:, 1, :], out=out[:, 1, :])
     out *= _INV_SQRT2
-    return out.reshape(-1)
+    return out.reshape(amps.shape)
 
 
 def _cx(amps: np.ndarray, k: int, control: int, target: int) -> np.ndarray:
@@ -281,24 +289,24 @@ def _branches(
     return outcome_probs, collapse
 
 
-def _choose(probs: list[float], samples: np.ndarray) -> np.ndarray:
+def _choose(probs: np.ndarray | list[float], samples: np.ndarray) -> np.ndarray:
     """The threshold rule: the outcome each uniform sample selects.
 
-    Outcomes with p <= DEAD_EPS are skipped.  Walking the live outcomes in
-    outcome order, a sample gets the first whose running total exceeds it,
-    or the last live outcome if float rounding leaves the total at or
-    below the sample.
+    ``probs`` is one row of outcome probabilities for all samples, or one
+    row per sample.  Outcomes with p <= DEAD_EPS are skipped.  Walking the
+    live outcomes in outcome order, a sample gets the first whose running
+    total exceeds it, or the last live outcome if float rounding leaves the
+    total at or below the sample.
     """
-    live = [value for value, p in enumerate(probs) if p > DEAD_EPS]
-    if not live:
+    probs = np.broadcast_to(probs, (samples.size, np.shape(probs)[-1]))
+    live = probs > DEAD_EPS
+    if not live.any(axis=1).all():
         raise NormalizationError("no outcome has positive probability")
-    totals = list(accumulate(probs[value] for value in live))
-    chosen = np.full(samples.shape, live[-1])
-    # walk back so that the earliest live outcome whose total exceeds a
-    # sample is the last one written to it
-    for value, total in zip(live[-2::-1], totals[-2::-1]):
-        chosen[samples < total] = value
-    return chosen
+    # a dead outcome adds 0.0, so these are the running totals of the live ones
+    picked = live & (samples[:, None] < np.cumsum(np.where(live, probs, 0.0), axis=1))
+    last_live = live.shape[1] - 1 - np.argmax(live[:, ::-1], axis=1)
+    picked[np.arange(samples.size), last_live] = True
+    return np.argmax(picked, axis=1)
 
 
 def _measure(
@@ -387,76 +395,127 @@ def _groups(probs: list[float], samples) -> list[tuple[int, np.ndarray]]:
     return groups
 
 
+# the most bytes the walk stacks, or lays out in registers, at once
+_CHUNK_BYTES = 1 << 17
+
+
 class _Block(NamedTuple):
     """A walk branch whose leading qubits are measured, Z readouts first.
 
     The full register holds ``amps`` (over the unmeasured qubits) where the
     Z-measured qubits read ``zbits``, once for each pattern of the
     ``copies`` X-measured qubits after them, up to sign, and zeros
-    elsewhere.
+    elsewhere.  A stack of blocks of one depth has a row of ``amps`` and of
+    ``zbits`` per block.
     """
 
     amps: np.ndarray
-    zbits: tuple[int, ...] = ()
+    zbits: tuple[int, ...] | np.ndarray = ()
     copies: int = 0
 
 
-def _embed(values: np.ndarray, block: _Block, tail: tuple[int, ...] = ()) -> np.ndarray:
-    """The full register's array holding per-block ``values``, zeros elsewhere.
+def _over_registers(
+    reduce, values: np.ndarray, zindex: np.ndarray, zcount: int, copies: int, tail=None
+) -> np.ndarray:
+    """``reduce`` of each row of ``values`` laid out in its full register: where the
+    Z-measured qubits read its ``zindex`` (and, if given, the qubit after the
+    X-measured ones its ``tail``), once per X pattern, zeros elsewhere.  Rows
+    are laid out a chunk of at most _CHUNK_BYTES (or one row) at a time."""
+    rows, size = values.shape
+    shape = (1 << zcount, 1 << copies, 1 if tail is None else 2, size)
+    step = max(1, _CHUNK_BYTES // (values.itemsize * math.prod(shape)))
+    full = np.zeros((min(step, rows), *shape), values.dtype)
+    out = np.empty(rows)
+    for start in range(0, rows, step):
+        part, count = slice(start, start + step), min(step, rows - start)
+        spot = (np.arange(count), zindex[part], slice(None), 0 if tail is None else tail[part])
+        full[spot] = values[part, None, :]
+        out[part] = reduce(full[:count].reshape(count, -1))
+        full[spot] = 0.0
+    return out
 
-    ``values`` sits where the Z-measured qubits read ``block.zbits`` and
-    the qubits right after the X-measured ones read ``tail``, once per X
-    pattern, every copy signed +.
+
+def _dots(full: np.ndarray) -> np.ndarray:
+    # np.linalg.norm takes two BLAS dots; a (1, n) @ (n, 1) matmul makes the same dot
+    re, im = (np.matmul(x[:, None], x[..., None]).ravel() for x in (full.real, full.imag))
+    return re + im
+
+
+def _leading_readout(stack: _Block, basis: str) -> tuple[np.ndarray, Callable]:
+    """``_branches`` for a Z or X readout of the leading qubit of every block of a stack.
+
+    Returns each block's two outcome probabilities and ``collapse(keys)``,
+    the child for each key 2 * block + value.  numpy's sum and the BLAS dot
+    depend on where the zeros sit, so the sums and norms run on the blocks
+    laid out in their full registers, as ``_half_sums`` and ``_norm`` run.
+    An X readout rotates the blocks in place; after it a child holds its
+    kept half times 1/sqrt2, once more per value of the read qubit.
     """
-    zbits, copies = block.zbits, block.copies
-    full = np.zeros(values.size << len(zbits) << copies << len(tail), dtype=values.dtype)
-    shape = (2,) * len(zbits) + (1 << copies,) + (2,) * len(tail) + (-1,)
-    full.reshape(shape)[zbits + (slice(None),) + tail] = values
-    return full
-
-
-def _leading_branches(block: _Block, basis: str) -> tuple[list[float], Callable[[int], _Block]]:
-    """``_branches`` for a Z or X readout of the block's leading unmeasured qubit.
-
-    The Hadamard, the squared magnitudes, the projection, the division by
-    the norm and the X rotate-back run on the block.  With the other half
-    projected away, the rotate-back leaves the kept half times 1/sqrt2 at
-    both values of the read qubit, up to sign, so an X readout adds a
-    copy.  The two sums and the norm run on the materialized full array
-    through ``_half_sums`` and ``_norm``, so every probability and
-    norm equals what ``_branches`` computes on the full state.  Each
-    collapsed block passes the one norm and finiteness check.
-    """
-    amps, zbits, copies = block
-    if basis == "X":
-        rotated = _h(amps, 0)
-    elif basis == "Z" and not copies:
-        rotated = amps
-    else:
+    amps, zbits, copies = stack
+    if basis not in ("Z", "X") or basis == "Z" and copies:
         raise ValueError(f"a walk block reads 'Z' (before any 'X') or 'X', got {basis!r}")
-    qubit = len(zbits) + copies
-    probs = _half_sums(_embed(np.abs(rotated) ** 2, block), qubit)
+    if basis == "X":
+        amps[...] = _h(amps, 0)
+    (rows, size), zcount = amps.shape, zbits.shape[1]
+    zindex = (zbits << np.arange(zcount - 1, -1, -1)).sum(axis=1)
+    halves = amps.reshape(rows, 2, size // 2)
+    probs = np.empty((rows, 2))
+    for value in (0, 1):
+        weights = np.abs(halves[:, value]) ** 2
+        probs[:, value] = _over_registers(partial(np.sum, axis=1), weights, zindex, zcount, copies)
 
-    def collapse(value: int) -> _Block:
-        half = rotated.reshape(2, -1)[value]
-        kept = half / _norm(_embed(half, block, (value,)), qubit, value)
+    def collapse(keys: np.ndarray) -> np.ndarray:
+        nodes, values = keys >> 1, keys & 1
+        kept = halves[nodes, values]
+        norms = np.sqrt(_over_registers(_dots, kept, zindex[nodes], zcount, copies, values))
+        dead = norms * norms <= DEAD_EPS
+        if dead.any():
+            qubit, value = zcount + copies, values[dead][0]
+            raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
+        kept /= norms[:, None]
         if basis == "X":
             kept *= _INV_SQRT2
-            child = _Block(kept, zbits, copies + 1)
-        else:
-            child = _Block(kept, zbits + (value,), copies)
-        _check_norm(kept, 1 << child.copies)
-        return child
+        _check_norm(kept, 1 << copies + (basis == "X"))
+        return kept
 
     return probs, collapse
 
 
-def _leading_batch(
-    block: _Block, basis: str, samples
-) -> tuple[list[tuple[int, np.ndarray]], Callable[[int], _Block]]:
-    """``measure_batch`` for the leading-qubit readout of a walk block."""
-    probs, collapse = _leading_branches(block, basis)
-    return _groups(probs, samples), collapse
+def _leading_level(
+    stack: _Block, basis: str, node: np.ndarray, samples: np.ndarray, last: bool = False
+) -> tuple[np.ndarray, np.ndarray, _Block | None]:
+    """One readout of every block, for rows at blocks ``node`` drawing ``samples``.
+
+    Returns each row's outcome, its child and the children the rows reach,
+    in (block, value) order, each collapsed once, none after the ``last``.
+    """
+    probs, collapse = _leading_readout(stack, basis)
+    values = _choose(probs[node], samples)
+    if last:
+        return values, node, None
+    keys = 2 * node + values  # regrouped by a counting sort
+    rank = np.zeros(2 * len(probs), dtype=int)
+    rank[keys] = 1
+    children = np.flatnonzero(rank)
+    rank[children] = np.arange(len(children))
+    zbits = stack.zbits[children >> 1]
+    if basis == "Z":
+        zbits = np.concatenate((zbits, children[:, None] & 1), axis=1)
+    child = _Block(collapse(children), zbits, stack.copies + (basis == "X"))
+    return values, rank[keys], child
+
+
+def _leading_branches(block: _Block, basis: str) -> tuple[list[float], Callable[[int], _Block]]:
+    """``_branches`` for a readout of the block's leading qubit: ``_leading_readout`` on one."""
+    amps, zbits, copies = block
+    stack = _Block(amps[None].copy(), np.array([zbits], dtype=int), copies)
+    probs, collapse = _leading_readout(stack, basis)
+
+    def collapse_one(value: int) -> _Block:
+        kept = collapse(np.array([value]))[0]
+        return _Block(kept, zbits + (value,) * (basis == "Z"), copies + (basis == "X"))
+
+    return probs[0].tolist(), collapse_one
 
 
 def outcome_distribution(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:

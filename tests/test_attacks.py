@@ -8,6 +8,7 @@ tests guard those values as regressions.
 import itertools
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,12 +32,14 @@ from ghzqss.attacks import (
 from ghzqss.protocol import (
     RoundPlan,
     StateVariant,
+    plan_sequences,
     prepare_variant,
     receiver_correction,
     recover_secret,
     standard_variants,
 )
-from ghzqss import statevec
+from ghzqss import session, statevec
+from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 from records import distribution_dict, record_counts, row_records, table_dict
 
@@ -359,9 +362,22 @@ def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatc
 
         return counting_branches
 
-    # the tap collapses through _branches, the readouts through the kernel
-    for name in ("_branches", "_leading_branches"):
-        monkeypatch.setattr(statevec, name, counted(getattr(statevec, name)))
+    def counted_readout(readout):
+        def counting_readout(*args):
+            probs, collapse = readout(*args)
+
+            def counting_collapse(keys):
+                calls.extend(keys.tolist())
+                return collapse(keys)
+
+            return probs, counting_collapse
+
+        return counting_readout
+
+    # the tap collapses through _branches, the readouts through the stacked
+    # kernel, one child per key it is given
+    monkeypatch.setattr(statevec, "_branches", counted(statevec._branches))
+    monkeypatch.setattr(statevec, "_leading_readout", counted_readout(statevec._leading_readout))
     attack = AttackModel(kind)
     for variant in standard_variants(n):
         for payload in (0, 1):
@@ -439,3 +455,39 @@ def test_bulk_sampler_shape_validation():
         route_rounds(V[1], 0, INTERCEPT, np.zeros((10, 4)))
     with pytest.raises(ValueError):
         route_rounds(V[1], 0, AttackModel(), np.zeros(40))
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+@pytest.mark.parametrize("n", (3, 5))
+def test_mixed_rows_replay_run_round_exactly(kind, n):
+    # one walk over rows of every variant and payload, as a session makes it
+    attack = AttackModel(kind)
+    rng = np.random.default_rng((n, ATTACK_KINDS.index(kind)))
+    variants = [standard_variants(n)[i] for i in rng.integers(n + 1, size=120)]
+    payloads = rng.integers(2, size=120)
+    us = rng.random((120, draws_per_round(attack, n)))
+    expected = [
+        replayed_record(variant, int(payload), attack, row)
+        for variant, payload, row in zip(variants, payloads, us)
+    ]
+    assert row_records(*route_rounds(variants, payloads, attack, us)) == expected
+
+
+def test_session_walk_memory_stays_bounded():
+    # the walk stacks and embeds in chunks, so a 500-round n=9 session's
+    # walk allocates at most 1 MiB above where it starts (numpy buffers
+    # included)
+    config = SessionConfig(
+        n=9, rounds=500, attack=AttackModel("collective_h_cnot"), mode="exact"
+    )
+    plans = plan_sequences(
+        config.rounds, config.check_fraction, config.message, config.n, session._stream(0, -1)
+    )
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        session._run_rounds(plans, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= 1 << 20
