@@ -36,20 +36,21 @@ bit.
 ``route_rounds`` walks all the rounds of a session through their outcome
 trees in one level-by-level walk: each (variant, payload) builds its
 round once, the attacker's Bell tap is read on its full states, and its
-live branches are the walk's roots.  The readout after it is fixed by the
-protocol (the sender reads Z on qubits 0 and 1, each receiver X on its own
-qubit, in index order), so each readout is of the leading unmeasured
-qubit, and the walk keeps each branch as a compact ``statevec._Block``
-that only holds the unmeasured qubits' amplitudes.  At each depth it
-stacks the blocks of every tree and reads them in one pass: every row
-gets its outcome by the same threshold rule ``run_round`` applies one
-draw at a time, and a branch's collapsed state is computed once, only
-when some row reaches it and a later measurement reads it, so the last
-readout collapses nothing.  The roots are walked in batches of bounded
-bytes.  It returns one record per row, as the row's readout bits (laid
-out as ``RecordTable.bits()`` lays them out) and its Bell record, and
-each is exactly the one ``run_round``, the reference the walk is tested
-against, produces from that row's draws.
+live branches are the walk's roots.  The readout after it is fixed by
+the protocol (the sender reads Z on qubits 0 and 1, each receiver X on
+its own qubit, in index order), so each readout is of the leading
+unmeasured qubit, and the walk keeps each branch as a compact block,
+laid out as ``statevec._Block`` describes, that only holds the
+unmeasured qubits' amplitudes.  At each depth it stacks the blocks of
+every tree and reads them in one ``statevec._leading_readout`` pass:
+every row gets its outcome by the same threshold rule ``run_round``
+applies one draw at a time, and a branch's collapsed state is computed
+once, only when some row reaches it and a later measurement reads it, so
+the last readout collapses nothing.  The roots are walked in batches of
+bounded bytes.  It returns one record per row, as the row's readout bits
+(laid out as ``RecordTable.bits()`` lays them out) and its Bell record,
+and each is exactly the one ``run_round``, the reference the walk is
+tested against, produces from that row's draws.
 """
 
 from __future__ import annotations
@@ -77,8 +78,8 @@ from .statevec import (
     RegisterCapacityError,
     StateVector,
     _CHUNK_BYTES,
-    _Block,
-    _leading_level,
+    _choose,
+    _leading_readout,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -388,35 +389,27 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
 def route_rounds(
     variants, payloads, attack: AttackModel, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Route many rounds through their outcome trees, one level at a time.
+    """Route many rounds through their outcome trees in one level-by-level walk.
 
     Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of a
-    round of ``variants[i]`` carrying ``payloads[i]``; one variant or
-    payload stands for all rows.  Returns each round's readout bits, laid
-    out as ``RecordTable.bits()``, and its Bell record (-1 without an
-    attack): what ``run_round`` returns for that row's draws.  Each
-    (variant, payload) builds its round once, and its Bell tap is read on
-    full states with ``measure_batch``.  The branches it reaches are the
-    roots, walked in batches of at most ``_CHUNK_BYTES``; a batch's stack
-    never grows, since a depth at most doubles the blocks and halves them.
-    Each depth reads the leading qubit of every block of a batch at once
-    (``statevec._leading_level``), and each inner node is collapsed once.
+    round of ``variants[i]`` carrying ``payloads[i]``; returns the readout
+    bits (as ``RecordTable.bits()``) and Bell record (-1: no attack) that
+    ``run_round`` gives each row.  The roots, the branches each (variant,
+    payload)'s Bell tap reaches, are walked in batches of at most ``_CHUNK_BYTES``.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    variants = np.array(variants, dtype=object)
-    n = variants.flat[0].n
+    n = variants[0].n
     width = draws_per_round(attack, n)
-    if uniforms.ndim != 2 or uniforms.shape[1] != width:
-        raise ValueError(f"uniforms must have shape (rounds, {width})")
-    rows = len(uniforms)
-    groups: dict[tuple[StateVariant, int], int] = {}  # each (variant, payload)'s number
-    keys = zip(np.broadcast_to(variants, rows).tolist(), np.broadcast_to(payloads, rows).tolist())
-    group = np.array([groups.setdefault(key, len(groups)) for key in keys])
-    eves = np.full(rows, -1)
+    if uniforms.shape != (len(variants), width) or len(payloads) != len(variants):
+        raise ValueError(f"need a variant, a payload and a row of {width} uniforms per round")
+    groups: dict[tuple[StateVariant, int], list[int]] = {}
+    for row, key in enumerate(zip(variants, payloads)):
+        groups.setdefault(key, []).append(row)
+    eves = np.full(len(uniforms), -1)
 
     def roots() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for (variant, payload_bit), number in groups.items():
-            members = np.flatnonzero(group == number)
+        for (variant, payload_bit), members in groups.items():
+            members = np.array(members)
             state, tap = _round_prefix(variant, payload_bit, attack)
             if tap is None:
                 yield state.amps, members
@@ -427,18 +420,22 @@ def route_rounds(
                 eves[members[picked]] = eve
                 yield finish(collapse(eve)).amps, members[picked]
 
-    bases = [basis for _q, basis in _readout(n)]
-    first = width - len(bases)  # the readouts' first column, after the tap's
-    index = np.zeros(rows, dtype=int)  # the readout bits, packed as RecordTable.index
-    branches = roots()
-    per_batch = max(1, _CHUNK_BYTES >> 4 + _register_qubits(n, attack))  # complex128 roots
+    bases = [basis for _q, basis in _readout(n)]  # each reads every block's leading qubit
+    index = np.zeros(len(uniforms), dtype=int)  # the readout bits, packed as RecordTable.index
+    branches, per_batch = roots(), max(1, _CHUNK_BYTES // (16 << _register_qubits(n, attack)))
     while batch := list(islice(branches, per_batch)):
         walked = np.concatenate([members for _amps, members in batch])
         node = np.repeat(np.arange(len(batch)), [members.size for _amps, members in batch])
-        stack = _Block(np.array([amps for amps, _members in batch]), np.zeros((len(batch), 0), int))
-        batch.clear()
-        for depth, basis in enumerate(bases):
-            samples, last = uniforms[walked, first + depth], depth + 1 == len(bases)
-            values, node, stack = _leading_level(stack, basis, node, samples, last)
+        stack = np.array([amps for amps, _members in batch]), np.zeros((len(batch), 0), int), 0
+        batch.clear()  # the stack holds the roots now
+        for depth, basis in enumerate(bases):  # the readouts' draws are the last columns
+            probs, collapse = _leading_readout(*stack, basis)
+            values = _choose(probs[node], uniforms[walked, depth - len(bases)])
             index[walked] = 2 * index[walked] + values
+            if depth + 1 < len(bases):  # nothing reads the last readout's children
+                keys, reached = 2 * node + values, np.zeros(probs.size, dtype=bool)
+                reached[keys] = True  # each reached child once, in (block, value) order
+                children, node = np.flatnonzero(reached), np.cumsum(reached)[keys] - 1
+                stack = collapse(children)
+                del collapse  # so the parent stack it holds is freed before the next readout
     return _unpack(index, len(bases)), eves

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -111,8 +111,9 @@ def check_parties(n: int) -> None:
         raise ValueError("protocol needs at least three parties")
 
 
+@cache
 def standard_variants(n: int) -> tuple[StateVariant, ...]:
-    """The n+1 variants of the protocol, in index order."""
+    """The n+1 variants of the protocol, in index order, built once per n."""
     return tuple(StateVariant.from_index(n, k) for k in range(1, n + 2))
 
 
@@ -121,7 +122,7 @@ def random_variant(n: int, rng: np.random.Generator, all_subsets: bool = False) 
         mask = int(rng.integers(0, 1 << (n - 1)))
         positions = {p for p in range(2, n + 1) if (mask >> (p - 2)) & 1}
         return StateVariant(n, positions)
-    return StateVariant.from_index(n, int(rng.integers(1, n + 2)))
+    return standard_variants(n)[int(rng.integers(1, n + 2)) - 1]
 
 
 def prepare_variant(variant: StateVariant) -> StateVector:
@@ -271,14 +272,10 @@ def plan_sequences(
     """
     num_check = check_message(message, num_rounds, check_fraction)
     check_rounds = set(int(i) for i in rng.permutation(num_rounds)[:num_check])
-    standard = standard_variants(n)
     plans = []
     cursor = 0
     for i in range(num_rounds):
-        if all_subsets:
-            variant = random_variant(n, rng, all_subsets)
-        else:  # random_variant's draw, from variants built once
-            variant = standard[int(rng.integers(1, n + 2)) - 1]
+        variant = random_variant(n, rng, all_subsets)
         if i in check_rounds:
             role, payload = "check", int(rng.integers(2))
         else:

@@ -19,15 +19,17 @@ Conventions used by every caller in this package:
   ``_Block``: its amplitudes over the unmeasured qubits, the Z bits read
   and the number of X-measured qubits.  The full register is zero off
   those Z bits and holds the block once, up to sign, per pattern of the
-  X-measured qubits.  The walk stacks the blocks of one depth, one per
-  row, and ``_leading_readout`` reads every block's leading qubit at once:
+  X-measured qubits.  The walk stacks the blocks of one depth as plain
+  arrays, a row of amplitudes and of Z bits per block and one copy
+  count, and ``_leading_readout`` reads every block's leading qubit at once:
   the Hadamard, squared magnitudes, projection, division by the norm and
   the X rotate-back touch only the blocks, while the two outcome sums and
   the projection norms run on each block laid out in its full register
   (a chunk of registers at a time), so every probability and norm is
-  bit-identical to a full-register readout.  ``_leading_branches`` is its
-  one-block case.  Every block a collapse returns passes the same
-  ``_check_norm``, counting its copies.
+  bit-identical to a full-register readout; its collapse returns the
+  stack of children.  ``_leading_branches`` is its one-block case.  Every
+  block a collapse returns passes the same ``_check_norm``, counting its
+  copies.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
   draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
@@ -395,7 +397,7 @@ def _groups(probs: list[float], samples) -> list[tuple[int, np.ndarray]]:
     return groups
 
 
-# the most bytes the walk stacks, or lays out in registers, at once
+# the most bytes the walk lays out in full registers, or takes as roots, at once
 _CHUNK_BYTES = 1 << 17
 
 
@@ -405,22 +407,18 @@ class _Block(NamedTuple):
     The full register holds ``amps`` (over the unmeasured qubits) where the
     Z-measured qubits read ``zbits``, once for each pattern of the
     ``copies`` X-measured qubits after them, up to sign, and zeros
-    elsewhere.  A stack of blocks of one depth has a row of ``amps`` and of
-    ``zbits`` per block.
+    elsewhere.
     """
 
     amps: np.ndarray
-    zbits: tuple[int, ...] | np.ndarray = ()
+    zbits: tuple[int, ...] = ()
     copies: int = 0
 
 
-def _over_registers(
-    reduce, values: np.ndarray, zindex: np.ndarray, zcount: int, copies: int, tail=None
-) -> np.ndarray:
-    """``reduce`` of each row of ``values`` laid out in its full register: where the
-    Z-measured qubits read its ``zindex`` (and, if given, the qubit after the
-    X-measured ones its ``tail``), once per X pattern, zeros elsewhere.  Rows
-    are laid out a chunk of at most _CHUNK_BYTES (or one row) at a time."""
+def _laid_out(reduce, values, zindex, zcount: int, copies: int, tail=None) -> np.ndarray:
+    """``reduce`` of each row of ``values`` laid out as ``_Block`` lays out a block,
+    with its Z bits packed in ``zindex`` and, if given, the qubit after the X-measured
+    ones reading ``tail``; a chunk of at most _CHUNK_BYTES (or one row) at a time."""
     rows, size = values.shape
     shape = (1 << zcount, 1 << copies, 1 if tail is None else 2, size)
     step = max(1, _CHUNK_BYTES // (values.itemsize * math.prod(shape)))
@@ -441,79 +439,49 @@ def _dots(full: np.ndarray) -> np.ndarray:
     return re + im
 
 
-def _leading_readout(stack: _Block, basis: str) -> tuple[np.ndarray, Callable]:
-    """``_branches`` for a Z or X readout of the leading qubit of every block of a stack.
+def _leading_readout(amps, zbits, copies: int, basis: str) -> tuple[np.ndarray, Callable]:
+    """``_branches`` for a Z or X readout of the leading qubit of a stack of blocks.
 
-    Returns each block's two outcome probabilities and ``collapse(keys)``,
-    the child for each key 2 * block + value.  numpy's sum and the BLAS dot
-    depend on where the zeros sit, so the sums and norms run on the blocks
-    laid out in their full registers, as ``_half_sums`` and ``_norm`` run.
-    An X readout rotates the blocks in place; after it a child holds its
-    kept half times 1/sqrt2, once more per value of the read qubit.
+    Row i of ``amps`` and of ``zbits`` is a block as a ``_Block`` holds it;
+    ``collapse(keys)`` returns the children 2 * block + value as such a stack.
+    Sums and norms run on the blocks laid out in full registers: numpy's sum
+    and the BLAS dot depend on where the zeros sit.  X rotates ``amps`` in place.
     """
-    amps, zbits, copies = stack
     if basis not in ("Z", "X") or basis == "Z" and copies:
         raise ValueError(f"a walk block reads 'Z' (before any 'X') or 'X', got {basis!r}")
     if basis == "X":
         amps[...] = _h(amps, 0)
-    (rows, size), zcount = amps.shape, zbits.shape[1]
+    zcount, halves = zbits.shape[1], amps.reshape(len(amps), 2, -1)
     zindex = (zbits << np.arange(zcount - 1, -1, -1)).sum(axis=1)
-    halves = amps.reshape(rows, 2, size // 2)
-    probs = np.empty((rows, 2))
-    for value in (0, 1):
-        weights = np.abs(halves[:, value]) ** 2
-        probs[:, value] = _over_registers(partial(np.sum, axis=1), weights, zindex, zcount, copies)
+    sums, weights = partial(np.sum, axis=1), np.abs(halves.swapaxes(0, 1)) ** 2  # [value, block]
+    probs = np.column_stack([_laid_out(sums, w, zindex, zcount, copies) for w in weights])
 
-    def collapse(keys: np.ndarray) -> np.ndarray:
+    def collapse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
         nodes, values = keys >> 1, keys & 1
         kept = halves[nodes, values]
-        norms = np.sqrt(_over_registers(_dots, kept, zindex[nodes], zcount, copies, values))
-        dead = norms * norms <= DEAD_EPS
-        if dead.any():
+        norms = np.sqrt(_laid_out(_dots, kept, zindex[nodes], zcount, copies, values))
+        if (dead := norms * norms <= DEAD_EPS).any():
             qubit, value = zcount + copies, values[dead][0]
             raise NormalizationError(f"projection onto qubit {qubit} = {value} has zero weight")
         kept /= norms[:, None]
-        if basis == "X":
+        if basis == "X":  # the rotate-back leaves it at both values of the read qubit
             kept *= _INV_SQRT2
-        _check_norm(kept, 1 << copies + (basis == "X"))
-        return kept
+        child_copies = copies + (basis == "X")
+        _check_norm(kept, 1 << child_copies)
+        child_zbits = zbits[nodes] if basis == "X" else np.column_stack((zbits[nodes], values))
+        return kept, child_zbits, child_copies
 
     return probs, collapse
-
-
-def _leading_level(
-    stack: _Block, basis: str, node: np.ndarray, samples: np.ndarray, last: bool = False
-) -> tuple[np.ndarray, np.ndarray, _Block | None]:
-    """One readout of every block, for rows at blocks ``node`` drawing ``samples``.
-
-    Returns each row's outcome, its child and the children the rows reach,
-    in (block, value) order, each collapsed once, none after the ``last``.
-    """
-    probs, collapse = _leading_readout(stack, basis)
-    values = _choose(probs[node], samples)
-    if last:
-        return values, node, None
-    keys = 2 * node + values  # regrouped by a counting sort
-    rank = np.zeros(2 * len(probs), dtype=int)
-    rank[keys] = 1
-    children = np.flatnonzero(rank)
-    rank[children] = np.arange(len(children))
-    zbits = stack.zbits[children >> 1]
-    if basis == "Z":
-        zbits = np.concatenate((zbits, children[:, None] & 1), axis=1)
-    child = _Block(collapse(children), zbits, stack.copies + (basis == "X"))
-    return values, rank[keys], child
 
 
 def _leading_branches(block: _Block, basis: str) -> tuple[list[float], Callable[[int], _Block]]:
     """``_branches`` for a readout of the block's leading qubit: ``_leading_readout`` on one."""
     amps, zbits, copies = block
-    stack = _Block(amps[None].copy(), np.array([zbits], dtype=int), copies)
-    probs, collapse = _leading_readout(stack, basis)
+    probs, collapse = _leading_readout(amps[None].copy(), np.array([zbits], int), copies, basis)
 
     def collapse_one(value: int) -> _Block:
-        kept = collapse(np.array([value]))[0]
-        return _Block(kept, zbits + (value,) * (basis == "Z"), copies + (basis == "X"))
+        kept, child_zbits, child_copies = collapse(np.array([value]))
+        return _Block(kept[0], tuple(child_zbits[0].tolist()), child_copies)
 
     return probs[0].tolist(), collapse_one
 

@@ -208,7 +208,9 @@ def test_oracle_sample_agreement():
                 for payload in (0, 1):
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
-                    counts = record_counts(*route_rounds(variant, payload, attack, us))
+                    counts = record_counts(
+                        *route_rounds([variant] * rounds, [payload] * rounds, attack, us)
+                    )
                     exact = table_dict(exact_round_analysis(variant, payload, attack))
                     assert set(counts) <= set(exact)
                     for key, p in exact.items():

@@ -38,7 +38,7 @@ from ghzqss.protocol import (
     recover_secret,
     standard_variants,
 )
-from ghzqss import session, statevec
+from ghzqss import attacks, session, statevec
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 from records import distribution_dict, record_counts, row_records, table_dict
@@ -328,7 +328,7 @@ def replayed_record(variant, payload, attack, row):
 
 def routed_records(variant, payload, attack, us):
     """Each row's record from one outcome-tree walk, in row order."""
-    return row_records(*route_rounds(variant, payload, attack, us))
+    return row_records(*route_rounds([variant] * len(us), [payload] * len(us), attack, us))
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -377,7 +377,7 @@ def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatc
     # the tap collapses through _branches, the readouts through the stacked
     # kernel, one child per key it is given
     monkeypatch.setattr(statevec, "_branches", counted(statevec._branches))
-    monkeypatch.setattr(statevec, "_leading_readout", counted_readout(statevec._leading_readout))
+    monkeypatch.setattr(attacks, "_leading_readout", counted_readout(attacks._leading_readout))
     attack = AttackModel(kind)
     for variant in standard_variants(n):
         for payload in (0, 1):
@@ -442,7 +442,7 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    counts = record_counts(*route_rounds(V[2], 1, INTERCEPT, us))
+    counts = record_counts(*route_rounds([V[2]] * n, [1] * n, INTERCEPT, us))
     exact = table_dict(exact_round_analysis(V[2], 1, INTERCEPT))
     assert set(counts) <= set(exact)
     for key, p in exact.items():
@@ -452,15 +452,21 @@ def test_bulk_sampler_matches_exact_distribution():
 
 def test_bulk_sampler_shape_validation():
     with pytest.raises(ValueError):
-        route_rounds(V[1], 0, INTERCEPT, np.zeros((10, 4)))
+        route_rounds([V[1]] * 10, [0] * 10, INTERCEPT, np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        route_rounds(V[1], 0, AttackModel(), np.zeros(40))
+        route_rounds([V[1]] * 40, [0] * 40, AttackModel(), np.zeros(40))
 
 
+@pytest.mark.parametrize("chunk_bytes", (None, 1 << 9), ids=("default_chunks", "512_byte_chunks"))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n", (3, 5))
-def test_mixed_rows_replay_run_round_exactly(kind, n):
-    # one walk over rows of every variant and payload, as a session makes it
+def test_mixed_rows_replay_run_round_exactly(kind, n, chunk_bytes, monkeypatch):
+    # one walk over rows of every variant and payload, as a session makes it;
+    # 512-byte chunks walk one root per batch and lay out registers in
+    # several chunks
+    if chunk_bytes is not None:
+        monkeypatch.setattr(attacks, "_CHUNK_BYTES", chunk_bytes)
+        monkeypatch.setattr(statevec, "_CHUNK_BYTES", chunk_bytes)
     attack = AttackModel(kind)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind)))
     variants = [standard_variants(n)[i] for i in rng.integers(n + 1, size=120)]

@@ -20,7 +20,6 @@ from ghzqss.statevec import (
     _branches,
     _check_norm,
     _leading_branches,
-    _leading_level,
     _leading_readout,
     append_ancilla,
     apply_cnot,
@@ -538,10 +537,10 @@ def test_leading_readout_validates_its_basis():
 
 
 def random_stack(rng, k, depth, rows):
-    """``rows`` blocks of a k-qubit register read to ``depth``: random Z bits
-    (up to two, the rest X copies), amplitudes often zeroed, and some blocks
-    with a dead Z half, a dead X half (equal halves) or 1 - 2^-53 next to a
-    residue of 1e-17 or 0."""
+    """``rows`` blocks of a k-qubit register read to ``depth``, as amplitudes,
+    Z bits and copies: random Z bits (up to two, the rest X copies),
+    amplitudes often zeroed, and some blocks with a dead Z half, a dead X
+    half (equal halves) or 1 - 2^-53 next to a residue of 1e-17 or 0."""
     z = int(rng.integers(0, min(depth, 2) + 1))
     copies, size = depth - z, 1 << (k - depth)
     amps = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
@@ -560,7 +559,7 @@ def random_stack(rng, k, depth, rows):
             amps[row, 0], amps[row, size // 2] = 1.0 - 2.0**-53, rng.choice((1e-17, 0.0))
     amps[~amps.any(axis=1), 0] = 1.0
     amps /= np.linalg.norm(amps, axis=1, keepdims=True) * math.sqrt(1 << copies)
-    return _Block(amps, rng.integers(0, 2, size=(rows, z)), copies)
+    return amps, rng.integers(0, 2, size=(rows, z)), copies
 
 
 @pytest.mark.parametrize("chunk_bytes", (None, 1 << 9), ids=("default_chunks", "512_byte_chunks"))
@@ -573,41 +572,27 @@ def test_stacked_readout_equals_one_block_readouts(k, chunk_bytes, monkeypatch):
         monkeypatch.setattr(statevec, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(k)
     for depth in range(k):
-        stack = random_stack(rng, k, depth, rows=int(rng.integers(1, 40)))
-        for basis in ("Z", "X") if stack.copies == 0 else ("X",):
+        amps, zbits, copies = random_stack(rng, k, depth, rows=int(rng.integers(1, 40)))
+        for basis in ("Z", "X") if copies == 0 else ("X",):
             singles = [
-                _leading_branches(_Block(amps, tuple(bits), stack.copies), basis)
-                for amps, bits in zip(stack.amps, stack.zbits.tolist())
+                _leading_branches(_Block(row, tuple(bits), copies), basis)
+                for row, bits in zip(amps, zbits.tolist())
             ]
-            fresh = _Block(stack.amps.copy(), stack.zbits, stack.copies)  # X rotates it in place
-            probs, collapse = _leading_readout(fresh, basis)
+            # an X readout rotates the stack in place
+            probs, collapse = _leading_readout(amps.copy(), zbits, copies, basis)
             assert probs.tolist() == [p for p, _collapse in singles]
             keys = np.arange(probs.size)
             live = keys[probs.ravel() > DEAD_EPS]
-            for key, child in zip(live, collapse(live)):
-                assert np.array_equal(child, singles[key >> 1][1](key & 1).amps)
+            children, child_zbits, child_copies = collapse(live)
+            for key, child, bits in zip(live, children, child_zbits.tolist()):
+                expected = singles[key >> 1][1](key & 1)
+                assert np.array_equal(child, expected.amps)
+                assert (tuple(bits), child_copies) == (expected.zbits, expected.copies)
             for key in np.setdiff1d(keys, live):
                 with pytest.raises(NormalizationError):
                     singles[key >> 1][1](key & 1)
                 with pytest.raises(NormalizationError):
                     collapse(np.array([key]))
-
-            # a whole level: the threshold rule per row, the regrouping and
-            # the children the rows reach, each once, in (block, value) order
-            node = rng.integers(len(singles), size=int(rng.integers(1, 80)))
-            samples = rng.random(node.size)
-            at_boundary = rng.random(node.size) < 0.3
-            samples[at_boundary] = rng.choice(BOUNDARY_DRAWS, at_boundary.sum())
-            fresh = _Block(stack.amps.copy(), stack.zbits, stack.copies)
-            values, child_node, child = _leading_level(fresh, basis, node, samples)
-            assert values.tolist() == [spec_choose(singles[i][0], u) for i, u in zip(node, samples)]
-            reached = sorted(set(zip(node.tolist(), values.tolist())))
-            assert len(child.amps) == len(reached) and child.copies == stack.copies + (basis == "X")
-            for row, (i, value) in enumerate(zip(node.tolist(), values.tolist())):
-                assert child_node[row] == reached.index((i, value))
-                expected = singles[i][1](value)
-                assert np.array_equal(child.amps[child_node[row]], expected.amps)
-                assert tuple(child.zbits[child_node[row]].tolist()) == expected.zbits
 
 
 def test_measure_batch_skips_impossible_outcomes_and_validates():
