@@ -55,7 +55,6 @@ from .statevec import (
     apply_hadamard,
     basis_state,
     bell_projections,
-    measure_batch,
     measure_bell,
     measure_x,
     measure_z,

@@ -34,23 +34,24 @@ pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
 cells of the information sum, since ``np.log2`` may differ in the last
 bit.
 ``route_rounds`` walks all the rounds of a session through their outcome
-trees in one level-by-level walk: each (variant, payload) builds its
-round once, the attacker's Bell tap is read on its full states, and its
-live branches are the walk's roots.  The readout after it is fixed by
-the protocol (the sender reads Z on qubits 0 and 1, each receiver X on
-its own qubit, in index order), so each readout is of the leading
-unmeasured qubit, and the walk keeps each branch as a compact block,
-laid out as ``statevec._Block`` describes, that only holds the
-unmeasured qubits' amplitudes.  At each depth it stacks the blocks of
-every tree and reads them in one ``statevec._leading_readout`` pass:
-every row gets its outcome by the same threshold rule ``run_round``
-applies one draw at a time, and a branch's collapsed state is computed
-once, only when some row reaches it and a later measurement reads it, so
-the last readout collapses nothing.  The roots are walked in batches of
-bounded bytes.  It returns one record per row, as the row's readout bits
-(laid out as ``RecordTable.bits()`` lays them out) and its Bell record,
-and each is exactly the one ``run_round``, the reference the walk is
-tested against, produces from that row's draws.
+trees in one level-by-level walk.  Every measurement in it has one call
+pattern: a kernel returns the outcome probabilities and a ``collapse``,
+and ``statevec._choose`` picks each row's outcome by the threshold rule
+``run_round`` applies one draw at a time.  Each (variant, payload) builds
+its round once, the attacker's Bell tap is read on its full states by
+``statevec._branches``, and the branches some row picks are the walk's
+roots.  The readout after it is fixed by the protocol (the sender reads Z
+on qubits 0 and 1, each receiver X on its own qubit, in index order), so
+each readout is of the leading unmeasured qubit, and the walk keeps each
+branch as a compact block that only holds the unmeasured qubits'
+amplitudes.  At each depth it stacks the blocks of every tree and reads
+them in one ``statevec._leading_readout`` pass.  A branch's collapsed
+state is computed once, only when some row reaches it and a later
+measurement reads it, so the last readout collapses nothing.  The roots
+are walked in batches of bounded bytes.  It returns one record per row,
+as the row's readout bits (laid out as ``RecordTable.bits()`` lays them
+out) and its Bell record, and each is exactly the one ``run_round``, the
+reference the walk is tested against, produces from that row's draws.
 """
 
 from __future__ import annotations
@@ -78,6 +79,7 @@ from .statevec import (
     RegisterCapacityError,
     StateVector,
     _CHUNK_BYTES,
+    _branches,
     _choose,
     _leading_readout,
     append_ancilla,
@@ -85,7 +87,6 @@ from .statevec import (
     apply_hadamard,
     basis_state,
     bell_projections,
-    measure_batch,
     measure_bell,
     outcome_distribution,
 )
@@ -163,11 +164,8 @@ def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -
 
 
 def draws_per_round(attack: AttackModel, n: int) -> int:
-    """Uniform samples one round consumes, in the canonical draw order."""
-    draws = 2 + (n - 1)  # sender's two Z readouts plus receiver X readouts
-    if attack.active:
-        draws += 1  # the attacker's Bell measurement
-    return draws
+    """Uniform samples one round consumes: the readout's, plus the attacker's Bell tap."""
+    return len(_readout(n)) + attack.active
 
 
 def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) -> RoundOutcome:
@@ -394,8 +392,10 @@ def route_rounds(
     Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of a
     round of ``variants[i]`` carrying ``payloads[i]``; returns the readout
     bits (as ``RecordTable.bits()``) and Bell record (-1: no attack) that
-    ``run_round`` gives each row.  The roots, the branches each (variant,
-    payload)'s Bell tap reaches, are walked in batches of at most ``_CHUNK_BYTES``.
+    ``run_round`` gives each row.  Every readout, the Bell tap's included,
+    picks each row's outcome with ``_choose``.  The roots, the branches each
+    (variant, payload)'s Bell tap reaches, in ascending Bell index, are
+    walked in batches of at most ``_CHUNK_BYTES``.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     n = variants[0].n
@@ -415,10 +415,13 @@ def route_rounds(
                 yield state.amps, members
                 continue
             qubits, finish = tap
-            picks, collapse = measure_batch(state, "Bell", qubits, uniforms[members, 0])
-            for eve, picked in picks:
-                eves[members[picked]] = eve
-                yield finish(collapse(eve)).amps, members[picked]
+            probs, collapse = _branches(state, "Bell", qubits)
+            picked = _choose(probs, uniforms[members, 0])
+            for eve in range(len(probs)):
+                rows = members[picked == eve]
+                if rows.size:  # only the outcomes some row picked are collapsed
+                    eves[rows] = eve
+                    yield finish(collapse(eve)).amps, rows
 
     bases = [basis for _q, basis in _readout(n)]  # each reads every block's leading qubit
     index = np.zeros(len(uniforms), dtype=int)  # the readout bits, packed as RecordTable.index

@@ -72,13 +72,8 @@ class StateVariant:
             )
 
     @property
-    def is_standard(self) -> bool:
-        k = len(self.hadamard_positions)
-        return k == 0 or k == 1 or k == self.n - 1
-
-    @property
     def index(self) -> int | None:
-        """1-based label: 1 = no positions, i = {i}, n+1 = all positions."""
+        """1-based label: 1 = no positions, i = {i}, n+1 = all; None if nonstandard."""
         if not self.hadamard_positions:
             return 1
         if len(self.hadamard_positions) == 1:

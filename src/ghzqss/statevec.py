@@ -15,21 +15,14 @@ Conventions used by every caller in this package:
   ``__post_init__`` runs after the shape check).
 - The outcome-tree walk (``attacks.route_rounds``) reads a round's qubits
   in index order, sender Z first and then receiver X, so every qubit a
-  walk branch has measured is a leading one.  A branch is kept as a
-  ``_Block``: its amplitudes over the unmeasured qubits, the Z bits read
-  and the number of X-measured qubits.  The full register is zero off
-  those Z bits and holds the block once, up to sign, per pattern of the
-  X-measured qubits.  The walk stacks the blocks of one depth as plain
-  arrays, a row of amplitudes and of Z bits per block and one copy
-  count, and ``_leading_readout`` reads every block's leading qubit at once:
-  the Hadamard, squared magnitudes, projection, division by the norm and
-  the X rotate-back touch only the blocks, while the two outcome sums and
-  the projection norms run on each block laid out in its full register
-  (a chunk of registers at a time), so every probability and norm is
-  bit-identical to a full-register readout; its collapse returns the
-  stack of children.  ``_leading_branches`` is its one-block case.  Every
-  block a collapse returns passes the same ``_check_norm``, counting its
-  copies.
+  walk branch has measured is a leading one.  A branch is kept as a block,
+  laid out as ``_leading_readout`` describes: its amplitudes over the
+  unmeasured qubits, the Z bits read and the number of X-measured qubits.
+  The walk stacks the blocks of one depth as plain arrays, and
+  ``_leading_readout`` reads every block's leading qubit at once, with
+  every probability and norm bit-identical to a full-register readout;
+  its collapse returns the stack of children, which passes the same
+  ``_check_norm``, counting each block's copies.
 - Measurements take an explicit uniform sample in [0, 1) instead of an RNG
   object, which makes every collapse replayable from a recorded stream of
   draws.  One threshold rule serves Z, X and Bell readouts alike: outcomes
@@ -58,7 +51,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
@@ -147,9 +139,9 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
 def state_from_amplitudes(amps) -> StateVector:
     """Wrap an amplitude sequence whose length is a power of two."""
     arr = np.asarray(amps, dtype=np.complex128)
-    n = int(arr.shape[0]).bit_length() - 1
-    if arr.ndim != 1 or (1 << n) != arr.shape[0]:
+    if arr.ndim != 1 or arr.size == 0 or arr.size & (arr.size - 1):
         raise ValueError("amplitude vector length must be a power of two")
+    n = arr.size.bit_length() - 1
     return StateVector(n, arr.copy())
 
 
@@ -365,58 +357,12 @@ def measure_bell(state: StateVector, q1: int, q2: int, randomness: float) -> tup
     return _measure(state, "Bell", (q1, q2), randomness)
 
 
-def measure_batch(
-    state: StateVector, basis: str, qubits: tuple[int, ...], samples
-) -> tuple[list[tuple[int, np.ndarray]], Callable[[int], StateVector]]:
-    """One measurement applied to many copies of ``state``, one sample each.
-
-    ``basis`` is "Z" or "X" on one qubit or "Bell" on two.  Each copy gets
-    the outcome that ``measure_z``, ``measure_x`` or ``measure_bell`` gives
-    for its sample, from the same probabilities.  Returns the groups
-    (outcome, indices of the copies that got it) in outcome order, for the
-    outcomes at least one copy got, and ``collapse``: ``collapse(outcome)``
-    is the state the scalar measurement returns for that outcome.  Nothing
-    is collapsed until the caller asks, so a caller that reads no
-    post-state pays for none.
-    """
-    probs, collapse = _branches(state, basis, qubits)
-    return _groups(probs, samples), collapse
-
-
-def _groups(probs: list[float], samples) -> list[tuple[int, np.ndarray]]:
-    """(outcome, indices of the samples that select it), in outcome order.
-
-    Only the outcomes at least one sample selects are listed.
-    """
-    outcomes = _choose(probs, np.asarray(samples, dtype=np.float64))
-    groups = []
-    for value in range(len(probs)):
-        (picked,) = np.nonzero(outcomes == value)
-        if picked.size:
-            groups.append((value, picked))
-    return groups
-
-
 # the most bytes the walk lays out in full registers, or takes as roots, at once
 _CHUNK_BYTES = 1 << 17
 
 
-class _Block(NamedTuple):
-    """A walk branch whose leading qubits are measured, Z readouts first.
-
-    The full register holds ``amps`` (over the unmeasured qubits) where the
-    Z-measured qubits read ``zbits``, once for each pattern of the
-    ``copies`` X-measured qubits after them, up to sign, and zeros
-    elsewhere.
-    """
-
-    amps: np.ndarray
-    zbits: tuple[int, ...] = ()
-    copies: int = 0
-
-
 def _laid_out(reduce, values, zindex, zcount: int, copies: int, tail=None) -> np.ndarray:
-    """``reduce`` of each row of ``values`` laid out as ``_Block`` lays out a block,
+    """``reduce`` of each row of ``values`` laid out as ``_leading_readout`` lays out a block,
     with its Z bits packed in ``zindex`` and, if given, the qubit after the X-measured
     ones reading ``tail``; a chunk of at most _CHUNK_BYTES (or one row) at a time."""
     rows, size = values.shape
@@ -442,10 +388,15 @@ def _dots(full: np.ndarray) -> np.ndarray:
 def _leading_readout(amps, zbits, copies: int, basis: str) -> tuple[np.ndarray, Callable]:
     """``_branches`` for a Z or X readout of the leading qubit of a stack of blocks.
 
-    Row i of ``amps`` and of ``zbits`` is a block as a ``_Block`` holds it;
-    ``collapse(keys)`` returns the children 2 * block + value as such a stack.
-    Sums and norms run on the blocks laid out in full registers: numpy's sum
-    and the BLAS dot depend on where the zeros sit.  X rotates ``amps`` in place.
+    A block is a walk branch whose leading qubits are measured, Z readouts
+    first.  Row i of ``amps`` holds its amplitudes over the unmeasured
+    qubits and row i of ``zbits`` its Z bits.  The full register holds the
+    row where the Z-measured qubits read those bits, once, up to sign, for
+    each pattern of the ``copies`` X-measured qubits after them, and zeros
+    elsewhere.  ``collapse(keys)`` returns the children 2 * block + value
+    as such a stack.  Sums and norms run on the blocks laid out in full
+    registers: numpy's sum and the BLAS dot depend on where the zeros sit.
+    X rotates ``amps`` in place.
     """
     if basis not in ("Z", "X") or basis == "Z" and copies:
         raise ValueError(f"a walk block reads 'Z' (before any 'X') or 'X', got {basis!r}")
@@ -472,18 +423,6 @@ def _leading_readout(amps, zbits, copies: int, basis: str) -> tuple[np.ndarray, 
         return kept, child_zbits, child_copies
 
     return probs, collapse
-
-
-def _leading_branches(block: _Block, basis: str) -> tuple[list[float], Callable[[int], _Block]]:
-    """``_branches`` for a readout of the block's leading qubit: ``_leading_readout`` on one."""
-    amps, zbits, copies = block
-    probs, collapse = _leading_readout(amps[None].copy(), np.array([zbits], int), copies, basis)
-
-    def collapse_one(value: int) -> _Block:
-        kept, child_zbits, child_copies = collapse(np.array([value]))
-        return _Block(kept[0], tuple(child_zbits[0].tolist()), child_copies)
-
-    return probs[0].tolist(), collapse_one
 
 
 def outcome_distribution(state: StateVector, plan) -> tuple[np.ndarray, np.ndarray]:

@@ -376,7 +376,7 @@ def test_route_rounds_collapses_inner_nodes_once_and_no_leaf(kind, n, monkeypatc
 
     # the tap collapses through _branches, the readouts through the stacked
     # kernel, one child per key it is given
-    monkeypatch.setattr(statevec, "_branches", counted(statevec._branches))
+    monkeypatch.setattr(attacks, "_branches", counted(attacks._branches))
     monkeypatch.setattr(attacks, "_leading_readout", counted_readout(attacks._leading_readout))
     attack = AttackModel(kind)
     for variant in standard_variants(n):

@@ -141,13 +141,34 @@ def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
     assert "error:" in err
 
 
-def test_run_validation_failures_exit_2(capsys, tmp_path):
-    code, _out, err = run_cli(capsys, "run", "--parties", "2", "--out", str(tmp_path / "p"))
-    assert code == 2 and "error:" in err
-    code, _out, err = run_cli(
-        capsys, "run", "--check-fraction", "0", "--out", str(tmp_path / "q")
-    )
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (("--parties", "2"), None),
+        (("--check-fraction", "0"), None),
+        (("--check-fraction", "nan"), None),
+        (("--abort-threshold", "nan"), None),
+        ((), b"\xff\xfe01"),
+        ((), b"01x1"),
+        (("--seed", "-1", "--random-message", "2"), None),
+    ],
+    ids=[
+        "two_parties",
+        "zero_check_fraction",
+        "nan_check_fraction",
+        "nan_abort_threshold",
+        "non_utf8_message_file",
+        "non_binary_message_file",
+        "negative_seed",
+    ],
+)
+def test_run_validation_failures_exit_2(capsys, tmp_path, args, message):
+    if message is not None:
+        (tmp_path / "message.txt").write_bytes(message)
+        args = (*args, "--message-file", str(tmp_path / "message.txt"))
+    code, _out, err = run_cli(capsys, "run", *args, "--out", str(tmp_path / "out"))
     assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_run_capacity_failure_exits_3(capsys, tmp_path):

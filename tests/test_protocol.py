@@ -81,7 +81,7 @@ def test_variant_indexing_and_names():
     names = [v.name for v in standard_variants(3)]
     assert names == ["psi1", "psi2", "psi3", "psi4"]
     assert [v.name for v in standard_variants(4)] == ["Psi1", "Psi2", "Psi3", "Psi4", "Psi5"]
-    assert all(v.is_standard for v in standard_variants(6))
+    assert all(v.index is not None for v in standard_variants(6))
     with pytest.raises(ValueError):
         StateVariant.from_index(3, 5)
     with pytest.raises(ValueError):
@@ -90,7 +90,6 @@ def test_variant_indexing_and_names():
 
 def test_nonstandard_variant_naming():
     v = StateVariant(5, {2, 4})
-    assert not v.is_standard
     assert v.index is None
     assert v.name == "h2,4"
 
@@ -257,7 +256,7 @@ def test_plan_sequences_roles_and_payloads():
     assert [p.payload_bit for p in message[:3]] == [1, 0, 1]
     for p in plans:
         assert p.payload_bit in (0, 1)
-        assert p.variant.is_standard
+        assert p.variant.index is not None
 
 
 def test_plan_sequences_validation():

@@ -16,17 +16,15 @@ from ghzqss.statevec import (
     NormalizationError,
     RegisterCapacityError,
     StateVector,
-    _Block,
     _branches,
     _check_norm,
-    _leading_branches,
+    _choose,
     _leading_readout,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
     basis_state,
     bell_projections,
-    measure_batch,
     measure_bell,
     measure_x,
     measure_z,
@@ -83,8 +81,10 @@ def test_basis_state_validation():
 
 
 def test_state_from_amplitudes_validation():
-    with pytest.raises(ValueError):
-        state_from_amplitudes([1.0, 0.0, 0.0])  # not a power of two
+    # not a power of two, whatever the shape: 3 entries, a scalar, none
+    for bad in ([1.0, 0.0, 0.0], 1.0, []):
+        with pytest.raises(ValueError, match="length must be a power of two"):
+            state_from_amplitudes(bad)
     with pytest.raises(ValueError):
         state_from_amplitudes([1.0, 1.0])  # norm 2
     with pytest.raises(ValueError):
@@ -251,8 +251,8 @@ def test_measure_z_never_picks_a_dead_outcome():
         outcome, post = measure_z(state, 0, u)
         assert outcome.value == 0
         assert_amps(post, [1, 0])
-        [(value, picked)], _collapse = measure_batch(state, "Z", (0,), [u, 0.0])
-        assert (value, list(picked)) == (0, [0, 1])
+        probs, _collapse = _branches(state, "Z", (0,))
+        assert _choose(probs, np.array([u, 0.0])).tolist() == [0, 0]
         assert z_projections(state, 0)[1][2] is None
         assert distribution_dict(outcome_distribution(state, [(0, "Z")]), 1).keys() == {(0,)}
 
@@ -268,9 +268,9 @@ def test_every_live_outcome_can_be_collapsed_onto():
     (_v0, _p0, zero), (_v1, _p1, one) = z_projections(state, 0)
     assert_amps(zero, [1, 0])
     assert_amps(one, [0, 1])
-    [(value, picked)], collapse = measure_batch(state, "Z", (0,), [u])
-    assert (value, list(picked)) == (1, [0])
-    assert_amps(collapse(value), [0, 1])
+    probs, collapse = _branches(state, "Z", (0,))
+    assert _choose(probs, np.array([u])).tolist() == [1]
+    assert_amps(collapse(1), [0, 1])
 
 
 def test_z_projections_mark_impossible_branches():
@@ -367,19 +367,18 @@ def test_bell_measure_validation():
     st.data(),
 )
 @settings(deadline=None)
-def test_measure_batch_matches_scalar_measurements(state, samples, data):
+def test_choose_matches_scalar_measurements(state, samples, data):
     k = state.num_qubits
     basis = data.draw(st.sampled_from(("Z", "X", "Bell") if k > 1 else ("Z", "X")))
     qubits = tuple(data.draw(st.permutations(range(k)))[: 2 if basis == "Bell" else 1])
     scalar = {"Z": measure_z, "X": measure_x, "Bell": measure_bell}[basis]
-    groups, collapse = measure_batch(state, basis, qubits, samples)
-    assert sorted(i for _v, picked in groups for i in picked) == list(range(len(samples)))
-    for value, picked in groups:
-        post = collapse(value)
-        for i in picked:
-            outcome, expected = scalar(state, *qubits, samples[i])
-            assert outcome.value == value
-            np.testing.assert_array_equal(post.amps, expected.amps)
+    probs, collapse = _branches(state, basis, qubits)
+    picked = _choose(probs, np.array(samples)).tolist()
+    assert len(picked) == len(samples)
+    for u, value in zip(samples, picked):
+        outcome, expected = scalar(state, *qubits, u)
+        assert outcome.value == value
+        np.testing.assert_array_equal(collapse(value).amps, expected.amps)
 
 
 # The measurement rule restated from its documentation, independently of the
@@ -443,7 +442,7 @@ def sparse_states(draw, max_qubits=4):
 @example(StateVector(1, np.array([1.0 - 2.0**-53, 0.0])), None)
 @example(StateVector(1, np.array([1.0, 1e-17])), None)
 @settings(deadline=None)
-def test_measure_batch_follows_the_spec(state, data):
+def test_choose_follows_the_spec(state, data):
     k = state.num_qubits
     # the dead-branch cases: p(1) = 0 or a residue of 1e-34, the sample at
     # the top of [0, 1)
@@ -466,21 +465,20 @@ def test_measure_batch_follows_the_spec(state, data):
             st.sampled_from([t for t in totals if t < 1.0] or [0.0]),
         )
         samples = data.draw(st.lists(sample, min_size=1, max_size=8))
-    got = {}
-    groups, collapse = measure_batch(state, basis, qubits, samples)
-    for value, picked in groups:
+    branch_probs, collapse = _branches(state, basis, qubits)
+    picked = _choose(branch_probs, np.array(samples)).tolist()
+    for value in set(picked):
         np.testing.assert_allclose(collapse(value).amps, spec[value][1], atol=1e-9)
-        got.update((int(i), value) for i in picked)
-    assert got == {i: spec_choose(probs, u) for i, u in enumerate(samples)}
+    assert picked == [spec_choose(probs, u) for u in samples]
 
 
-def full_register(block, signs):
-    """The register a walk block stands for: the block where the Z-measured
-    qubits read its Z bits, once per X pattern times that pattern's sign,
-    zeros elsewhere."""
-    z = len(block.zbits)
-    full = np.zeros((1 << z, 1 << block.copies, block.amps.size), dtype=complex)
-    full[int("".join(map(str, block.zbits)), 2) if z else 0] = np.outer(signs, block.amps)
+def full_register(amps, zbits, copies, signs):
+    """The register a walk block stands for: its amplitudes where the
+    Z-measured qubits read its Z bits, once per pattern of its ``copies``
+    X-measured qubits times that pattern's sign, zeros elsewhere."""
+    z = len(zbits)
+    full = np.zeros((1 << z, 1 << copies, amps.size), dtype=complex)
+    full[int("".join(map(str, zbits)), 2) if z else 0] = np.outer(signs, amps)
     return StateVector(full.size.bit_length() - 1, full.reshape(-1))
 
 
@@ -511,29 +509,30 @@ def test_leading_readout_equals_branches_bit_for_bit(k, seed, dead, residue):
             amps = np.zeros(block_size, dtype=complex)
             amps[0], amps[block_size // 2] = 1.0 - 2.0**-53, residue
         amps /= math.sqrt(1 << copies)
-        block = _Block(amps, tuple(int(b) for b in rng.integers(0, 2, size=z)), copies)
-        state = full_register(block, rng.choice((-1.0, 1.0), size=1 << copies))
+        zbits = rng.integers(0, 2, size=(1, z))  # a one-block stack
+        state = full_register(amps, zbits[0], copies, rng.choice((-1.0, 1.0), size=1 << copies))
         for basis in ("Z", "X") if copies == 0 else ("X",):
-            probs, collapse = _leading_branches(block, basis)
+            # an X readout rotates the stack in place
+            probs, collapse = _leading_readout(amps[None].copy(), zbits, copies, basis)
             expected_probs, expected_collapse = _branches(state, basis, (d,))
-            assert probs == expected_probs
+            assert probs[0].tolist() == expected_probs
             for value in (0, 1):
                 try:
                     expected = expected_collapse(value)
                 except NormalizationError:  # norm^2 <= DEAD_EPS
                     with pytest.raises(NormalizationError):
-                        collapse(value)
+                        collapse(np.array([value]))
                     continue
-                child = collapse(value)
-                live = full_register(child, np.ones(1 << child.copies))
+                (child,), (child_zbits,), child_copies = collapse(np.array([value]))
+                live = full_register(child, child_zbits, child_copies, np.ones(1 << child_copies))
                 assert np.array_equal(np.abs(live.amps), np.abs(expected.amps))
 
 
 def test_leading_readout_validates_its_basis():
     with pytest.raises(ValueError):
-        _leading_branches(_Block(np.array([0.5, 0.5]), (0,), 1), "Z")  # Z after an X
+        _leading_readout(np.array([[0.5, 0.5]]), np.array([[0]]), 1, "Z")  # Z after an X
     with pytest.raises(ValueError):
-        _leading_branches(_Block(np.array([1.0, 0.0])), "Bell")
+        _leading_readout(np.array([[1.0, 0.0]]), np.zeros((1, 0), int), 0, "Bell")
 
 
 def random_stack(rng, k, depth, rows):
@@ -565,45 +564,45 @@ def random_stack(rng, k, depth, rows):
 @pytest.mark.parametrize("chunk_bytes", (None, 1 << 9), ids=("default_chunks", "512_byte_chunks"))
 @pytest.mark.parametrize("k", range(3, 12))
 def test_stacked_readout_equals_one_block_readouts(k, chunk_bytes, monkeypatch):
-    # one stacked kernel call per depth and basis against _leading_branches
-    # on each block alone; 512-byte chunks make every stack cross chunk
-    # boundaries
+    # one stacked kernel call per depth and basis against the same kernel
+    # on each block alone, as a one-block stack; 512-byte chunks make every
+    # stack cross chunk boundaries
     if chunk_bytes is not None:
         monkeypatch.setattr(statevec, "_CHUNK_BYTES", chunk_bytes)
     rng = np.random.default_rng(k)
     for depth in range(k):
         amps, zbits, copies = random_stack(rng, k, depth, rows=int(rng.integers(1, 40)))
         for basis in ("Z", "X") if copies == 0 else ("X",):
-            singles = [
-                _leading_branches(_Block(row, tuple(bits), copies), basis)
-                for row, bits in zip(amps, zbits.tolist())
-            ]
             # an X readout rotates the stack in place
+            singles = [
+                _leading_readout(row[None].copy(), bits[None], copies, basis)
+                for row, bits in zip(amps, zbits)
+            ]
             probs, collapse = _leading_readout(amps.copy(), zbits, copies, basis)
-            assert probs.tolist() == [p for p, _collapse in singles]
+            assert probs.tolist() == [p[0].tolist() for p, _collapse in singles]
             keys = np.arange(probs.size)
             live = keys[probs.ravel() > DEAD_EPS]
             children, child_zbits, child_copies = collapse(live)
             for key, child, bits in zip(live, children, child_zbits.tolist()):
-                expected = singles[key >> 1][1](key & 1)
-                assert np.array_equal(child, expected.amps)
-                assert (tuple(bits), child_copies) == (expected.zbits, expected.copies)
+                (one,), (one_bits,), one_copies = singles[key >> 1][1](np.array([key & 1]))
+                assert np.array_equal(child, one)
+                assert (bits, child_copies) == (one_bits.tolist(), one_copies)
             for key in np.setdiff1d(keys, live):
                 with pytest.raises(NormalizationError):
-                    singles[key >> 1][1](key & 1)
+                    singles[key >> 1][1](np.array([key & 1]))
                 with pytest.raises(NormalizationError):
                     collapse(np.array([key]))
 
 
-def test_measure_batch_skips_impossible_outcomes_and_validates():
-    groups, _collapse = measure_batch(basis_state(2, 1), "Bell", (0, 1), [0.2, 0.999999, 0.3])
-    assert [(v, list(picked)) for v, picked in groups] == [(2, [0, 2]), (3, [1])]
+def test_choose_skips_impossible_outcomes_and_branches_validate():
+    probs, _collapse = _branches(basis_state(2, 1), "Bell", (0, 1))
+    assert _choose(probs, np.array([0.2, 0.999999, 0.3])).tolist() == [2, 3, 2]
     with pytest.raises(ValueError):
-        measure_batch(basis_state(2, 0), "Y", (0,), [0.5])
+        _branches(basis_state(2, 0), "Y", (0,))
     with pytest.raises(ValueError):
-        measure_batch(basis_state(2, 0), "Bell", (1, 1), [0.5])
+        _branches(basis_state(2, 0), "Bell", (1, 1))
     with pytest.raises(ValueError):
-        measure_batch(basis_state(2, 0), "Z", (2,), [0.5])
+        _branches(basis_state(2, 0), "Z", (2,))
 
 
 def test_bell_reversed_qubit_order():
@@ -675,10 +674,8 @@ def test_sampled_frequencies_track_probabilities():
     p0 = z_projections(state, 1)[0][1]
     n = 100_000
     us = np.random.default_rng(42).random(n)
-    outcomes = np.empty(n, dtype=int)
-    groups, _collapse = measure_batch(state, "Z", (1,), us)
-    for value, picked in groups:
-        outcomes[picked] = value
+    probs, _collapse = _branches(state, "Z", (1,))
+    outcomes = _choose(probs, us)
     # the scalar path gives the same outcomes, checked on a prefix
     assert [measure_z(state, 1, u)[0].value for u in us[:2000]] == list(outcomes[:2000])
     hits = int(np.count_nonzero(outcomes == 0))
