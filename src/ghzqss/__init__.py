@@ -31,8 +31,8 @@ from .protocol import (
     measure_round,
     plan_sequences,
     prepare_variant,
+    readout,
     receiver_correction,
-    receiver_parity_state,
     recover_secret,
     standard_variants,
 )

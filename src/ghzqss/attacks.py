@@ -40,8 +40,8 @@ and ``statevec._choose`` picks each row's outcome by the threshold rule
 ``run_round`` applies one draw at a time.  Each (variant, payload) builds
 its round once, the attacker's Bell tap is read on its full states by
 ``statevec._branches``, and the branches some row picks are the walk's
-roots.  The readout after it is fixed by the protocol (the sender reads Z
-on qubits 0 and 1, each receiver X on its own qubit, in index order), so
+roots.  The readout after it is the fixed ``protocol.readout`` (the sender
+reads Z on qubits 0 and 1, each receiver X on its own qubit, in order), so
 each readout is of the leading unmeasured qubit, and the walk keeps each
 branch as a compact block that only holds the unmeasured qubits'
 amplitudes.  At each depth it stacks the blocks of every tree and reads
@@ -70,6 +70,7 @@ from .protocol import (
     encode_round,
     measure_round,
     prepare_variant,
+    readout,
     receiver_correction,
     recover_secret,
     standard_variants,
@@ -165,7 +166,7 @@ def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -
 
 def draws_per_round(attack: AttackModel, n: int) -> int:
     """Uniform samples one round consumes: the readout's, plus the attacker's Bell tap."""
-    return len(_readout(n)) + attack.active
+    return len(readout(n)) + attack.active
 
 
 def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) -> RoundOutcome:
@@ -177,29 +178,17 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
     receiver's X readout.
     """
     state, tap = _round_prefix(plan.variant, plan.payload_bit, attack)
-    eve_record: int | None = None
+    eve = -1
     if tap is not None:
         qubits, finish = tap
         outcome, post = measure_bell(state, *qubits, rng.random())
-        state, eve_record = finish(post), outcome.value
-    measured = measure_round(state, plan.variant.n, rng)
-    return RoundOutcome(
-        plan=plan,
-        alice_a=measured.alice_a,
-        alice_A=measured.alice_A,
-        receiver_signs=measured.receiver_signs,
-        eve_record=eve_record,
-    )
+        state, eve = finish(post), outcome.value
+    return RoundOutcome.from_bits(plan, measure_round(state, plan.variant.n, rng), eve)
 
 
 # the attacker's Bell measurement: its qubit pair, and the step that takes
 # each collapsed branch on to the state the next measurement sees
 _Tap = tuple[tuple[int, int], Callable[[StateVector], StateVector]]
-
-
-def _readout(n: int) -> list[tuple[int, str]]:
-    """The legitimate readout in draw order: sender Z on 0 and 1, receivers X."""
-    return [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
 
 
 def _round_prefix(
@@ -282,13 +271,13 @@ def exact_round_analysis(
             for eve, p, post in bell_projections(state, *qubits)
             if post is not None
         ]
-    readout = _readout(n)
+    plan = readout(n)
     parts = []
     for eve, weight, branch in branches:
-        index, probs = outcome_distribution(branch, readout)
+        index, probs = outcome_distribution(branch, plan)
         parts.append((index, np.full(index.size, eve), weight * probs))
     index, eve, p = (np.concatenate(column) for column in zip(*parts))
-    return RecordTable(len(readout), index, eve, p)
+    return RecordTable(len(plan), index, eve, p)
 
 
 ExactTables = dict[int, RecordTable]
@@ -423,7 +412,7 @@ def route_rounds(
                     eves[rows] = eve
                     yield finish(collapse(eve)).amps, rows
 
-    bases = [basis for _q, basis in _readout(n)]  # each reads every block's leading qubit
+    bases = [basis for _q, basis in readout(n)]  # each reads every block's leading qubit
     index = np.zeros(len(uniforms), dtype=int)  # the readout bits, packed as RecordTable.index
     branches, per_batch = roots(), max(1, _CHUNK_BYTES // (16 << _register_qubits(n, attack)))
     while batch := list(islice(branches, per_batch)):

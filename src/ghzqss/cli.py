@@ -33,6 +33,7 @@ from .attacks import (
 from .protocol import StateVariant, recover_secret
 from .session import (
     SessionConfig,
+    check_seed,
     default_output_dir,
     run_session,
     write_outputs,
@@ -133,11 +134,15 @@ def cmd_run(args) -> int:
     if args.message_file is not None and args.random_message is not None:
         raise ValueError("give at most one of --message-file and --random-message")
     if args.message_file is not None:
-        with open(args.message_file) as fh:
-            message = "".join(fh.read().split())
+        try:
+            with open(args.message_file, encoding="utf-8") as fh:
+                message = "".join(fh.read().split())
+        except UnicodeDecodeError as exc:  # its text names neither the file nor the flag
+            raise ValueError(f"--message-file is not UTF-8 text ({exc})") from None
     elif args.random_message is not None:
         if args.random_message < 0:
             raise ValueError("--random-message must be non-negative")
+        check_seed(args.seed)  # the draw below takes the seed as numpy seed material
         rng = np.random.default_rng(np.random.SeedSequence((args.seed,)))
         message = "".join(str(b) for b in rng.integers(0, 2, size=args.random_message))
     else:

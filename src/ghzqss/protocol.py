@@ -18,15 +18,16 @@ payload bit b prepends |+> (b=0) or |-> (b=1), entangles it with a1 via
 CNOT, and rotates it back with a Hadamard.  Everyone then measures: the
 sender reads a and a1 in Z, each receiver reads its particle in X, and the
 payload is the sender's a bit XORed with the parity of the receivers' X
-signs (sign + is bit 0, - is bit 1).
+signs (sign + is bit 0, - is bit 1).  ``readout`` is that plan for every
+path, and ``RoundOutcome.from_bits`` turns a row of its bits into a record.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache, reduce
-from typing import NamedTuple
 
 import numpy as np
 
@@ -168,34 +169,30 @@ def encode_round(state: StateVector, payload_bit: int) -> StateVector:
     return apply_hadamard(state, 0)
 
 
-class RoundMeasurement(NamedTuple):
-    alice_a: int
-    alice_A: int
-    receiver_signs: tuple[int, ...]
+def readout(n: int) -> list[tuple[int, str]]:
+    """(qubit, basis) in draw and bit order: sender Z on qubits 0 and 1, receivers X."""
+    return [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
 
 
-def measure_round(state: StateVector, num_parties: int, rng: np.random.Generator) -> RoundMeasurement:
-    """Fixed-basis readout of an encoded round.
+def measure_round(state: StateVector, num_parties: int, rng: np.random.Generator) -> tuple[int, ...]:
+    """Read an encoded round by ``readout``, one uniform draw per measurement.
 
-    Z on qubits 0 and 1 (the sender), X on qubits 2..n (the receivers); any
-    qubits beyond position ``num_parties`` are left untouched.  One uniform
-    draw is consumed per measurement, in that order.
+    Returns the bits in readout order; any qubits beyond position
+    ``num_parties`` are left untouched.
     """
-    outcome_a, state = measure_z(state, 0, rng.random())
-    outcome_big_a, state = measure_z(state, 1, rng.random())
-    signs = []
-    for q in range(2, num_parties + 1):
-        outcome, state = measure_x(state, q, rng.random())
-        signs.append(outcome.value)
-    return RoundMeasurement(outcome_a.value, outcome_big_a.value, tuple(signs))
+    bits = []
+    for qubit, basis in readout(num_parties):
+        outcome, state = (measure_z if basis == "Z" else measure_x)(state, qubit, rng.random())
+        bits.append(outcome.value)
+    return tuple(bits)
 
 
-def recover_secret(alice_a: int, receiver_signs) -> int:
-    """Payload bit from the sender's a bit and all receivers' X signs."""
-    bit = alice_a
-    for s in receiver_signs:
-        bit ^= s
-    return bit & 1
+def recover_secret(alice_a, receiver_signs):
+    """Payload bit from the sender's a bit and all receivers' X signs.
+
+    On arrays (``alice_a``, one per receiver) it gives each row's bit, modifying no input.
+    """
+    return reduce(operator.xor, receiver_signs, alice_a) & 1
 
 
 @dataclass(frozen=True)
@@ -213,6 +210,12 @@ class RoundOutcome:
     alice_A: int
     receiver_signs: tuple[int, ...]
     eve_record: int | None = None  # the attacker's Bell index, if attacked
+
+    @classmethod
+    def from_bits(cls, plan: RoundPlan, bits, eve: int) -> "RoundOutcome":
+        """A round's outcome from its bits in ``readout`` order and its Bell record (-1: none)."""
+        alice_a, alice_A, *signs = bits
+        return cls(plan, alice_a, alice_A, tuple(signs), None if eve < 0 else eve)
 
 
 @dataclass
@@ -304,19 +307,3 @@ def announcement_schedule(check_indices, n: int, rng: np.random.Generator) -> di
             schedule[i] = tuple(int(r) for r in order)
     return schedule
 
-
-def receiver_parity_state(num_receivers: int, parity_bit: int) -> StateVector:
-    """Joint receiver state carrying one parity bit in the X basis.
-
-    (|0...0> + (-1)^parity_bit |1...1>) / sqrt2 over all receivers: its
-    X-basis expansion has 2^(num_receivers - 1) equal-magnitude terms whose
-    sign parities all equal ``parity_bit``.
-    """
-    if num_receivers < 1:
-        raise ValueError("need at least one receiver")
-    if parity_bit not in (0, 1):
-        raise ValueError("parity bit must be 0 or 1")
-    amps = np.zeros(1 << num_receivers, dtype=np.complex128)
-    amps[0] = _INV_SQRT2
-    amps[-1] = -_INV_SQRT2 if parity_bit else _INV_SQRT2
-    return StateVector(num_receivers, amps)

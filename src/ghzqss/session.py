@@ -10,8 +10,9 @@ uniforms from its own stream, in plan order, and routes every round
 through one level-by-level walk of their outcome trees
 (``attacks.route_rounds``).  The walk returns each round's readout bits
 and Bell record as arrays, and the session turns each row into the
-round's ``RoundOutcome``.  Every round gets exactly the outcome that
-simulating it alone with ``attacks.run_round`` would give.
+round's ``RoundOutcome`` and recovers every round's bit once, from the
+bit columns.  Every round gets exactly the outcome that simulating it
+alone with ``attacks.run_round`` would give.
 
 The public log kept on the transcript mirrors what actually goes over the
 classical channel, in order: receipt confirmation, the variant announcement,
@@ -66,6 +67,12 @@ def check_abort_threshold(abort_threshold: float) -> None:
         raise ValueError("abort threshold must lie in [0, 1]")
 
 
+def check_seed(seed: int) -> None:
+    """A session's root seed is numpy seed material: an integer in [0, 2^64)."""
+    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+        raise ValueError("seed must be an integer in [0, 2^64)")
+
+
 @dataclass
 class SessionConfig:
     """Everything a session needs; two runs with equal configs match bit for bit."""
@@ -84,8 +91,7 @@ class SessionConfig:
         check_parties(self.n)
         validate_round(self.n, self.attack)
         check_message(self.message, self.rounds, self.check_fraction)
-        if not isinstance(self.seed, int) or not 0 <= self.seed < (1 << 64):
-            raise ValueError("seed must be an integer in [0, 2^64)")
+        check_seed(self.seed)
         if self.mode not in ("sample", "exact"):
             raise ValueError(f"mode must be 'sample' or 'exact', got {self.mode!r}")
         check_abort_threshold(self.abort_threshold)
@@ -134,18 +140,12 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     return rate, rate > abort_threshold
 
 
-def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> list[RoundOutcome]:
-    """Outcomes of all rounds, from one level-by-level walk of the session."""
+def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Every round's readout bits and Bell record, from one level-by-level walk of the session."""
     width = draws_per_round(config.attack, config.n)
     uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in plans])
     variants = [p.variant for p in plans]
-    bits, eves = route_rounds(variants, [p.payload_bit for p in plans], config.attack, uniforms)
-    alice_a, alice_A, *sign_columns = bits.T.tolist()
-    columns = zip(plans, alice_a, alice_A, zip(*sign_columns), eves.tolist())
-    return [
-        RoundOutcome(plan, a, big_a, signs, None if eve < 0 else eve)  # -1: no attack, no record
-        for plan, a, big_a, signs, eve in columns
-    ]
+    return route_rounds(variants, [p.payload_bit for p in plans], config.attack, uniforms)
 
 
 def run_session(config: SessionConfig) -> SessionResult:
@@ -163,7 +163,9 @@ def run_session(config: SessionConfig) -> SessionResult:
     check_indices = [p.round_index for p in plans if p.role == "check"]
     schedule = announcement_schedule(check_indices, config.n, plan_rng)
 
-    outcomes = _run_rounds(plans, config)
+    bits, eves = _run_rounds(plans, config)
+    outcomes = [RoundOutcome.from_bits(*row) for row in zip(plans, bits.tolist(), eves.tolist())]
+    secrets = recover_secret(bits[:, 0], bits[:, 2:].T).tolist()  # each round's recovered bit
 
     log: list[dict] = [{"event": "receipt_confirmed"}]
     log.append(
@@ -192,35 +194,26 @@ def run_session(config: SessionConfig) -> SessionResult:
     recovered: str | None = None
     ber: float | None = None
     if not detected:
-        message_rounds = [o for o in outcomes if o.plan.role == "message"]
+        rounds = [p.round_index for p in plans if p.role == "message"]
         log.append(
             {
                 "event": "message_results",
-                "rounds": [o.plan.round_index for o in message_rounds],
-                "alice_bits": [o.alice_a for o in message_rounds],
+                "rounds": rounds,
+                "alice_bits": [outcomes[i].alice_a for i in rounds],
             }
         )
-        bits = [recover_secret(o.alice_a, o.receiver_signs) for o in message_rounds]
-        recovered = "".join(str(b) for b in bits[: len(config.message)])
-        if config.message:
-            ber = sum(1 for got, sent in zip(recovered, config.message) if got != sent) / len(
-                config.message
-            )
-        else:
-            ber = 0.0
+        recovered = "".join(str(secrets[i]) for i in rounds[: len(config.message)])
+        wrong = sum(got != sent for got, sent in zip(recovered, config.message))
+        ber = wrong / len(config.message) if config.message else 0.0
 
-    stats: dict[str, dict[str, int]] = {}
-    for v in standard_variants(config.n):
-        stats[v.name] = {"rounds": 0, "check_rounds": 0, "check_errors": 0}
-    for o in outcomes:
-        entry = stats.setdefault(
-            o.plan.variant.name, {"rounds": 0, "check_rounds": 0, "check_errors": 0}
-        )
+    counts = {"rounds": 0, "check_rounds": 0, "check_errors": 0}
+    stats = {v.name: dict(counts) for v in standard_variants(config.n)}
+    for plan, secret in zip(plans, secrets):
+        entry = stats.setdefault(plan.variant.name, dict(counts))
         entry["rounds"] += 1
-        if o.plan.role == "check":
+        if plan.role == "check":
             entry["check_rounds"] += 1
-            if recover_secret(o.alice_a, o.receiver_signs) != o.plan.payload_bit:
-                entry["check_errors"] += 1
+            entry["check_errors"] += int(secret != plan.payload_bit)
 
     mi: float | None = None
     if config.mode == "exact":
@@ -278,12 +271,12 @@ def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
-    with open(transcript_path, "w") as fh:
+    with open(transcript_path, "w", encoding="utf-8") as fh:
         for line in transcript_lines(result.transcript):
             fh.write(line + "\n")
     result.report.transcript_path = TRANSCRIPT_NAME
     report_path = os.path.join(out_dir, REPORT_NAME)
-    with open(report_path, "w") as fh:
+    with open(report_path, "w", encoding="utf-8") as fh:
         json.dump(asdict(result.report), fh, indent=2)
         fh.write("\n")
     return transcript_path, report_path

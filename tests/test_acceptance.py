@@ -31,13 +31,13 @@ from ghzqss.protocol import (
     encode_round,
     prepare_variant,
     receiver_correction,
-    receiver_parity_state,
     recover_secret,
     standard_variants,
 )
 from ghzqss.session import SessionConfig, run_session, write_outputs
 from ghzqss.statevec import outcome_distribution
 from records import distribution_dict, record_counts, table_dict
+from states import receiver_parity_state
 
 ATTACKS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
 SWEEP_SEED = 2  # frozen by search: all 3-sigma cells pass for this seed

@@ -142,15 +142,15 @@ def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    ("args", "message"),
+    ("args", "message", "expected"),
     [
-        (("--parties", "2"), None),
-        (("--check-fraction", "0"), None),
-        (("--check-fraction", "nan"), None),
-        (("--abort-threshold", "nan"), None),
-        ((), b"\xff\xfe01"),
-        ((), b"01x1"),
-        (("--seed", "-1", "--random-message", "2"), None),
+        (("--parties", "2"), None, "at least three parties"),
+        (("--check-fraction", "0"), None, "check fraction must be strictly between 0 and 1"),
+        (("--check-fraction", "nan"), None, "check fraction must be strictly between 0 and 1"),
+        (("--abort-threshold", "nan"), None, "abort threshold must lie in [0, 1]"),
+        ((), b"\xff\xfe01", "--message-file is not UTF-8 text"),
+        ((), b"01x1", "message must be a string of 0s and 1s"),
+        (("--seed", "-1", "--random-message", "2"), None, "seed must be an integer in [0, 2^64)"),
     ],
     ids=[
         "two_parties",
@@ -162,13 +162,14 @@ def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
         "negative_seed",
     ],
 )
-def test_run_validation_failures_exit_2(capsys, tmp_path, args, message):
+def test_run_validation_failures_exit_2(capsys, tmp_path, args, message, expected):
     if message is not None:
         (tmp_path / "message.txt").write_bytes(message)
         args = (*args, "--message-file", str(tmp_path / "message.txt"))
     code, _out, err = run_cli(capsys, "run", *args, "--out", str(tmp_path / "out"))
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+    assert expected in err
 
 
 def test_run_capacity_failure_exits_3(capsys, tmp_path):

@@ -23,7 +23,7 @@ from ghzqss.attacks import (
     eve_record_distribution,
     exact_tables,
 )
-from ghzqss.protocol import recover_secret, standard_variants
+from ghzqss.protocol import readout, recover_secret, standard_variants
 from ghzqss.statevec import bell_projections, outcome_distribution
 from records import distribution_dict, table_dict
 
@@ -47,9 +47,9 @@ def reference_table(variant, payload_bit, attack):
             if post is not None
         ]
     table = {}
-    readout = attacks._readout(variant.n)
+    plan = readout(variant.n)
     for eve, weight, branch in branches:
-        dist = distribution_dict(outcome_distribution(branch, readout), len(readout))
+        dist = distribution_dict(outcome_distribution(branch, plan), len(plan))
         for bits, p in dist.items():
             key = (bits[0], bits[1], bits[2:], eve)
             table[key] = table.get(key, 0.0) + weight * p

@@ -21,12 +21,12 @@ from ghzqss.protocol import (
     prepare_variant,
     random_variant,
     receiver_correction,
-    receiver_parity_state,
     recover_secret,
     standard_variants,
 )
 from ghzqss.statevec import outcome_distribution, state_from_amplitudes, z_projections
 from records import distribution_dict
+from states import receiver_parity_state
 
 RT2 = math.sqrt(2.0)
 KET0 = np.array([1.0, 0.0])
@@ -229,6 +229,13 @@ def test_recovery_is_xor_of_all_inputs(alice_a, signs):
     assert recover_secret(alice_a, signs) == expected
 
 
+def test_recovery_on_columns_leaves_its_inputs_unchanged():
+    # the session recovers every round at once from views into one bits array
+    bits = np.array([[0, 0, 1, 0], [1, 1, 1, 1]])
+    assert recover_secret(bits[:, 0], bits[:, 2:].T).tolist() == [1, 1]
+    assert bits.tolist() == [[0, 0, 1, 0], [1, 1, 1, 1]]
+
+
 # -------------------------------------------------------------------- planning
 
 
@@ -321,10 +328,10 @@ def test_measure_round_consumes_one_draw_per_readout():
 
     encoded = encode_round(state_from_amplitudes(ghz_amps(4)), 0)
     rng = CountingRng()
-    result = measure_round(encoded, 4, rng)
+    alice_a, _alice_A, *signs = measure_round(encoded, 4, rng)
     assert rng.calls == 5  # two sender readouts plus three receivers
-    assert len(result.receiver_signs) == 3
-    assert recover_secret(result.alice_a, result.receiver_signs) == 0
+    assert len(signs) == 3
+    assert recover_secret(alice_a, signs) == 0
 
 
 # ------------------------------------------------------------- parity carrier
