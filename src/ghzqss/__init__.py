@@ -21,7 +21,6 @@ from .attacks import (
     tap_collective,
 )
 from .protocol import (
-    RoundOutcome,
     RoundPlan,
     StateVariant,
     Transcript,

@@ -50,8 +50,9 @@ state is computed once, only when some row reaches it and a later
 measurement reads it, so the last readout collapses nothing.  The roots
 are walked in batches of bounded bytes.  It returns one record per row,
 as the row's readout bits (laid out as ``RecordTable.bits()`` lays them
-out) and its Bell record, and each is exactly the one ``run_round``, the
-reference the walk is tested against, produces from that row's draws.
+out) and its Bell record, and each row is exactly the (bits, Bell record)
+pair that ``run_round``, the reference the walk is tested against,
+returns from that row's draws.
 """
 
 from __future__ import annotations
@@ -64,7 +65,6 @@ from itertools import islice
 import numpy as np
 
 from .protocol import (
-    RoundOutcome,
     RoundPlan,
     StateVariant,
     encode_round,
@@ -169,13 +169,16 @@ def draws_per_round(attack: AttackModel, n: int) -> int:
     return len(readout(n)) + attack.active
 
 
-def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) -> RoundOutcome:
-    """Sample one full round, one draw at a time.
+def run_round(
+    plan: RoundPlan, attack: AttackModel, rng: np.random.Generator
+) -> tuple[tuple[int, ...], int]:
+    """Sample one full round, one draw at a time: (readout bits, Bell record).
 
-    The circuit comes from ``_round_prefix``; this is the reference that
-    ``route_rounds`` replays row by row.  Draw order: the attacker's Bell
-    measurement (if any), then the sender's two Z readouts, then each
-    receiver's X readout.
+    The bits run in ``protocol.readout`` order and the Bell record is -1
+    without an attack: the row that ``route_rounds``, which replays this
+    reference row by row, gives the round.  The circuit comes from
+    ``_round_prefix``.  Draw order: the attacker's Bell measurement (if
+    any), then the sender's two Z readouts, then each receiver's X readout.
     """
     state, tap = _round_prefix(plan.variant, plan.payload_bit, attack)
     eve = -1
@@ -183,7 +186,7 @@ def run_round(plan: RoundPlan, attack: AttackModel, rng: np.random.Generator) ->
         qubits, finish = tap
         outcome, post = measure_bell(state, *qubits, rng.random())
         state, eve = finish(post), outcome.value
-    return RoundOutcome.from_bits(plan, measure_round(state, plan.variant.n, rng), eve)
+    return measure_round(state, plan.variant.n, rng), eve
 
 
 # the attacker's Bell measurement: its qubit pair, and the step that takes

@@ -30,7 +30,7 @@ from .attacks import (
     eve_mutual_information,
     exact_tables,
 )
-from .protocol import StateVariant, recover_secret
+from .protocol import StateVariant, check_message_size, recover_secret
 from .session import (
     SessionConfig,
     check_seed,
@@ -142,7 +142,10 @@ def cmd_run(args) -> int:
     elif args.random_message is not None:
         if args.random_message < 0:
             raise ValueError("--random-message must be non-negative")
-        check_seed(args.seed)  # the draw below takes the seed as numpy seed material
+        # both are checked before the draw: its memory grows with the size, and
+        # numpy takes the seed as seed material
+        check_message_size(args.random_message, args.rounds, args.check_fraction)
+        check_seed(args.seed)
         rng = np.random.default_rng(np.random.SeedSequence((args.seed,)))
         message = "".join(str(b) for b in rng.integers(0, 2, size=args.random_message))
     else:

@@ -19,7 +19,9 @@ CNOT, and rotates it back with a Hadamard.  Everyone then measures: the
 sender reads a and a1 in Z, each receiver reads its particle in X, and the
 payload is the sender's a bit XORed with the parity of the receivers' X
 signs (sign + is bit 0, - is bit 1).  ``readout`` is that plan for every
-path, and ``RoundOutcome.from_bits`` turns a row of its bits into a record.
+path.  A round's record is one row: its bits in ``readout`` order (column
+r is receiver r's sign) and the attacker's Bell record, -1 for none.  A
+``Transcript`` holds a session's rows as two arrays, row i for round i.
 """
 
 from __future__ import annotations
@@ -204,25 +206,16 @@ class RoundPlan:
 
 
 @dataclass
-class RoundOutcome:
-    plan: RoundPlan
-    alice_a: int
-    alice_A: int
-    receiver_signs: tuple[int, ...]
-    eve_record: int | None = None  # the attacker's Bell index, if attacked
-
-    @classmethod
-    def from_bits(cls, plan: RoundPlan, bits, eve: int) -> "RoundOutcome":
-        """A round's outcome from its bits in ``readout`` order and its Bell record (-1: none)."""
-        alice_a, alice_A, *signs = bits
-        return cls(plan, alice_a, alice_A, tuple(signs), None if eve < 0 else eve)
-
-
-@dataclass
 class Transcript:
-    """Everything a session produced: per-round data plus the public log."""
+    """Everything a session produced: the plans, each round's record and the public log.
 
-    rounds: list[RoundOutcome]
+    Row i of ``bits`` (readout bits in ``readout`` order) and of ``eves``
+    (Bell record, -1 for none) is round i's record, as ``route_rounds`` gives it.
+    """
+
+    plans: list[RoundPlan]
+    bits: np.ndarray
+    eves: np.ndarray
     announcement_log: list[dict]
 
 
@@ -236,21 +229,25 @@ def check_round_count(num_rounds: int, check_fraction: float) -> int:
     return max(1, math.ceil(num_rounds * check_fraction - 1e-9))
 
 
-def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
-    """Check that ``message`` is 0/1 text fitting the message rounds.
+def check_message_size(bits: int, num_rounds: int, check_fraction: float) -> int:
+    """Check that a message of ``bits`` bits fits the message rounds.
 
     Returns the check-round count, validating the round count and check
     fraction on the way.
     """
     num_check = check_round_count(num_rounds, check_fraction)
-    if any(c not in "01" for c in message):
-        raise ValueError("message must be a string of 0s and 1s")
-    if len(message) > num_rounds - num_check:
+    if bits > num_rounds - num_check:
         raise ValueError(
-            f"message of {len(message)} bits does not fit in "
-            f"{num_rounds - num_check} message rounds"
+            f"message of {bits} bits does not fit in {num_rounds - num_check} message rounds"
         )
     return num_check
+
+
+def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
+    """Check that ``message`` is 0/1 text that ``check_message_size`` lets fit."""
+    if any(c not in "01" for c in message):
+        raise ValueError("message must be a string of 0s and 1s")
+    return check_message_size(len(message), num_rounds, check_fraction)
 
 
 def plan_sequences(

@@ -8,11 +8,12 @@ are reproducible bit for bit and independent of execution order.
 Rounds are simulated together: the session draws each round's row of
 uniforms from its own stream, in plan order, and routes every round
 through one level-by-level walk of their outcome trees
-(``attacks.route_rounds``).  The walk returns each round's readout bits
-and Bell record as arrays, and the session turns each row into the
-round's ``RoundOutcome`` and recovers every round's bit once, from the
-bit columns.  Every round gets exactly the outcome that simulating it
-alone with ``attacks.run_round`` would give.
+(``attacks.route_rounds``).  The walk returns each round's record as one
+row of two arrays, its readout bits and Bell record.  The transcript keeps
+the arrays as they are, and the announcements, the check and the
+transcript lines read their rows.  Every round's bit is recovered once,
+from the bit columns.  Each row is exactly the pair ``attacks.run_round``
+gives the round simulated alone.
 
 The public log kept on the transcript mirrors what actually goes over the
 classical channel, in order: receipt confirmation, the variant announcement,
@@ -40,7 +41,6 @@ from .attacks import (
     validate_round,
 )
 from .protocol import (
-    RoundOutcome,
     RoundPlan,
     Transcript,
     announcement_schedule,
@@ -122,17 +122,17 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     actually published in their scheduled order, not from private state.
     """
     check_abort_threshold(abort_threshold)
-    by_index = {o.plan.round_index: o for o in transcript.rounds}
+    alice_a = transcript.bits[:, 0].tolist()
     total = 0
     errors = 0
     for entry in transcript.announcement_log:
         if entry.get("event") != "check_announcements":
             continue
-        outcome = by_index[entry["round"]]
+        i = entry["round"]
         announced = dict(zip(entry["order"], entry["signs"]))
         signs = [announced[r] for r in sorted(announced)]
         total += 1
-        if recover_secret(outcome.alice_a, signs) != outcome.plan.payload_bit:
+        if recover_secret(alice_a[i], signs) != transcript.plans[i].payload_bit:
             errors += 1
     if total == 0:
         raise ValueError("transcript has no check rounds to audit")
@@ -164,7 +164,6 @@ def run_session(config: SessionConfig) -> SessionResult:
     schedule = announcement_schedule(check_indices, config.n, plan_rng)
 
     bits, eves = _run_rounds(plans, config)
-    outcomes = [RoundOutcome.from_bits(*row) for row in zip(plans, bits.tolist(), eves.tolist())]
     secrets = recover_secret(bits[:, 0], bits[:, 2:].T).tolist()  # each round's recovered bit
 
     log: list[dict] = [{"event": "receipt_confirmed"}]
@@ -175,18 +174,12 @@ def run_session(config: SessionConfig) -> SessionResult:
         }
     )
     log.append({"event": "check_indices", "rounds": check_indices})
-    for i in check_indices:
-        order = schedule[i]
-        outcome = outcomes[i]
-        log.append(
-            {
-                "event": "check_announcements",
-                "round": i,
-                "order": list(order),
-                "signs": [outcome.receiver_signs[r - 2] for r in order],
-            }
-        )
-    transcript = Transcript(rounds=outcomes, announcement_log=log)
+    orders = [list(schedule[i]) for i in check_indices]
+    # column r of the bits is receiver r's sign
+    announced = bits[np.array(check_indices)[:, None], orders].tolist()
+    for i, order, signs in zip(check_indices, orders, announced):
+        log.append({"event": "check_announcements", "round": i, "order": order, "signs": signs})
+    transcript = Transcript(plans, bits, eves, log)
 
     error_rate, detected = eavesdrop_check(transcript, config.abort_threshold)
     log.append({"event": "check_verdict", "check_error_rate": error_rate, "detected": detected})
@@ -199,7 +192,7 @@ def run_session(config: SessionConfig) -> SessionResult:
             {
                 "event": "message_results",
                 "rounds": rounds,
-                "alice_bits": [outcomes[i].alice_a for i in rounds],
+                "alice_bits": bits[rounds, 0].tolist(),
             }
         )
         recovered = "".join(str(secrets[i]) for i in rounds[: len(config.message)])
@@ -242,17 +235,19 @@ def transcript_lines(transcript: Transcript) -> list[str]:
         if entry.get("event") == "check_announcements":
             order_by_round[entry["round"]] = list(entry["order"])
     lines = []
-    for o in transcript.rounds:
+    for plan, (alice_a, alice_A, *signs), eve in zip(
+        transcript.plans, transcript.bits.tolist(), transcript.eves.tolist()
+    ):
         record = {
-            "round_index": o.plan.round_index,
-            "variant": sorted(o.plan.variant.hadamard_positions),
-            "role": o.plan.role,
-            "payload_bit": o.plan.payload_bit,
-            "alice_a": o.alice_a,
-            "alice_A": o.alice_A,
-            "receiver_signs": "".join("-" if s else "+" for s in o.receiver_signs),
-            "eve_record": o.eve_record,
-            "announcement_order": order_by_round.get(o.plan.round_index),
+            "round_index": plan.round_index,
+            "variant": sorted(plan.variant.hadamard_positions),
+            "role": plan.role,
+            "payload_bit": plan.payload_bit,
+            "alice_a": alice_a,
+            "alice_A": alice_A,
+            "receiver_signs": "".join("-" if s else "+" for s in signs),
+            "eve_record": None if eve < 0 else eve,
+            "announcement_order": order_by_round.get(plan.round_index),
         }
         lines.append(json.dumps(record, separators=(",", ":")))
     return lines

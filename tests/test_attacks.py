@@ -301,15 +301,16 @@ def test_run_round_clean_and_deterministic():
     out1 = run_round(plan, AttackModel(), np.random.default_rng(77))
     out2 = run_round(plan, AttackModel(), np.random.default_rng(77))
     assert out1 == out2
-    assert out1.eve_record is None
-    assert recover_secret(out1.alice_a, out1.receiver_signs) == 1
+    (alice_a, _alice_A, *signs), eve = out1
+    assert eve == -1
+    assert recover_secret(alice_a, signs) == 1
 
 
 def test_run_round_attack_records():
     plan = RoundPlan(5, V[2], "check", 0)
     for attack in (INTERCEPT, CNOT):
-        out = run_round(plan, attack, np.random.default_rng(1))
-        assert out.eve_record in range(4)
+        _bits, eve = run_round(plan, attack, np.random.default_rng(1))
+        assert eve in range(4)
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -322,8 +323,8 @@ def test_run_round_consumes_exactly_the_declared_draws(kind):
 
 
 def replayed_record(variant, payload, attack, row):
-    out = run_round(RoundPlan(0, variant, "check", payload), attack, ReplayRng(row))
-    return (out.alice_a, out.alice_A, out.receiver_signs, out.eve_record)
+    bits, eve = run_round(RoundPlan(0, variant, "check", payload), attack, ReplayRng(row))
+    return row_records([bits], [eve])[0]
 
 
 def routed_records(variant, payload, attack, us):

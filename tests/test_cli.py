@@ -6,6 +6,7 @@ import json
 import os
 import sys
 
+import numpy as np
 import pytest
 
 from ghzqss import attacks
@@ -170,6 +171,20 @@ def test_run_validation_failures_exit_2(capsys, tmp_path, args, message, expecte
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err
+
+
+def test_run_random_message_fit_is_checked_before_the_draw(capsys, tmp_path, monkeypatch):
+    # 6 bits for 5 message rounds: the size alone is refused, so no bit is drawn
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("the random message was drawn before its size was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, _out, err = run_cli(
+        capsys, "run", "--rounds", "10", "--random-message", "6", "--out", str(tmp_path / "o")
+    )
+    assert code == 2
+    assert err == "error: message of 6 bits does not fit in 5 message rounds\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_capacity_failure_exits_3(capsys, tmp_path):

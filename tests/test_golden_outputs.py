@@ -2,7 +2,8 @@
 
 Each command's stdout (and, for ``run``, its transcript and report) must
 hash to the recorded digest, and so must the stdout of
-``scripts/attack_analysis.py --parties 4``, so any change that moves a
+``scripts/attack_analysis.py --parties 4`` and of
+``scripts/detection_experiment.py --rounds 400``, so any change that moves a
 printed digit or a transcript byte fails here.  Exact-mode reports are left out: their
 full-precision mutual information may differ in the last ulp on another
 numpy build.  The digests were recorded on Python 3.11 with numpy 2.4.6.
@@ -226,8 +227,13 @@ GOLDEN = {
         "bd6faa0ac87f395e9b6fefa68ffa144257bc7a83b5395523a421a9587a3ea809",
 }
 
-# stdout of ``scripts/attack_analysis.py --parties 4``
-ATTACK_ANALYSIS_N4 = "742153b86a295c10549907ba602377e357d432baef098e8bdd0146393dd3a67c"
+# stdout of each script run with these arguments
+SCRIPTS = {
+    "attack_analysis.py --parties 4":
+        "742153b86a295c10549907ba602377e357d432baef098e8bdd0146393dd3a67c",
+    "detection_experiment.py --rounds 400":
+        "093863d42221a778c26926b45e13ecb8d8a76feb2d424a7b5fcd2b4fd5742992",
+}
 
 
 def command_bytes(argv, out_dir, capsys) -> bytes:
@@ -249,13 +255,15 @@ def test_command_output_matches_its_golden_digest(argv, tmp_path, capsys):
     assert digest == GOLDEN[" ".join(argv)]
 
 
-def test_attack_analysis_script_output_matches_its_golden_digest(monkeypatch, capsys):
-    path = Path(__file__).resolve().parent.parent / "scripts" / "attack_analysis.py"
-    spec = importlib.util.spec_from_file_location("attack_analysis", path)
+@pytest.mark.parametrize("command", SCRIPTS)
+def test_script_output_matches_its_golden_digest(command, monkeypatch, capsys):
+    name, *args = command.split()
+    path = Path(__file__).resolve().parent.parent / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", [str(path), "--parties", "4"])
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
     assert script.main() == 0
     captured = capsys.readouterr()
     assert captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == ATTACK_ANALYSIS_N4
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == SCRIPTS[command]

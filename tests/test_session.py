@@ -4,6 +4,7 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
@@ -20,6 +21,7 @@ from ghzqss.session import (
     write_outputs,
 )
 from ghzqss.statevec import RegisterCapacityError
+from records import row_records
 
 
 def small_config(**overrides):
@@ -73,7 +75,7 @@ def test_clean_session_recovers_message_exactly():
     assert report.recovered_message == "101"
     assert report.message_bit_error_rate == 0.0
     assert report.eve_mutual_information is None  # sample mode
-    roles = [o.plan.role for o in result.transcript.rounds]
+    roles = [p.role for p in result.transcript.plans]
     assert roles.count("check") == 6 and roles.count("message") == 6
 
 
@@ -144,9 +146,24 @@ def test_eavesdrop_check_threshold_is_strict():
     assert detected is False  # rate must exceed, not reach, the threshold
 
 
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_announced_signs_belong_to_the_announcing_receivers(kind):
+    # the k-th announced sign is receiver order[k]'s own sign from that round,
+    # which parity alone cannot tell apart from any other arrangement
+    result = run_session(small_config(n=5, rounds=60, attack=AttackModel(kind)))
+    lines = [json.loads(t) for t in transcript_lines(result.transcript)]
+    entries = [e for e in result.transcript.announcement_log if e["event"] == "check_announcements"]
+    assert len(entries) == 30
+    for entry in entries:
+        line = lines[entry["round"]]
+        assert line["announcement_order"] == entry["order"]
+        signs = line["receiver_signs"]  # receivers 2..5 in party order
+        assert entry["signs"] == ["+-".index(signs[r - 2]) for r in entry["order"]]
+
+
 def test_eavesdrop_check_requires_check_rounds():
     with pytest.raises(ValueError):
-        eavesdrop_check(Transcript(rounds=[], announcement_log=[]), 0.0)
+        eavesdrop_check(Transcript([], np.zeros((0, 4), int), np.zeros(0, int), []), 0.0)
 
 
 REPLAY_CASES = [
@@ -163,10 +180,10 @@ def test_session_replays_run_round_exactly(n, kind, target, all_subsets):
     # alone from its own (seed, round index) stream gives
     attack = AttackModel(kind, target)
     config = small_config(n=n, rounds=80, attack=attack, all_subsets=all_subsets, seed=n)
-    outcomes = run_session(config).transcript.rounds
-    assert [o.plan.round_index for o in outcomes] == list(range(80))
-    for i, outcome in enumerate(outcomes):
-        assert outcome == run_round(outcome.plan, attack, _stream(config.seed, i))
+    transcript = run_session(config).transcript
+    assert [p.round_index for p in transcript.plans] == list(range(80))
+    alone = [run_round(p, attack, _stream(config.seed, p.round_index)) for p in transcript.plans]
+    assert row_records(transcript.bits, transcript.eves) == row_records(*zip(*alone))
 
 
 def test_intercept_error_rate_matches_quarter():
