@@ -30,7 +30,7 @@ from .attacks import (
     eve_mutual_information,
     exact_tables,
 )
-from .protocol import StateVariant, check_message_size, recover_secret
+from .protocol import StateVariant, check_message_size, recover_secret, sign_strings
 from .session import (
     SessionConfig,
     check_seed,
@@ -189,8 +189,7 @@ def _table_text(payload: int, table: RecordTable) -> str:
     columns = np.empty((order.size, 5), dtype=object)
     columns[:, 0] = bits[:, 0]
     columns[:, 1] = bits[:, 1]
-    # each row of sign characters, read as one string
-    columns[:, 2] = np.where(bits[:, 2:], "-", "+").view(f"<U{table.width - 2}")[:, 0]
+    columns[:, 2] = sign_strings(bits)
     columns[:, 3] = _EVE_TEXT[table.eve[order]]
     columns[:, 4] = table.p[order]
     line = "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"

@@ -5,10 +5,12 @@ variants, announcement order) draws from a dedicated stream, and every round
 draws from its own stream derived from (seed, round index), so transcripts
 are reproducible bit for bit and independent of execution order.
 
-Rounds are simulated together: the session draws each round's row of
-uniforms from its own stream, in plan order, and routes every round
-through one level-by-level walk of their outcome trees
-(``attacks.route_rounds``).  The walk returns each round's record as one
+Rounds are simulated together.  Round i's row of uniforms is defined as
+the first draws of its own stream, ``_stream(seed, i)``, but the session
+computes every round's row in one vectorized pass (``_round_uniforms``:
+integer arithmetic for numpy's SeedSequence and PCG64, pinned ``==`` to
+``_stream`` by the tests).  It routes every round through one
+level-by-level walk of their outcome trees (``attacks.route_rounds``).  The walk returns each round's record as one
 row of two arrays, its readout bits and Bell record.  The transcript keeps
 the arrays as they are, and the announcements, the check and the
 transcript lines read their rows.  Every round's bit is recovered once,
@@ -48,6 +50,7 @@ from .protocol import (
     check_parties,
     plan_sequences,
     recover_secret,
+    sign_strings,
     standard_variants,
 )
 TRANSCRIPT_NAME = "transcript.jsonl"
@@ -55,10 +58,80 @@ REPORT_NAME = "report.json"
 OUTPUT_DIR_ENV = "GHZQSS_OUT"
 
 
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT_HI, _PCG_MULT_LO = 0x2360ED051FC65DA4, 0x4385DF649FCCF645
+
+
 def _stream(seed: int, round_index: int) -> np.random.Generator:
     # numpy seed material must be non-negative, so the planning stream
     # (index -1) maps to entropy word 0 and round i maps to i + 1
     return np.random.default_rng(np.random.SeedSequence((seed, round_index + 1)))
+
+
+def _hasher(const: int, mult: int):
+    """SeedSequence's hashmix on uint32 arrays; its hash constant steps on every call."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ const
+        const = const * mult & _MASK32
+        value = value * const
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _mul_add(hi, lo, inc_hi, inc_lo):
+    """(hi, lo) * PCG64's multiplier + (inc_hi, inc_lo) mod 2^128, on 32-bit limbs."""
+    l0, l1, m0, m1 = lo & _MASK32, lo >> 32, _PCG_MULT_LO & _MASK32, _PCG_MULT_LO >> 32
+    p00, p01, p10 = l0 * m0, l0 * m1, l1 * m0
+    mid = (p00 >> 32) + (p01 & _MASK32) + (p10 & _MASK32)
+    low = p00 & _MASK32 | mid << 32
+    high = l1 * m1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    out = low + inc_lo
+    return high + hi * _PCG_MULT_LO + lo * _PCG_MULT_HI + inc_hi + (out < low), out
+
+
+def _round_uniforms(seed: int, indices, width: int) -> np.ndarray:
+    """Row k is ``_stream(seed, indices[k]).random(width)``, for every row in one pass.
+
+    numpy's SeedSequence runs on uint32 arrays: the hashmix/mix pool of four
+    words over the entropy words (the seed's, then index + 1's, low word
+    first), then ``generate_state(4, uint64)``.  PCG64 runs on pairs of
+    uint64 arrays: setseq seeding, one step per draw, the XSL-RR output and
+    ``(x >> 11) * 2^-53``.  SeedSequence hashes an entropy list shorter than
+    the pool as if padded with zero words, so an index + 1 below 2^32 (one
+    word) is the pair (word, 0), and rows of one and two index words share
+    the pass.  Tests pin every row ``==`` to ``_stream``.
+    """
+    words = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
+    seed_words = [seed & _MASK32] + ([seed >> 32] if seed >> 32 else [])
+    k = len(seed_words)
+    entropy = np.zeros((4, words.size), np.uint32)
+    entropy[:k] = np.array(seed_words, np.uint32)[:, None]
+    entropy[k], entropy[k + 1] = words & _MASK32, words >> 32
+
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(word) for word in entropy]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                mixed = pool[dst] * 0xCA01F9DD - hashmix(pool[src]) * 0x4973F715
+                pool[dst] = mixed ^ mixed >> 16
+    emit = _hasher(0x8B51F9DD, 0x58F38DED)
+    state = [emit(pool[j % 4]).astype(np.uint64) for j in range(8)]
+    s0, s1, s2, s3 = (state[j] | state[j + 1] << 32 for j in (0, 2, 4, 6))
+
+    # state = inc + (s0, s1), stepped once; inc = (s2, s3) << 1 | 1
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
+    lo = inc_lo + s1
+    hi, lo = _mul_add(inc_hi + s0 + (lo < s1), lo, inc_hi, inc_lo)
+    out = np.empty((words.size, width), np.uint64)
+    for j in range(width):
+        hi, lo = _mul_add(hi, lo, inc_hi, inc_lo)
+        x, rot = hi ^ lo, hi >> 58
+        out[:, j] = x >> rot | x << (64 - rot & 63)
+    return (out >> 11) * 2.0**-53
 
 
 def check_abort_threshold(abort_threshold: float) -> None:
@@ -68,8 +141,8 @@ def check_abort_threshold(abort_threshold: float) -> None:
 
 
 def check_seed(seed: int) -> None:
-    """A session's root seed is numpy seed material: an integer in [0, 2^64)."""
-    if not isinstance(seed, int) or not 0 <= seed < (1 << 64):
+    """A session's root seed is numpy seed material: an integer (not a bool) in [0, 2^64)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed < (1 << 64):
         raise ValueError("seed must be an integer in [0, 2^64)")
 
 
@@ -143,7 +216,7 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
 def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every round's readout bits and Bell record, from one level-by-level walk of the session."""
     width = draws_per_round(config.attack, config.n)
-    uniforms = np.array([_stream(config.seed, p.round_index).random(width) for p in plans])
+    uniforms = _round_uniforms(config.seed, [p.round_index for p in plans], width)
     variants = [p.variant for p in plans]
     return route_rounds(variants, [p.payload_bit for p in plans], config.attack, uniforms)
 
@@ -228,29 +301,52 @@ def run_session(config: SessionConfig) -> SessionResult:
     return SessionResult(report, transcript)
 
 
+_LINE = (
+    '{"round_index":%d,"variant":%s,"role":"%s","payload_bit":%d,"alice_a":%d,"alice_A":%d,'
+    '"receiver_signs":"%s","eve_record":%s,"announcement_order":%s}'
+)
+_EVE_TEXT = np.array(["0", "1", "2", "3", "null"], dtype=object)  # index -1: no record
+
+
+def _int_list(values) -> str:
+    return "[%s]" % ",".join(map(str, values))
+
+
 def transcript_lines(transcript: Transcript) -> list[str]:
-    """One JSON object per round, with signs rendered as +/- characters."""
-    order_by_round: dict[int, list[int]] = {}
-    for entry in transcript.announcement_log:
-        if entry.get("event") == "check_announcements":
-            order_by_round[entry["round"]] = list(entry["order"])
-    lines = []
-    for plan, (alice_a, alice_A, *signs), eve in zip(
-        transcript.plans, transcript.bits.tolist(), transcript.eves.tolist()
-    ):
-        record = {
-            "round_index": plan.round_index,
-            "variant": sorted(plan.variant.hadamard_positions),
-            "role": plan.role,
-            "payload_bit": plan.payload_bit,
-            "alice_a": alice_a,
-            "alice_A": alice_A,
-            "receiver_signs": "".join("-" if s else "+" for s in signs),
-            "eve_record": None if eve < 0 else eve,
-            "announcement_order": order_by_round.get(plan.round_index),
-        }
-        lines.append(json.dumps(record, separators=(",", ":")))
-    return lines
+    """One JSON object per round, with signs rendered as +/- characters.
+
+    Every line comes from one ``%`` template and is byte for byte
+    ``json.dumps(record, separators=(",", ":"))`` of the round's record.
+    """
+    orders = {
+        entry["round"]: _int_list(entry["order"])
+        for entry in transcript.announcement_log
+        if entry.get("event") == "check_announcements"
+    }
+    positions = {p.variant.hadamard_positions for p in transcript.plans}
+    variants = {h: _int_list(sorted(h)) for h in positions}
+    bits = transcript.bits
+    return [
+        _LINE
+        % (
+            plan.round_index,
+            variants[plan.variant.hadamard_positions],
+            plan.role,
+            plan.payload_bit,
+            alice_a,
+            alice_A,
+            sign,
+            eve,
+            orders.get(plan.round_index, "null"),
+        )
+        for plan, alice_a, alice_A, sign, eve in zip(
+            transcript.plans,
+            bits[:, 0].tolist(),
+            bits[:, 1].tolist(),
+            sign_strings(bits).tolist(),
+            _EVE_TEXT[transcript.eves].tolist(),
+        )
+    ]
 
 
 def default_output_dir() -> str:
@@ -267,8 +363,7 @@ def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     with open(transcript_path, "w", encoding="utf-8") as fh:
-        for line in transcript_lines(result.transcript):
-            fh.write(line + "\n")
+        fh.write("\n".join([*transcript_lines(result.transcript), ""]))
     result.report.transcript_path = TRANSCRIPT_NAME
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w", encoding="utf-8") as fh:

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
 from ghzqss.protocol import Transcript
@@ -13,6 +15,7 @@ from ghzqss.session import (
     REPORT_NAME,
     TRANSCRIPT_NAME,
     SessionConfig,
+    _round_uniforms,
     _stream,
     default_output_dir,
     eavesdrop_check,
@@ -46,6 +49,8 @@ def test_config_validation_errors():
         small_config(seed=-1).validate()
     with pytest.raises(ValueError):
         small_config(seed=1 << 64).validate()
+    with pytest.raises(ValueError, match=r"seed must be an integer in \[0, 2\^64\)"):
+        small_config(seed=True).validate()  # a bool would run as seed 1
     with pytest.raises(ValueError):
         small_config(mode="fast").validate()
     with pytest.raises(ValueError):
@@ -198,6 +203,44 @@ def test_intercept_error_rate_matches_quarter():
     assert report.detected is True
 
 
+# -------------------------------------------------------------- round streams
+
+STREAM_SEEDS = [0, 1, (1 << 32) - 1, 1 << 32, 1 << 63, (1 << 64) - 1]
+# index + 1 takes a second entropy word from 2^32 on
+WORD_BOUNDARY = [0, 1, (1 << 32) - 2, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 40) + 3, 1 << 62]
+
+
+def stream_rows(seed, indices, width):
+    return np.array([_stream(seed, i).random(width) for i in indices]).reshape(-1, width)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("seed", STREAM_SEEDS)
+def test_round_uniforms_match_their_streams(seed):
+    # every row is bit for bit the draws of the round's own numpy stream
+    indices = list(range(24)) + WORD_BOUNDARY + [99, 5, 1 << 32, 0]
+    for width in range(1, 14):
+        rows = _round_uniforms(seed, np.array(indices), width)
+        assert rows.dtype == np.float64 and rows.flags.c_contiguous
+        assert (rows == stream_rows(seed, indices, width)).all()
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(0, (1 << 64) - 1),
+    st.lists(
+        st.integers(0, 1 << 20) | st.integers((1 << 32) - 3, (1 << 32) + 3) | st.integers(0, 1 << 62),
+        max_size=6,
+    ),
+    st.integers(1, 13),
+)
+def test_round_uniforms_sweep_matches_streams(seed, indices, width):
+    rows = _round_uniforms(seed, indices, width)
+    assert rows.shape == (len(indices), width)
+    assert (rows == stream_rows(seed, indices, width)).all()
+
+
 # -------------------------------------------------------------------- outputs
 
 
@@ -239,6 +282,58 @@ def test_transcript_line_format():
             assert sorted(record["announcement_order"]) == [2, 3]
         else:
             assert record["announcement_order"] is None
+
+
+def reference_lines(transcript):
+    """The transcript lines as one ``json.dumps`` per round's record."""
+    orders = {
+        e["round"]: list(e["order"])
+        for e in transcript.announcement_log
+        if e["event"] == "check_announcements"
+    }
+    lines = []
+    for plan, (alice_a, alice_A, *signs), eve in zip(
+        transcript.plans, transcript.bits.tolist(), transcript.eves.tolist()
+    ):
+        record = {
+            "round_index": plan.round_index,
+            "variant": sorted(plan.variant.hadamard_positions),
+            "role": plan.role,
+            "payload_bit": plan.payload_bit,
+            "alice_a": alice_a,
+            "alice_A": alice_A,
+            "receiver_signs": "".join("-" if s else "+" for s in signs),
+            "eve_record": None if eve < 0 else eve,
+            "announcement_order": orders.get(plan.round_index),
+        }
+        lines.append(json.dumps(record, separators=(",", ":")))
+    return lines
+
+
+@pytest.mark.parametrize("all_subsets", [False, True])
+@pytest.mark.parametrize("n", [3, 10])
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_transcript_lines_render_as_json_dumps(kind, n, all_subsets, tmp_path):
+    config = small_config(n=n, rounds=40, attack=AttackModel(kind), all_subsets=all_subsets)
+    result = run_session(config)
+    expected = reference_lines(result.transcript)
+    assert transcript_lines(result.transcript) == expected
+    t_path, _ = write_outputs(result, str(tmp_path))
+    assert Path(t_path).read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
+    records = [json.loads(line) for line in expected]
+    assert {r["role"] for r in records} == {"check", "message"}
+    assert {r["announcement_order"] is None for r in records} == {True, False}
+    assert {len(r["receiver_signs"]) for r in records} == {n - 1}
+    eves = {r["eve_record"] for r in records}
+    if kind == "none":
+        assert eves == {None}
+    else:
+        assert eves <= {0, 1, 2, 3}
+
+
+def test_empty_transcript_renders_no_lines():
+    empty = Transcript([], np.zeros((0, 4), int), np.zeros(0, int), [])
+    assert transcript_lines(empty) == reference_lines(empty) == []
 
 
 def test_transcript_eve_record_is_null_without_attack():
