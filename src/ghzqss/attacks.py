@@ -377,32 +377,34 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
 
 
 def route_rounds(
-    variants, payloads, attack: AttackModel, uniforms: np.ndarray
+    n: int, masks, payloads, attack: AttackModel, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Route many rounds through their outcome trees in one level-by-level walk.
 
-    Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of a
-    round of ``variants[i]`` carrying ``payloads[i]``; returns the readout
-    bits (as ``RecordTable.bits()``) and Bell record (-1: no attack) that
+    Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of an
+    n-party round of the variant with mask ``masks[i]`` (``StateVariant.mask``)
+    carrying ``payloads[i]``; returns the readout bits (as
+    ``RecordTable.bits()``) and Bell record (-1: no attack) that
     ``run_round`` gives each row.  Every readout, the Bell tap's included,
     picks each row's outcome with ``_choose``.  The roots, the branches each
     (variant, payload)'s Bell tap reaches, in ascending Bell index, are
     walked in batches of at most ``_CHUNK_BYTES``.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    n = variants[0].n
+    masks, payloads = np.asarray(masks, dtype=np.int64), np.asarray(payloads, dtype=np.int64)
     width = draws_per_round(attack, n)
-    if uniforms.shape != (len(variants), width) or len(payloads) != len(variants):
-        raise ValueError(f"need a variant, a payload and a row of {width} uniforms per round")
-    groups: dict[tuple[StateVariant, int], list[int]] = {}
-    for row, key in enumerate(zip(variants, payloads)):
-        groups.setdefault(key, []).append(row)
+    bad_payloads = payloads.shape != masks.shape or not np.isin(payloads, (0, 1)).all()
+    if uniforms.shape != (masks.size, width) or bad_payloads:
+        raise ValueError(f"need a variant, a payload bit and a row of {width} uniforms per round")
+    # rows grouped by (variant mask, payload), each group's rows in row order
+    keys, inverse = np.unique(2 * masks + payloads, return_inverse=True)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     eves = np.full(len(uniforms), -1)
 
     def roots() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for (variant, payload_bit), members in groups.items():
-            members = np.array(members)
-            state, tap = _round_prefix(variant, payload_bit, attack)
+        for key, members in zip(keys.tolist(), groups):
+            variant = StateVariant.from_mask(n, key >> 1)
+            state, tap = _round_prefix(variant, key & 1, attack)
             if tap is None:
                 yield state.amps, members
                 continue

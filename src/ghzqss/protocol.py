@@ -21,7 +21,10 @@ payload is the sender's a bit XORed with the parity of the receivers' X
 signs (sign + is bit 0, - is bit 1).  ``readout`` is that plan for every
 path.  A round's record is one row: its bits in ``readout`` order (column
 r is receiver r's sign) and the attacker's Bell record, -1 for none.  A
-``Transcript`` holds a session's rows as two arrays, row i for round i.
+session is planned as columns (``plan_sequences``: each round's variant
+mask, check role and payload bit), and a ``Transcript`` holds them with
+the session's rows as two arrays, row i for round i.  ``RoundPlan`` is one
+round's plan for the one-round reference ``attacks.run_round``.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .statevec import (
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_MASK32 = 0xFFFFFFFF
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 _KET1 = np.array([0.0, 1.0], dtype=np.complex128)
@@ -92,6 +96,15 @@ class StateVariant:
             return "h" + ",".join(str(p) for p in sorted(self.hadamard_positions))
         return f"psi{idx}" if self.n == 3 else f"Psi{idx}"
 
+    @property
+    def mask(self) -> int:
+        """The positions as one integer: bit p-2 is set for each Hadamard position p."""
+        return sum(1 << (p - 2) for p in self.hadamard_positions)
+
+    @classmethod
+    def from_mask(cls, n: int, mask: int) -> "StateVariant":
+        return cls(n, frozenset(mask_positions(mask)))
+
     @classmethod
     def from_index(cls, n: int, index: int) -> "StateVariant":
         if index == 1:
@@ -101,6 +114,11 @@ class StateVariant:
         if index == n + 1:
             return cls(n, frozenset(range(2, n + 1)))
         raise ValueError(f"variant index {index} out of range 1..{n + 1}")
+
+
+def mask_positions(mask: int) -> list[int]:
+    """The Hadamard positions a ``StateVariant.mask`` stands for, ascending."""
+    return [p + 2 for p in range(mask.bit_length()) if mask >> p & 1]
 
 
 def check_parties(n: int) -> None:
@@ -113,14 +131,6 @@ def check_parties(n: int) -> None:
 def standard_variants(n: int) -> tuple[StateVariant, ...]:
     """The n+1 variants of the protocol, in index order, built once per n."""
     return tuple(StateVariant.from_index(n, k) for k in range(1, n + 2))
-
-
-def random_variant(n: int, rng: np.random.Generator, all_subsets: bool = False) -> StateVariant:
-    if all_subsets:
-        mask = int(rng.integers(0, 1 << (n - 1)))
-        positions = {p for p in range(2, n + 1) if (mask >> (p - 2)) & 1}
-        return StateVariant(n, positions)
-    return standard_variants(n)[int(rng.integers(1, n + 2)) - 1]
 
 
 def prepare_variant(variant: StateVariant) -> StateVector:
@@ -212,13 +222,17 @@ class RoundPlan:
 
 @dataclass
 class Transcript:
-    """Everything a session produced: the plans, each round's record and the public log.
+    """Everything a session produced: its plan, each round's record and the public log.
 
+    The plan is three columns as ``plan_sequences`` returns them: each
+    round's variant ``masks``, its ``check`` role and its ``payloads`` bit.
     Row i of ``bits`` (readout bits in ``readout`` order) and of ``eves``
     (Bell record, -1 for none) is round i's record, as ``route_rounds`` gives it.
     """
 
-    plans: list[RoundPlan]
+    masks: np.ndarray
+    check: np.ndarray
+    payloads: np.ndarray
     bits: np.ndarray
     eves: np.ndarray
     announcement_log: list[dict]
@@ -255,6 +269,41 @@ def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
     return check_message_size(len(message), num_rounds, check_fraction)
 
 
+def _bounded_draws(rng: np.random.Generator, bounds) -> np.ndarray:
+    """``[rng.integers(b) for b in bounds]`` in one pass, for bounds in [2, 2^32).
+
+    A scalar draw takes 32-bit words (the buffered half word first, then
+    each raw 64-bit output's low word, then its high word) and applies
+    Lemire's multiply-shift, rejecting a word whose low product is below
+    (2^32 - b) % b.  At the first rejected word numpy makes that draw and
+    the pass restarts after it.  The generator ends in the scalar state.
+    """
+    bits, bounds = rng.bit_generator, np.asarray(bounds, dtype=np.uint64)
+    out, start = np.empty(bounds.size, dtype=np.int64), 0
+    while start < bounds.size:
+        state, bound = bits.state, bounds[start:]
+        has, half = state["has_uint32"], state["uinteger"]
+        raw = bits.random_raw((bound.size - has + 1) // 2)
+        words = np.empty(has + 2 * raw.size, dtype=np.uint64)
+        words[:has], words[has::2], words[has + 1 :: 2] = half, raw & _MASK32, raw >> 32
+        product = words[: bound.size] * bound
+        rejected = np.flatnonzero(product & _MASK32 < (2**32 - bound) % bound)
+        done = rejected[0] if rejected.size else bound.size
+        out[start : start + done] = product[:done] >> 32
+        taken = max(done - has, 0)  # words the first `done` draws took from raw outputs
+        if done < bound.size:  # rewind to just those
+            bits.state = state
+            bits.random_raw((taken + 1) // 2)
+        state = bits.state
+        state["has_uint32"] = (done - has) & 1
+        state["uinteger"] = int(raw[(taken - 1) // 2] >> 32) if taken else half
+        bits.state = state
+        if done < bound.size:
+            out[start + done] = rng.integers(int(bound[done]))
+        start += done + 1
+    return out
+
+
 def plan_sequences(
     num_rounds: int,
     check_fraction: float,
@@ -262,31 +311,36 @@ def plan_sequences(
     n: int,
     rng: np.random.Generator,
     all_subsets: bool = False,
-) -> list[RoundPlan]:
-    """Assign roles, payloads and variants to ``num_rounds`` rounds.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Plan ``num_rounds`` rounds as columns: variant mask, check role, payload bit.
 
+    Round i's variant is ``masks[i]``, its ``StateVariant.mask``.
     ceil(num_rounds * check_fraction) rounds become a uniformly random check
     subset carrying fresh random bits; message bits fill the remaining
     rounds in round order.  Message rounds beyond the message length carry
-    random filler bits.
+    random filler bits.  The draws are a loop's: after the check subset's
+    ``permutation``, round i draws its variant (``integers(1, n + 2)``, the
+    standard index, or with ``all_subsets`` the mask ``integers(2^(n-1))``),
+    then its payload (``integers(2)``) unless a message bit fills it.
+    ``_bounded_draws`` makes them all in one pass.
     """
     num_check = check_message(message, num_rounds, check_fraction)
-    check_rounds = set(int(i) for i in rng.permutation(num_rounds)[:num_check])
-    plans = []
-    cursor = 0
-    for i in range(num_rounds):
-        variant = random_variant(n, rng, all_subsets)
-        if i in check_rounds:
-            role, payload = "check", int(rng.integers(2))
-        else:
-            role = "message"
-            if cursor < len(message):
-                payload = int(message[cursor])
-                cursor += 1
-            else:
-                payload = int(rng.integers(2))
-        plans.append(RoundPlan(i, variant, role, payload))
-    return plans
+    check = np.zeros(num_rounds, dtype=bool)
+    check[rng.permutation(num_rounds)[:num_check]] = True
+    carried = np.flatnonzero(~check)[: len(message)]
+    drawn = np.ones(num_rounds, dtype=bool)
+    drawn[carried] = False
+    first = np.arange(num_rounds) + np.cumsum(drawn) - drawn  # round i's variant draw
+    bounds = np.full(num_rounds + np.count_nonzero(drawn), 2)
+    bounds[first] = 1 << (n - 1) if all_subsets else n + 1
+    draws = _bounded_draws(rng, bounds)
+    payloads = np.zeros(num_rounds, dtype=np.int64)
+    payloads[carried] = np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
+    payloads[drawn] = draws[first[drawn] + 1]
+    masks = draws[first]
+    if not all_subsets:  # the standard index less one
+        masks = np.array([v.mask for v in standard_variants(n)])[masks]
+    return masks, check, payloads
 
 
 def announcement_schedule(check_indices, n: int, rng: np.random.Generator) -> dict[int, tuple[int, ...]]:

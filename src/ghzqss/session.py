@@ -5,15 +5,19 @@ variants, announcement order) draws from a dedicated stream, and every round
 draws from its own stream derived from (seed, round index), so transcripts
 are reproducible bit for bit and independent of execution order.
 
-Rounds are simulated together.  Round i's row of uniforms is defined as
-the first draws of its own stream, ``_stream(seed, i)``, but the session
-computes every round's row in one vectorized pass (``_round_uniforms``:
-integer arithmetic for numpy's SeedSequence and PCG64, pinned ``==`` to
-``_stream`` by the tests).  It routes every round through one
-level-by-level walk of their outcome trees (``attacks.route_rounds``).  The walk returns each round's record as one
-row of two arrays, its readout bits and Bell record.  The transcript keeps
-the arrays as they are, and the announcements, the check and the
-transcript lines read their rows.  Every round's bit is recovered once,
+A session's plan is three columns, one entry per round: variant mask,
+check role and payload bit (``protocol.plan_sequences``, whose one pass
+over the planning stream gives exactly the draws of a round-by-round
+loop).  Round i's row of uniforms is defined as the first draws of its own
+stream, ``_stream(seed, i)``, but the session computes every round's row
+in one vectorized pass (``_round_uniforms``: integer arithmetic for
+numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
+tests).  It routes every round through one level-by-level walk of their
+outcome trees (``attacks.route_rounds``), which returns each round's
+record as one row of two arrays, its readout bits and Bell record.  The
+transcript keeps the columns and the arrays as they are.  The
+announcements, the check, the per-variant counts and the transcript lines
+are array operations over them, and every round's bit is recovered once,
 from the bit columns.  Each row is exactly the pair ``attacks.run_round``
 gives the round simulated alone.
 
@@ -43,11 +47,12 @@ from .attacks import (
     validate_round,
 )
 from .protocol import (
-    RoundPlan,
+    StateVariant,
     Transcript,
     announcement_schedule,
     check_message,
     check_parties,
+    mask_positions,
     plan_sequences,
     recover_secret,
     sign_strings,
@@ -195,64 +200,50 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     actually published in their scheduled order, not from private state.
     """
     check_abort_threshold(abort_threshold)
-    alice_a = transcript.bits[:, 0].tolist()
-    total = 0
-    errors = 0
-    for entry in transcript.announcement_log:
-        if entry.get("event") != "check_announcements":
-            continue
-        i = entry["round"]
-        announced = dict(zip(entry["order"], entry["signs"]))
-        signs = [announced[r] for r in sorted(announced)]
-        total += 1
-        if recover_secret(alice_a[i], signs) != transcript.plans[i].payload_bit:
-            errors += 1
-    if total == 0:
+    entries = [e for e in transcript.announcement_log if e.get("event") == "check_announcements"]
+    if not entries:
         raise ValueError("transcript has no check rounds to audit")
-    rate = errors / total
+    rounds = [e["round"] for e in entries]
+    signs = np.array([e["signs"] for e in entries])  # their parity needs no receiver order
+    recovered = recover_secret(transcript.bits[rounds, 0], signs.T)
+    rate = int(np.count_nonzero(recovered != transcript.payloads[rounds])) / len(entries)
     return rate, rate > abort_threshold
 
 
-def _run_rounds(plans: list[RoundPlan], config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
+def _run_rounds(masks, payloads, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
     """Every round's readout bits and Bell record, from one level-by-level walk of the session."""
     width = draws_per_round(config.attack, config.n)
-    uniforms = _round_uniforms(config.seed, [p.round_index for p in plans], width)
-    variants = [p.variant for p in plans]
-    return route_rounds(variants, [p.payload_bit for p in plans], config.attack, uniforms)
+    uniforms = _round_uniforms(config.seed, np.arange(len(masks)), width)
+    return route_rounds(config.n, masks, payloads, config.attack, uniforms)
+
+
+_STATS = ("rounds", "check_rounds", "check_errors")  # per variant, in report order
 
 
 def run_session(config: SessionConfig) -> SessionResult:
     """Run one full session and return its report plus transcript."""
     config.validate()
     plan_rng = _stream(config.seed, -1)
-    plans = plan_sequences(
-        config.rounds,
-        config.check_fraction,
-        config.message,
-        config.n,
-        plan_rng,
-        config.all_subsets,
+    masks, check, payloads = plan_sequences(
+        config.rounds, config.check_fraction, config.message, config.n, plan_rng, config.all_subsets
     )
-    check_indices = [p.round_index for p in plans if p.role == "check"]
+    check_indices = np.flatnonzero(check).tolist()
     schedule = announcement_schedule(check_indices, config.n, plan_rng)
 
-    bits, eves = _run_rounds(plans, config)
-    secrets = recover_secret(bits[:, 0], bits[:, 2:].T).tolist()  # each round's recovered bit
+    bits, eves = _run_rounds(masks, payloads, config)
+    secrets = recover_secret(bits[:, 0], bits[:, 2:].T)  # each round's recovered bit
+    distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
 
-    log: list[dict] = [{"event": "receipt_confirmed"}]
-    log.append(
-        {
-            "event": "variants_announced",
-            "variants": [sorted(p.variant.hadamard_positions) for p in plans],
-        }
-    )
+    positions = [mask_positions(mask) for mask in distinct.tolist()]
+    announced = [list(positions[k]) for k in inverse.tolist()]
+    log = [{"event": "receipt_confirmed"}, {"event": "variants_announced", "variants": announced}]
     log.append({"event": "check_indices", "rounds": check_indices})
     orders = [list(schedule[i]) for i in check_indices]
     # column r of the bits is receiver r's sign
     announced = bits[np.array(check_indices)[:, None], orders].tolist()
     for i, order, signs in zip(check_indices, orders, announced):
         log.append({"event": "check_announcements", "round": i, "order": order, "signs": signs})
-    transcript = Transcript(plans, bits, eves, log)
+    transcript = Transcript(masks, check, payloads, bits, eves, log)
 
     error_rate, detected = eavesdrop_check(transcript, config.abort_threshold)
     log.append({"event": "check_verdict", "check_error_rate": error_rate, "detected": detected})
@@ -260,26 +251,20 @@ def run_session(config: SessionConfig) -> SessionResult:
     recovered: str | None = None
     ber: float | None = None
     if not detected:
-        rounds = [p.round_index for p in plans if p.role == "message"]
-        log.append(
-            {
-                "event": "message_results",
-                "rounds": rounds,
-                "alice_bits": bits[rounds, 0].tolist(),
-            }
-        )
-        recovered = "".join(str(secrets[i]) for i in rounds[: len(config.message)])
+        rounds = np.flatnonzero(~check).tolist()
+        alice_bits = bits[rounds, 0].tolist()
+        log.append({"event": "message_results", "rounds": rounds, "alice_bits": alice_bits})
+        recovered = "".join(map(str, secrets[rounds[: len(config.message)]].tolist()))
         wrong = sum(got != sent for got, sent in zip(recovered, config.message))
         ber = wrong / len(config.message) if config.message else 0.0
 
-    counts = {"rounds": 0, "check_rounds": 0, "check_errors": 0}
-    stats = {v.name: dict(counts) for v in standard_variants(config.n)}
-    for plan, secret in zip(plans, secrets):
-        entry = stats.setdefault(plan.variant.name, dict(counts))
-        entry["rounds"] += 1
-        if plan.role == "check":
-            entry["check_rounds"] += 1
-            entry["check_errors"] += int(secret != plan.payload_bit)
+    counted = inverse, inverse[check], inverse[check & (secrets != payloads)]  # as in _STATS
+    counts = np.stack([np.bincount(c, minlength=distinct.size) for c in counted], 1).tolist()
+    # the standard names first, in index order, then the other masks as they first appear
+    stats = {v.name: dict.fromkeys(_STATS, 0) for v in standard_variants(config.n)}
+    for k in np.argsort(first).tolist():
+        name = StateVariant.from_mask(config.n, int(distinct[k])).name
+        stats[name] = dict(zip(_STATS, counts[k]))
 
     mi: float | None = None
     if config.mode == "exact":
@@ -306,6 +291,7 @@ _LINE = (
     '"receiver_signs":"%s","eve_record":%s,"announcement_order":%s}'
 )
 _EVE_TEXT = np.array(["0", "1", "2", "3", "null"], dtype=object)  # index -1: no record
+_ROLE_TEXT = np.array(["message", "check"], dtype=object)
 
 
 def _int_list(values) -> str:
@@ -318,33 +304,25 @@ def transcript_lines(transcript: Transcript) -> list[str]:
     Every line comes from one ``%`` template and is byte for byte
     ``json.dumps(record, separators=(",", ":"))`` of the round's record.
     """
-    orders = {
-        entry["round"]: _int_list(entry["order"])
-        for entry in transcript.announcement_log
-        if entry.get("event") == "check_announcements"
-    }
-    positions = {p.variant.hadamard_positions for p in transcript.plans}
-    variants = {h: _int_list(sorted(h)) for h in positions}
+    orders = np.full(len(transcript.masks), "null", dtype=object)
+    for entry in transcript.announcement_log:
+        if entry.get("event") == "check_announcements":
+            orders[entry["round"]] = _int_list(entry["order"])
+    distinct, inverse = np.unique(transcript.masks, return_inverse=True)
+    variants = np.array([_int_list(mask_positions(m)) for m in distinct.tolist()], dtype=object)
     bits = transcript.bits
     return [
-        _LINE
-        % (
-            plan.round_index,
-            variants[plan.variant.hadamard_positions],
-            plan.role,
-            plan.payload_bit,
-            alice_a,
-            alice_A,
-            sign,
-            eve,
-            orders.get(plan.round_index, "null"),
-        )
-        for plan, alice_a, alice_A, sign, eve in zip(
-            transcript.plans,
+        _LINE % row
+        for row in zip(
+            range(len(bits)),
+            variants[inverse].tolist(),
+            _ROLE_TEXT[transcript.check.astype(int)].tolist(),
+            transcript.payloads.tolist(),
             bits[:, 0].tolist(),
             bits[:, 1].tolist(),
             sign_strings(bits).tolist(),
             _EVE_TEXT[transcript.eves].tolist(),
+            orders.tolist(),
         )
     ]
 

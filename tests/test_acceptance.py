@@ -209,7 +209,7 @@ def test_oracle_sample_agreement():
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
                     counts = record_counts(
-                        *route_rounds([variant] * rounds, [payload] * rounds, attack, us)
+                        *route_rounds(3, [variant.mask] * rounds, [payload] * rounds, attack, us)
                     )
                     exact = table_dict(exact_round_analysis(variant, payload, attack))
                     assert set(counts) <= set(exact)

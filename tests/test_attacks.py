@@ -329,7 +329,9 @@ def replayed_record(variant, payload, attack, row):
 
 def routed_records(variant, payload, attack, us):
     """Each row's record from one outcome-tree walk, in row order."""
-    return row_records(*route_rounds([variant] * len(us), [payload] * len(us), attack, us))
+    return row_records(
+        *route_rounds(variant.n, [variant.mask] * len(us), [payload] * len(us), attack, us)
+    )
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -443,7 +445,7 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    counts = record_counts(*route_rounds([V[2]] * n, [1] * n, INTERCEPT, us))
+    counts = record_counts(*route_rounds(3, [V[2].mask] * n, [1] * n, INTERCEPT, us))
     exact = table_dict(exact_round_analysis(V[2], 1, INTERCEPT))
     assert set(counts) <= set(exact)
     for key, p in exact.items():
@@ -453,9 +455,13 @@ def test_bulk_sampler_matches_exact_distribution():
 
 def test_bulk_sampler_shape_validation():
     with pytest.raises(ValueError):
-        route_rounds([V[1]] * 10, [0] * 10, INTERCEPT, np.zeros((10, 4)))
+        route_rounds(3, [0] * 10, [0] * 10, INTERCEPT, np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        route_rounds([V[1]] * 40, [0] * 40, AttackModel(), np.zeros(40))
+        route_rounds(3, [0] * 40, [0] * 40, AttackModel(), np.zeros(40))
+    with pytest.raises(ValueError):
+        route_rounds(3, [0] * 10, [0] * 9, INTERCEPT, np.zeros((10, 5)))
+    with pytest.raises(ValueError):
+        route_rounds(3, [0] * 10, [2] * 10, INTERCEPT, np.zeros((10, 5)))  # not a payload bit
 
 
 @pytest.mark.parametrize("chunk_bytes", (None, 1 << 9), ids=("default_chunks", "512_byte_chunks"))
@@ -477,7 +483,8 @@ def test_mixed_rows_replay_run_round_exactly(kind, n, chunk_bytes, monkeypatch):
         replayed_record(variant, int(payload), attack, row)
         for variant, payload, row in zip(variants, payloads, us)
     ]
-    assert row_records(*route_rounds(variants, payloads, attack, us)) == expected
+    masks = [variant.mask for variant in variants]
+    assert row_records(*route_rounds(n, masks, payloads, attack, us)) == expected
 
 
 def test_session_walk_memory_stays_bounded():
@@ -487,13 +494,13 @@ def test_session_walk_memory_stays_bounded():
     config = SessionConfig(
         n=9, rounds=500, attack=AttackModel("collective_h_cnot"), mode="exact"
     )
-    plans = plan_sequences(
+    masks, _check, payloads = plan_sequences(
         config.rounds, config.check_fraction, config.message, config.n, session._stream(0, -1)
     )
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        session._run_rounds(plans, config)
+        session._run_rounds(masks, payloads, config)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

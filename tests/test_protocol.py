@@ -19,11 +19,12 @@ from ghzqss.protocol import (
     measure_round,
     plan_sequences,
     prepare_variant,
-    random_variant,
     receiver_correction,
     recover_secret,
     standard_variants,
 )
+from ghzqss.session import _stream
+from planner import plan_columns, scalar_plan
 from ghzqss.statevec import outcome_distribution, state_from_amplitudes, z_projections
 from records import distribution_dict
 from states import receiver_parity_state
@@ -252,18 +253,18 @@ def test_check_round_count():
         check_round_count(10, 1.0)
 
 
+def standard_masks(n):
+    return [v.mask for v in standard_variants(n)]
+
+
 def test_plan_sequences_roles_and_payloads():
     rng = np.random.default_rng(5)
-    plans = plan_sequences(10, 0.5, "101", 3, rng)
-    assert len(plans) == 10
-    assert [p.round_index for p in plans] == list(range(10))
-    check = [p for p in plans if p.role == "check"]
-    message = [p for p in plans if p.role == "message"]
-    assert len(check) == 5 and len(message) == 5
-    assert [p.payload_bit for p in message[:3]] == [1, 0, 1]
-    for p in plans:
-        assert p.payload_bit in (0, 1)
-        assert p.variant.index is not None
+    masks, check, payloads = plan_sequences(10, 0.5, "101", 3, rng)
+    assert masks.shape == check.shape == payloads.shape == (10,)
+    assert check.sum() == 5
+    assert payloads[~check][:3].tolist() == [1, 0, 1]
+    assert set(payloads.tolist()) <= {0, 1}
+    assert set(masks.tolist()) <= set(standard_masks(3))
 
 
 def test_plan_sequences_validation():
@@ -278,27 +279,117 @@ def test_plan_sequences_validation():
 
 def test_plan_sequences_all_subsets_mode():
     rng = np.random.default_rng(11)
-    plans = plan_sequences(400, 0.5, "", 4, rng, all_subsets=True)
-    seen = {p.variant.hadamard_positions for p in plans}
-    assert len(seen) == 8  # every subset of {2,3,4} shows up in 400 draws
+    masks, _check, _payloads = plan_sequences(400, 0.5, "", 4, rng, all_subsets=True)
+    assert set(masks.tolist()) == set(range(8))  # every subset of {2,3,4} shows up in 400 draws
 
 
 def test_planning_is_deterministic_per_seed():
     a = plan_sequences(40, 0.3, "1100", 4, np.random.default_rng(123))
     b = plan_sequences(40, 0.3, "1100", 4, np.random.default_rng(123))
-    assert a == b
+    assert all((x == y).all() for x, y in zip(a, b))
 
 
 def test_variant_frequencies_are_uniform():
     # 1e5 draws, each of the 4 variants within 3 standard errors of 1/4
-    rng = np.random.default_rng(2024)
-    counts = {k: 0 for k in range(1, 5)}
     trials = 100_000
-    for _ in range(trials):
-        counts[random_variant(3, rng).index] += 1
+    masks, _check, _payloads = plan_sequences(trials, 0.5, "", 3, np.random.default_rng(2024))
+    counts = np.bincount(np.searchsorted(standard_masks(3), masks), minlength=4)
     se = math.sqrt(0.25 * 0.75 / trials)
-    for k in range(1, 5):
-        assert abs(counts[k] / trials - 0.25) < 3 * se
+    assert (abs(counts / trials - 0.25) < 3 * se).all()
+
+
+def test_variant_masks_round_trip():
+    # bit p-2 of a mask stands for Hadamard position p
+    for n in (3, 4, 9):
+        expected = [0] + [1 << (k - 2) for k in range(2, n + 1)] + [(1 << (n - 1)) - 1]
+        assert standard_masks(n) == expected
+        for variant in standard_variants(n):
+            assert StateVariant.from_mask(n, variant.mask) == variant
+    assert StateVariant.from_mask(5, 0b1010).hadamard_positions == {3, 5}
+    with pytest.raises(ValueError):
+        StateVariant.from_mask(3, 0b100)  # position 4 of a three-party round
+
+
+def assert_plans_match(num_rounds, check_fraction, message, n, seed, all_subsets):
+    """The column planner gives the scalar planner's plan and leaves its generator state."""
+    rng, reference = _stream(seed, -1), _stream(seed, -1)
+    columns = plan_sequences(num_rounds, check_fraction, message, n, rng, all_subsets)
+    plans = scalar_plan(num_rounds, check_fraction, message, n, reference, all_subsets)
+    assert [column.tolist() for column in columns] == list(plan_columns(plans))
+    assert rng.bit_generator.state == reference.bit_generator.state
+    # announcement_schedule draws next, from that state
+    assert rng.random(3).tolist() == reference.random(3).tolist()
+
+
+PLANNER_SEEDS = (0, 2**32 - 1, 2**32, 2**64 - 1)
+
+
+@pytest.mark.parametrize("all_subsets", (False, True))
+@pytest.mark.parametrize("n", range(3, 25))
+def test_planner_matches_scalar_reference(n, all_subsets):
+    # message lengths 0, 1 and the full message capacity
+    rounds, check_fraction = 45, 0.3
+    capacity = rounds - check_round_count(rounds, check_fraction)
+    for seed in PLANNER_SEEDS:
+        for length in (0, 1, capacity):
+            message = "".join("10"[(seed + n + k * k) % 3 == 0] for k in range(length))
+            assert_plans_match(rounds, check_fraction, message, n, seed, all_subsets)
+    for seed in PLANNER_SEEDS:  # one round, the smallest session
+        assert_plans_match(1, 0.5, "", n, seed, all_subsets)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    n=st.integers(3, 24),
+    rounds=st.integers(1, 120),
+    check_fraction=st.sampled_from((0.05, 0.25, 0.5, 0.9)),
+    all_subsets=st.booleans(),
+    data=st.data(),
+)
+def test_planner_sweep_matches_scalar_reference(seed, n, rounds, check_fraction, all_subsets, data):
+    capacity = rounds - check_round_count(rounds, check_fraction)
+    message = data.draw(st.text("01", max_size=capacity))
+    assert_plans_match(rounds, check_fraction, message, n, seed, all_subsets)
+
+
+def with_buffered_word(seed, word):
+    """A generator whose next 32-bit word is ``word``, or a fresh one for None."""
+    rng = np.random.default_rng(seed)
+    if word is not None:
+        state = rng.bit_generator.state
+        state["has_uint32"], state["uinteger"] = 1, word
+        rng.bit_generator.state = state
+    return rng
+
+
+# bounds where Lemire's method rejects a word with probability about 1/2
+# and 1/4, beside bounds that never (2, 2^23) or almost never (3, 25) reject
+REJECTING_BOUNDS = (2**31 + 1, 3 * 2**30)
+
+
+@pytest.mark.parametrize("word", (None, 0, 2**31, 2**32 - 1), ids=("fresh", "w0", "w2^31", "wmax"))
+@pytest.mark.parametrize("bound", REJECTING_BOUNDS)
+def test_bounded_draws_redraw_rejected_words_like_scalar_integers(bound, word):
+    for seed in range(6):
+        bounds = [bound] * 40 + [2, 3, bound, 25, 2**23, bound] * 10 + [2]
+        rng, reference = with_buffered_word(seed, word), with_buffered_word(seed, word)
+        draws = protocol._bounded_draws(rng, bounds)
+        assert draws.tolist() == [int(reference.integers(b)) for b in bounds]
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # the draws took more words than there are draws: some were rejected
+        plain = with_buffered_word(seed, word)
+        plain.bit_generator.random_raw((len(bounds) - (word is not None) + 1) // 2)
+        assert plain.bit_generator.state["state"] != rng.bit_generator.state["state"]
+
+
+@pytest.mark.parametrize("word", (None, 7), ids=("fresh", "buffered"))
+def test_bounded_draws_of_nothing_or_one_word(word):
+    for bounds in ([], [5]):
+        rng, reference = with_buffered_word(3, word), with_buffered_word(3, word)
+        draws = protocol._bounded_draws(rng, bounds)
+        assert draws.tolist() == [int(reference.integers(b)) for b in bounds]
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_announcement_schedule_three_parties():

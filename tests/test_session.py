@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
-from ghzqss.protocol import Transcript
+from ghzqss.protocol import StateVariant, Transcript, recover_secret, standard_variants
 from ghzqss.session import (
     REPORT_NAME,
     TRANSCRIPT_NAME,
@@ -24,7 +24,13 @@ from ghzqss.session import (
     write_outputs,
 )
 from ghzqss.statevec import RegisterCapacityError
+from planner import round_plans
 from records import row_records
+
+
+def empty_transcript():
+    no_rounds = np.zeros(0, int)
+    return Transcript(no_rounds, no_rounds > 0, no_rounds, np.zeros((0, 4), int), no_rounds, [])
 
 
 def small_config(**overrides):
@@ -80,8 +86,7 @@ def test_clean_session_recovers_message_exactly():
     assert report.recovered_message == "101"
     assert report.message_bit_error_rate == 0.0
     assert report.eve_mutual_information is None  # sample mode
-    roles = [p.role for p in result.transcript.plans]
-    assert roles.count("check") == 6 and roles.count("message") == 6
+    assert result.transcript.check.sum() == 6 and (~result.transcript.check).sum() == 6
 
 
 def test_round_and_check_counts_per_variant():
@@ -168,7 +173,7 @@ def test_announced_signs_belong_to_the_announcing_receivers(kind):
 
 def test_eavesdrop_check_requires_check_rounds():
     with pytest.raises(ValueError):
-        eavesdrop_check(Transcript([], np.zeros((0, 4), int), np.zeros(0, int), []), 0.0)
+        eavesdrop_check(empty_transcript(), 0.0)
 
 
 REPLAY_CASES = [
@@ -186,8 +191,9 @@ def test_session_replays_run_round_exactly(n, kind, target, all_subsets):
     attack = AttackModel(kind, target)
     config = small_config(n=n, rounds=80, attack=attack, all_subsets=all_subsets, seed=n)
     transcript = run_session(config).transcript
-    assert [p.round_index for p in transcript.plans] == list(range(80))
-    alone = [run_round(p, attack, _stream(config.seed, p.round_index)) for p in transcript.plans]
+    plans = round_plans(n, transcript.masks, transcript.check, transcript.payloads)
+    assert len(plans) == 80
+    alone = [run_round(p, attack, _stream(config.seed, p.round_index)) for p in plans]
     assert row_records(transcript.bits, transcript.eves) == row_records(*zip(*alone))
 
 
@@ -292,8 +298,10 @@ def reference_lines(transcript):
         if e["event"] == "check_announcements"
     }
     lines = []
+    n = transcript.bits.shape[1] - 1
+    plans = round_plans(n, transcript.masks, transcript.check, transcript.payloads)
     for plan, (alice_a, alice_A, *signs), eve in zip(
-        transcript.plans, transcript.bits.tolist(), transcript.eves.tolist()
+        plans, transcript.bits.tolist(), transcript.eves.tolist()
     ):
         record = {
             "round_index": plan.round_index,
@@ -332,7 +340,7 @@ def test_transcript_lines_render_as_json_dumps(kind, n, all_subsets, tmp_path):
 
 
 def test_empty_transcript_renders_no_lines():
-    empty = Transcript([], np.zeros((0, 4), int), np.zeros(0, int), [])
+    empty = empty_transcript()
     assert transcript_lines(empty) == reference_lines(empty) == []
 
 
@@ -376,3 +384,57 @@ def test_check_rate_agrees_with_per_variant_stats():
     checks = sum(s["check_rounds"] for s in report.per_variant_stats.values())
     assert checks == 200
     assert report.check_error_rate == pytest.approx(errors / checks)
+
+
+def reference_audit(transcript):
+    """The check's error rate, one log entry and one dict of signs at a time."""
+    alice_a = transcript.bits[:, 0].tolist()
+    total = errors = 0
+    for entry in transcript.announcement_log:
+        if entry.get("event") != "check_announcements":
+            continue
+        i = entry["round"]
+        announced = dict(zip(entry["order"], entry["signs"]))
+        signs = [announced[r] for r in sorted(announced)]
+        total += 1
+        errors += recover_secret(alice_a[i], signs) != transcript.payloads[i]
+    return errors / total
+
+
+def reference_stats(n, transcript):
+    """Per-variant counts from a loop over the rounds, names in first-seen order."""
+    counts = {"rounds": 0, "check_rounds": 0, "check_errors": 0}
+    stats = {v.name: dict(counts) for v in standard_variants(n)}
+    bits = transcript.bits
+    secrets = recover_secret(bits[:, 0], bits[:, 2:].T).tolist()
+    for mask, check, payload, secret in zip(
+        transcript.masks.tolist(), transcript.check.tolist(), transcript.payloads.tolist(), secrets
+    ):
+        entry = stats.setdefault(StateVariant.from_mask(n, mask).name, dict(counts))
+        entry["rounds"] += 1
+        if check:
+            entry["check_rounds"] += 1
+            entry["check_errors"] += int(secret != payload)
+    return stats
+
+
+@pytest.mark.parametrize("all_subsets", (False, True))
+@pytest.mark.parametrize("n", (3, 4, 6))
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_check_and_stats_match_per_round_loops(kind, n, all_subsets):
+    config = small_config(n=n, rounds=150, attack=AttackModel(kind), all_subsets=all_subsets)
+    result = run_session(config)
+    rate, detected = eavesdrop_check(result.transcript, config.abort_threshold)
+    assert rate == result.report.check_error_rate == reference_audit(result.transcript)
+    if kind in ("none", "intercept_resend_bell"):
+        assert (rate > 0) == (kind != "none")
+    assert isinstance(rate, float) and isinstance(detected, bool)
+    # the same counts, under the same names in the same order
+    stats = result.report.per_variant_stats
+    assert list(stats.items()) == list(reference_stats(n, result.transcript).items())
+    assert all(type(v) is int for counts in stats.values() for v in counts.values())
+    # a corrupted announcement is seen by both audits
+    for entry in result.transcript.announcement_log:
+        if entry["event"] == "check_announcements":
+            entry["signs"][-1] ^= 1
+    assert eavesdrop_check(result.transcript, 0.0)[0] == reference_audit(result.transcript)
