@@ -47,7 +47,6 @@ from .statevec import (
 )
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_MASK32 = 0xFFFFFFFF
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 _KET1 = np.array([0.0, 1.0], dtype=np.complex128)
@@ -269,41 +268,6 @@ def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
     return check_message_size(len(message), num_rounds, check_fraction)
 
 
-def _bounded_draws(rng: np.random.Generator, bounds) -> np.ndarray:
-    """``[rng.integers(b) for b in bounds]`` in one pass, for bounds in [2, 2^32).
-
-    A scalar draw takes 32-bit words (the buffered half word first, then
-    each raw 64-bit output's low word, then its high word) and applies
-    Lemire's multiply-shift, rejecting a word whose low product is below
-    (2^32 - b) % b.  At the first rejected word numpy makes that draw and
-    the pass restarts after it.  The generator ends in the scalar state.
-    """
-    bits, bounds = rng.bit_generator, np.asarray(bounds, dtype=np.uint64)
-    out, start = np.empty(bounds.size, dtype=np.int64), 0
-    while start < bounds.size:
-        state, bound = bits.state, bounds[start:]
-        has, half = state["has_uint32"], state["uinteger"]
-        raw = bits.random_raw((bound.size - has + 1) // 2)
-        words = np.empty(has + 2 * raw.size, dtype=np.uint64)
-        words[:has], words[has::2], words[has + 1 :: 2] = half, raw & _MASK32, raw >> 32
-        product = words[: bound.size] * bound
-        rejected = np.flatnonzero(product & _MASK32 < (2**32 - bound) % bound)
-        done = rejected[0] if rejected.size else bound.size
-        out[start : start + done] = product[:done] >> 32
-        taken = max(done - has, 0)  # words the first `done` draws took from raw outputs
-        if done < bound.size:  # rewind to just those
-            bits.state = state
-            bits.random_raw((taken + 1) // 2)
-        state = bits.state
-        state["has_uint32"] = (done - has) & 1
-        state["uinteger"] = int(raw[(taken - 1) // 2] >> 32) if taken else half
-        bits.state = state
-        if done < bound.size:
-            out[start + done] = rng.integers(int(bound[done]))
-        start += done + 1
-    return out
-
-
 def plan_sequences(
     num_rounds: int,
     check_fraction: float,
@@ -322,7 +286,7 @@ def plan_sequences(
     ``permutation``, round i draws its variant (``integers(1, n + 2)``, the
     standard index, or with ``all_subsets`` the mask ``integers(2^(n-1))``),
     then its payload (``integers(2)``) unless a message bit fills it.
-    ``_bounded_draws`` makes them all in one pass.
+    One broadcast ``integers`` call makes them all, word for word as the loop.
     """
     num_check = check_message(message, num_rounds, check_fraction)
     check = np.zeros(num_rounds, dtype=bool)
@@ -333,7 +297,7 @@ def plan_sequences(
     first = np.arange(num_rounds) + np.cumsum(drawn) - drawn  # round i's variant draw
     bounds = np.full(num_rounds + np.count_nonzero(drawn), 2)
     bounds[first] = 1 << (n - 1) if all_subsets else n + 1
-    draws = _bounded_draws(rng, bounds)
+    draws = rng.integers(bounds)
     payloads = np.zeros(num_rounds, dtype=np.int64)
     payloads[carried] = np.frombuffer(message.encode(), dtype=np.uint8) - ord("0")
     payloads[drawn] = draws[first[drawn] + 1]

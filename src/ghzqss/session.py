@@ -6,9 +6,9 @@ draws from its own stream derived from (seed, round index), so transcripts
 are reproducible bit for bit and independent of execution order.
 
 A session's plan is three columns, one entry per round: variant mask,
-check role and payload bit (``protocol.plan_sequences``, whose one pass
-over the planning stream gives exactly the draws of a round-by-round
-loop).  Round i's row of uniforms is defined as the first draws of its own
+check role and payload bit (``protocol.plan_sequences``, whose one
+broadcast draw over the planning stream gives exactly the draws of a
+round-by-round loop).  Round i's row of uniforms is defined as the first draws of its own
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
@@ -235,8 +235,9 @@ def run_session(config: SessionConfig) -> SessionResult:
     distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
 
     positions = [mask_positions(mask) for mask in distinct.tolist()]
-    announced = [list(positions[k]) for k in inverse.tolist()]
-    log = [{"event": "receipt_confirmed"}, {"event": "variants_announced", "variants": announced}]
+    variant_lists = [list(positions[k]) for k in inverse.tolist()]
+    log = [{"event": "receipt_confirmed"}]
+    log.append({"event": "variants_announced", "variants": variant_lists})
     log.append({"event": "check_indices", "rounds": check_indices})
     orders = [list(schedule[i]) for i in check_indices]
     # column r of the bits is receiver r's sign
