@@ -17,8 +17,8 @@ another receiver, i.e. strictly before the round's variant is announced:
   Bell pair with the probe.
 
 Every path builds a round from one prefix, ``_round_prefix`` (prepare,
-tap, correct, encode, deferred Bell measurement), so the exact oracle, the
-batched walk and the one-round reference model the identical circuit.
+tap, correct, encode, deferred Bell measurement), so the exact oracle and
+the one-round reference model the identical circuit.
 ``exact_round_analysis`` enumerates the exact joint distribution of one
 round's classical record and backs every security number in this package:
 ``exact_tables`` runs it once per payload bit, and the detection rate, the
@@ -33,34 +33,22 @@ sums run left to right (``np.cumsum`` or ``np.add.at``, never the
 pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
 cells of the information sum, since ``np.log2`` may differ in the last
 bit.
-``route_rounds`` walks all the rounds of a session through their outcome
-trees in one level-by-level walk.  Every measurement in it has one call
-pattern: a kernel returns the outcome probabilities and a ``collapse``,
-and ``statevec._choose`` picks each row's outcome by the threshold rule
-``run_round`` applies one draw at a time.  Each (variant, payload) builds
-its round once, the attacker's Bell tap is read on its full states by
-``statevec._branches``, and the branches some row picks are the walk's
-roots.  The readout after it is the fixed ``protocol.readout`` (the sender
-reads Z on qubits 0 and 1, each receiver X on its own qubit, in order), so
-each readout is of the leading unmeasured qubit, and the walk keeps each
-branch as a compact block that only holds the unmeasured qubits'
-amplitudes.  At each depth it stacks the blocks of every tree and reads
-them in one ``statevec._leading_readout`` pass.  A branch's collapsed
-state is computed once, only when some row reaches it and a later
-measurement reads it, so the last readout collapses nothing.  The roots
-are walked in batches of bounded bytes.  It returns one record per row,
-as the row's readout bits (laid out as ``RecordTable.bits()`` lays them
-out) and its Bell record, and each row is exactly the (bits, Bell record)
-pair that ``run_round``, the reference the walk is tested against,
-returns from that row's draws.
+``route_rounds`` samples a session's rounds from the same tables, one
+(variant, payload) at a time.  ``statevec`` reports every probability of
+these Clifford rounds as its exact dyadic, so the oracle's records and
+their running totals are exact, and so is every conditional probability
+of a readout given the ones before it.  A row moves down its table one
+measurement per step, under the threshold rule ``run_round`` applies to a
+collapsed state's (equal) probabilities, so each row is exactly the
+(bits, Bell record) pair that ``run_round``, the reference the sampler is
+tested against, returns from that row's draws.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -79,10 +67,6 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
-    _CHUNK_BYTES,
-    _branches,
-    _choose,
-    _leading_readout,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -257,11 +241,11 @@ def exact_round_analysis(
 
     A record is the readout bits (alice_a, alice_A, then each receiver's
     sign) and the attacker's Bell outcome, -1 without an attack.  Only
-    outcomes with p > DEAD_EPS appear, and the kept probabilities sum to 1.
-    This enumeration is the oracle the sampled path is checked against, so
-    it never draws randomness.  Each live Bell branch's readout comes from
-    ``statevec.outcome_distribution``, and its probabilities are scaled by
-    the branch's.
+    live outcomes appear, and their exact dyadic probabilities sum to 1.
+    This enumeration is the oracle the session samples from
+    (``route_rounds``), and it never draws randomness.  Each live Bell
+    branch's readout comes from ``statevec.outcome_distribution``, and its
+    probabilities are scaled by the branch's.
     """
     n = variant.n
     validate_round(n, attack)
@@ -379,16 +363,14 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
 def route_rounds(
     n: int, masks, payloads, attack: AttackModel, uniforms: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Route many rounds through their outcome trees in one level-by-level walk.
+    """Sample many rounds, each from its (variant, payload)'s exact table.
 
     Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of an
     n-party round of the variant with mask ``masks[i]`` (``StateVariant.mask``)
     carrying ``payloads[i]``; returns the readout bits (as
     ``RecordTable.bits()``) and Bell record (-1: no attack) that
-    ``run_round`` gives each row.  Every readout, the Bell tap's included,
-    picks each row's outcome with ``_choose``.  The roots, the branches each
-    (variant, payload)'s Bell tap reaches, in ascending Bell index, are
-    walked in batches of at most ``_CHUNK_BYTES``.
+    ``run_round`` gives each row.  The rows are sampled one (variant,
+    payload) group at a time, so at most one oracle table is alive.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     masks, payloads = np.asarray(masks, dtype=np.int64), np.asarray(payloads, dtype=np.int64)
@@ -399,40 +381,45 @@ def route_rounds(
     # rows grouped by (variant mask, payload), each group's rows in row order
     keys, inverse = np.unique(2 * masks + payloads, return_inverse=True)
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    eves = np.full(len(uniforms), -1)
+    index, eves = np.zeros(len(uniforms), dtype=np.int64), np.full(len(uniforms), -1)
+    for key, members in zip(keys.tolist(), groups):
+        variant = StateVariant.from_mask(n, key >> 1)
+        # only the call holds the table, so the next group's is built without it
+        index[members], eves[members] = _sample_table(
+            exact_round_analysis(variant, key & 1, attack), uniforms[members]
+        )
+    return _unpack(index, len(readout(n))), eves
 
-    def roots() -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for key, members in zip(keys.tolist(), groups):
-            variant = StateVariant.from_mask(n, key >> 1)
-            state, tap = _round_prefix(variant, key & 1, attack)
-            if tap is None:
-                yield state.amps, members
-                continue
-            qubits, finish = tap
-            probs, collapse = _branches(state, "Bell", qubits)
-            picked = _choose(probs, uniforms[members, 0])
-            for eve in range(len(probs)):
-                rows = members[picked == eve]
-                if rows.size:  # only the outcomes some row picked are collapsed
-                    eves[rows] = eve
-                    yield finish(collapse(eve)).amps, rows
 
-    bases = [basis for _q, basis in readout(n)]  # each reads every block's leading qubit
-    index = np.zeros(len(uniforms), dtype=int)  # the readout bits, packed as RecordTable.index
-    branches, per_batch = roots(), max(1, _CHUNK_BYTES // (16 << _register_qubits(n, attack)))
-    while batch := list(islice(branches, per_batch)):
-        walked = np.concatenate([members for _amps, members in batch])
-        node = np.repeat(np.arange(len(batch)), [members.size for _amps, members in batch])
-        stack = np.array([amps for amps, _members in batch]), np.zeros((len(batch), 0), int), 0
-        batch.clear()  # the stack holds the roots now
-        for depth, basis in enumerate(bases):  # the readouts' draws are the last columns
-            probs, collapse = _leading_readout(*stack, basis)
-            values = _choose(probs[node], uniforms[walked, depth - len(bases)])
-            index[walked] = 2 * index[walked] + values
-            if depth + 1 < len(bases):  # nothing reads the last readout's children
-                keys, reached = 2 * node + values, np.zeros(probs.size, dtype=bool)
-                reached[keys] = True  # each reached child once, in (block, value) order
-                children, node = np.flatnonzero(reached), np.cumsum(reached)[keys] - 1
-                stack = collapse(children)
-                del collapse  # so the parent stack it holds is freed before the next readout
-    return _unpack(index, len(bases)), eves
+def _sample_table(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's (packed readout bits, Bell record), drawn from ``table`` as ``run_round`` draws.
+
+    The records' codes ``(eve + 1) << width | index`` ascend in table order,
+    so every node of the round's outcome tree is the run of records whose
+    codes share its prefix, and the exact running sums of ``p`` give the
+    probability of each run.  The Bell draw picks the first outcome whose
+    running total exceeds it; each readout finds the first record of the
+    node's 1-child with one search and takes outcome 0 iff its draw lies
+    below p(0).
+    """
+    width = table.width
+    codes = (table.eve + 1) << width | table.index
+    totals = np.concatenate(([0.0], table.p.cumsum()))
+    # each row's node: its code prefix, the running total below it, its probability
+    prefix, below, mass = np.zeros(len(uniforms), dtype=np.int64), 0.0, totals[-1]
+    if table.eve[0] >= 0:  # the attacker's Bell tap, drawn first
+        # the first record whose running total exceeds the draw, else the last
+        # record, lies in the first Bell outcome whose running total does
+        first = np.minimum(totals[1:].searchsorted(uniforms[:, 0], "right"), codes.size - 1)
+        prefix = (table.eve[first] + 1) << width
+        below = totals[codes.searchsorted(prefix)]
+        mass = totals[codes.searchsorted(prefix + (1 << width))] - below
+    for bit in range(width - 1, -1, -1):
+        key = prefix | 1 << bit  # the code the node's 1-child starts at
+        split = totals[codes.searchsorted(key)]
+        zero = split - below
+        one = uniforms[:, -1 - bit] >= zero / mass
+        prefix, below = np.where(one, key, prefix), np.where(one, split, below)
+        mass = np.where(one, mass - zero, zero)
+    record = codes.searchsorted(prefix)
+    return table.index[record], table.eve[record]

@@ -12,8 +12,8 @@ round-by-round loop).  Round i's row of uniforms is defined as the first draws o
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
-tests).  It routes every round through one level-by-level walk of their
-outcome trees (``attacks.route_rounds``), which returns each round's
+tests).  It samples every round from the exact oracle's table for its
+(variant, payload) (``attacks.route_rounds``), which returns each round's
 record as one row of two arrays, its readout bits and Bell record.  The
 transcript keeps the columns and the arrays as they are.  The
 announcements, the check, the per-variant counts and the transcript lines
@@ -211,7 +211,7 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
 
 
 def _run_rounds(masks, payloads, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout bits and Bell record, from one level-by-level walk of the session."""
+    """Every round's readout bits and Bell record, sampled from the oracle's tables."""
     width = draws_per_round(config.attack, config.n)
     uniforms = _round_uniforms(config.seed, np.arange(len(masks)), width)
     return route_rounds(config.n, masks, payloads, config.attack, uniforms)

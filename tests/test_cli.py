@@ -11,6 +11,7 @@ import pytest
 
 from ghzqss import attacks
 from ghzqss.cli import main
+from ghzqss.protocol import standard_variants
 
 
 def run_cli(capsys, *argv):
@@ -325,8 +326,10 @@ def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, targ
 
 
 def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):
-    # analyze folds every figure over one pair of oracle tables, and an
-    # unattacked exact-mode session needs no oracle run at all
+    # analyze folds every figure over one pair of oracle tables; a session
+    # samples each (variant, payload) it plans from one table, and in exact
+    # mode the information fold adds one pair per standard variant, none
+    # without an attack
     calls = []
     oracle = attacks.exact_round_analysis
 
@@ -343,11 +346,21 @@ def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkey
     )
     assert code == 0
     assert len(calls) == 2
-    calls.clear()
-    out_dir = str(tmp_path / "clean")
-    code, _out, _err = run_cli(capsys, "run", "--mode", "exact", "--rounds", "16", "--out", out_dir)
-    assert code == 0
-    assert calls == []
+    for attack in ("none", "intercept-resend"):
+        calls.clear()
+        out_dir = tmp_path / attack
+        code, _out, _err = run_cli(
+            capsys, "run", "--mode", "exact", "--rounds", "16", "--attack", attack,
+            "--out", str(out_dir),
+        )
+        assert code == 0
+        lines = (out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+        planned = {(tuple(r["variant"]), r["payload_bit"]) for r in map(json.loads, lines)}
+        sampled = [(tuple(sorted(v.hadamard_positions)), p) for v, p, _a in calls[: len(planned)]]
+        assert sorted(sampled) == sorted(planned)
+        folded = [(v, p) for v, p, _a in calls[len(planned) :]]
+        fold = [(v, p) for v in standard_variants(3) for p in (0, 1)]
+        assert folded == (fold if attack != "none" else [])
 
 
 def test_analyze_respects_env_free_success_contract(capsys):

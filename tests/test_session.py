@@ -181,7 +181,12 @@ REPLAY_CASES = [
     for n in (3, 4, 5)
     for kind in ATTACK_KINDS
     for all_subsets in (False, True)
-] + [(4, "intercept_resend_bell", 3, False), (5, "intercept_resend_bell", 3, True)]
+] + [
+    (4, "intercept_resend_bell", 3, False),
+    (5, "intercept_resend_bell", 3, True),
+    (8, "collective_h_cnot", None, False),
+    (8, "collective_h_cnot", None, True),
+]
 
 
 @pytest.mark.parametrize("n,kind,target,all_subsets", REPLAY_CASES)

@@ -8,18 +8,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ghzqss import statevec
 from ghzqss.statevec import (
-    DEAD_EPS,
     MAX_QUBITS,
     MeasOutcome,
     NormalizationError,
     RegisterCapacityError,
     StateVector,
     _branches,
-    _check_norm,
     _choose,
-    _leading_readout,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
@@ -107,15 +103,6 @@ def test_state_vector_norm_tolerance():
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="is not 1"):
         StateVector(1, np.array([1e200, 0.0]))  # finite, but norm^2 overflows to inf
     StateVector(1, np.array([math.sqrt(1.0 + 5e-11), 0.0]))  # within NORM_ATOL
-
-
-def test_walk_block_check_counts_every_copy():
-    # a block standing for 4 copies must hold norm^2 1/4
-    _check_norm(np.array([0.5, 0.0]), 4)
-    with pytest.raises(ValueError, match="is not 1"):
-        _check_norm(np.array([1.0, 0.0]), 4)
-    with pytest.raises(ValueError, match="amplitudes must be finite"):
-        _check_norm(np.array([np.nan, 0.5]), 4)
 
 
 def test_append_ancilla_positions():
@@ -240,12 +227,13 @@ def test_measure_z_on_deterministic_state():
 
 
 def test_measure_z_never_picks_a_dead_outcome():
-    # p(0) rounds to 1 - 2^-52 and p(1) is exactly 0; a draw above p(0)
-    # must still land on the only live outcome
+    # the float p(0) = 1 - 2^-52 is reported on the grid as exactly 1 and
+    # p(1) is exactly 0; the draw at the top of [0, 1) must still land on
+    # the only live outcome
     rounded = StateVector(1, np.array([1.0 - 2.0**-53, 0.0]))
     u = 1.0 - 2.0**-53
-    assert z_projections(rounded, 0)[0][1] < u
-    # p(1) = 1e-34 is a nonzero residue below the dead bound: just as impossible
+    assert [p for _v, p, _post in z_projections(rounded, 0)] == [1.0, 0.0]
+    # p(1) = 1e-34 is a nonzero residue that rounds to 0: just as impossible
     residue = StateVector(1, np.array([1.0, 1e-17]))
     for state in (rounded, residue):
         outcome, post = measure_z(state, 0, u)
@@ -258,7 +246,7 @@ def test_measure_z_never_picks_a_dead_outcome():
 
 
 def test_every_live_outcome_can_be_collapsed_onto():
-    # p(1) = 5e-15 lies above DEAD_EPS, so the outcome is live: the threshold
+    # p(1) = 5e-15 rounds to 2^-48, so the outcome is live: the threshold
     # rule may pick it and the collapse must then succeed
     state = StateVector(1, np.array([math.sqrt(1.0 - 5e-15), math.sqrt(5e-15)]))
     u = 1.0 - 2.0**-53
@@ -472,128 +460,6 @@ def test_choose_follows_the_spec(state, data):
     assert picked == [spec_choose(probs, u) for u in samples]
 
 
-def full_register(amps, zbits, copies, signs):
-    """The register a walk block stands for: its amplitudes where the
-    Z-measured qubits read its Z bits, once per pattern of its ``copies``
-    X-measured qubits times that pattern's sign, zeros elsewhere."""
-    z = len(zbits)
-    full = np.zeros((1 << z, 1 << copies, amps.size), dtype=complex)
-    full[int("".join(map(str, zbits)), 2) if z else 0] = np.outer(signs, amps)
-    return StateVector(full.size.bit_length() - 1, full.reshape(-1))
-
-
-@pytest.mark.parametrize("k", range(3, 12))
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    dead=st.booleans(),
-    residue=st.none(),
-)
-# the residue examples: the read qubit's 1-half holds 1e-17 (p = 1e-34) or
-# nothing, next to an amplitude of 1 - 2^-53
-@example(seed=0, dead=False, residue=1e-17)
-@example(seed=1, dead=False, residue=0.0)
-@settings(max_examples=12, deadline=None)
-def test_leading_readout_equals_branches_bit_for_bit(k, seed, dead, residue):
-    rng = np.random.default_rng(seed)
-    for d in range(k):  # every leading-qubit readout position
-        z = int(rng.integers(0, d + 1))  # Z readouts first, then X copies
-        block_size, copies = 1 << (k - d), d - z
-        if residue is None:
-            amps = rng.normal(size=block_size) + 1j * rng.normal(size=block_size)
-            if dead:  # zero about half, keeping one, so some branches die
-                drop = rng.random(block_size) < 0.5
-                drop[rng.integers(block_size)] = False
-                amps[drop] = 0.0
-            amps /= np.linalg.norm(amps)
-        else:
-            amps = np.zeros(block_size, dtype=complex)
-            amps[0], amps[block_size // 2] = 1.0 - 2.0**-53, residue
-        amps /= math.sqrt(1 << copies)
-        zbits = rng.integers(0, 2, size=(1, z))  # a one-block stack
-        state = full_register(amps, zbits[0], copies, rng.choice((-1.0, 1.0), size=1 << copies))
-        for basis in ("Z", "X") if copies == 0 else ("X",):
-            # an X readout rotates the stack in place
-            probs, collapse = _leading_readout(amps[None].copy(), zbits, copies, basis)
-            expected_probs, expected_collapse = _branches(state, basis, (d,))
-            assert probs[0].tolist() == expected_probs
-            for value in (0, 1):
-                try:
-                    expected = expected_collapse(value)
-                except NormalizationError:  # norm^2 <= DEAD_EPS
-                    with pytest.raises(NormalizationError):
-                        collapse(np.array([value]))
-                    continue
-                (child,), (child_zbits,), child_copies = collapse(np.array([value]))
-                live = full_register(child, child_zbits, child_copies, np.ones(1 << child_copies))
-                assert np.array_equal(np.abs(live.amps), np.abs(expected.amps))
-
-
-def test_leading_readout_validates_its_basis():
-    with pytest.raises(ValueError):
-        _leading_readout(np.array([[0.5, 0.5]]), np.array([[0]]), 1, "Z")  # Z after an X
-    with pytest.raises(ValueError):
-        _leading_readout(np.array([[1.0, 0.0]]), np.zeros((1, 0), int), 0, "Bell")
-
-
-def random_stack(rng, k, depth, rows):
-    """``rows`` blocks of a k-qubit register read to ``depth``, as amplitudes,
-    Z bits and copies: random Z bits (up to two, the rest X copies),
-    amplitudes often zeroed, and some blocks with a dead Z half, a dead X
-    half (equal halves) or 1 - 2^-53 next to a residue of 1e-17 or 0."""
-    z = int(rng.integers(0, min(depth, 2) + 1))
-    copies, size = depth - z, 1 << (k - depth)
-    amps = rng.normal(size=(rows, size)) + 1j * rng.normal(size=(rows, size))
-    drop = rng.random((rows, size)) < 0.5
-    drop[rng.random(rows) < 0.5] = False
-    drop[np.arange(rows), rng.integers(size, size=rows)] = False  # one amplitude stays
-    amps[drop] = 0.0
-    for row in range(rows):
-        kind = rng.integers(5)
-        if kind == 0:
-            amps[row, rng.integers(2) * (size // 2) :][: size // 2] = 0.0
-        elif kind == 1:
-            amps[row, size // 2 :] = amps[row, : size // 2]
-        elif kind == 2:
-            amps[row] = 0.0
-            amps[row, 0], amps[row, size // 2] = 1.0 - 2.0**-53, rng.choice((1e-17, 0.0))
-    amps[~amps.any(axis=1), 0] = 1.0
-    amps /= np.linalg.norm(amps, axis=1, keepdims=True) * math.sqrt(1 << copies)
-    return amps, rng.integers(0, 2, size=(rows, z)), copies
-
-
-@pytest.mark.parametrize("chunk_bytes", (None, 1 << 9), ids=("default_chunks", "512_byte_chunks"))
-@pytest.mark.parametrize("k", range(3, 12))
-def test_stacked_readout_equals_one_block_readouts(k, chunk_bytes, monkeypatch):
-    # one stacked kernel call per depth and basis against the same kernel
-    # on each block alone, as a one-block stack; 512-byte chunks make every
-    # stack cross chunk boundaries
-    if chunk_bytes is not None:
-        monkeypatch.setattr(statevec, "_CHUNK_BYTES", chunk_bytes)
-    rng = np.random.default_rng(k)
-    for depth in range(k):
-        amps, zbits, copies = random_stack(rng, k, depth, rows=int(rng.integers(1, 40)))
-        for basis in ("Z", "X") if copies == 0 else ("X",):
-            # an X readout rotates the stack in place
-            singles = [
-                _leading_readout(row[None].copy(), bits[None], copies, basis)
-                for row, bits in zip(amps, zbits)
-            ]
-            probs, collapse = _leading_readout(amps.copy(), zbits, copies, basis)
-            assert probs.tolist() == [p[0].tolist() for p, _collapse in singles]
-            keys = np.arange(probs.size)
-            live = keys[probs.ravel() > DEAD_EPS]
-            children, child_zbits, child_copies = collapse(live)
-            for key, child, bits in zip(live, children, child_zbits.tolist()):
-                (one,), (one_bits,), one_copies = singles[key >> 1][1](np.array([key & 1]))
-                assert np.array_equal(child, one)
-                assert (bits, child_copies) == (one_bits.tolist(), one_copies)
-            for key in np.setdiff1d(keys, live):
-                with pytest.raises(NormalizationError):
-                    singles[key >> 1][1](np.array([key & 1]))
-                with pytest.raises(NormalizationError):
-                    collapse(np.array([key]))
-
-
 def test_choose_skips_impossible_outcomes_and_branches_validate():
     probs, _collapse = _branches(basis_state(2, 1), "Bell", (0, 1))
     assert _choose(probs, np.array([0.2, 0.999999, 0.3])).tolist() == [2, 3, 2]
@@ -660,7 +526,7 @@ def test_outcome_distribution_sums_to_one(state):
 def test_projection_guard_raises_on_dead_branch():
     from ghzqss.statevec import _project_z
 
-    # zero weight, and a residue of norm^2 1e-16 at or below DEAD_EPS
+    # zero weight, and a residue of norm^2 1e-16, which rounds to 0
     for amps in (basis_state(1, 0).amps, np.array([1.0, 1e-8], dtype=complex)):
         with pytest.raises(NormalizationError):
             _project_z(amps, 0, 1)
