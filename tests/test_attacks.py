@@ -9,6 +9,7 @@ import itertools
 import math
 import sys
 import tracemalloc
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from hypothesis import strategies as st
 from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
+    RecordTable,
+    _sample_table,
     averaged_detection_rate,
     conditional_detection_rate,
     draws_per_round,
@@ -39,7 +42,7 @@ from ghzqss.protocol import (
     recover_secret,
     standard_variants,
 )
-from ghzqss import session, statevec
+from ghzqss import attacks, session, statevec
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 from records import distribution_dict, record_counts, row_records, table_dict
@@ -451,6 +454,90 @@ def test_mixed_rows_replay_run_round_exactly(kind, n):
     ]
     masks = [variant.mask for variant in variants]
     assert row_records(*route_rounds(n, masks, payloads, attack, us)) == expected
+
+
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+@pytest.mark.parametrize("n", (3, 5))
+def test_route_rounds_builds_one_table_per_group(kind, n, monkeypatch):
+    # one oracle run per distinct (variant mask, payload) among the rows, and
+    # each group's table is freed before the next group's is built
+    built, alive = [], []
+    oracle = attacks.exact_round_analysis
+
+    def counted(variant, payload, attack):
+        assert all(ref() is None for ref in alive)
+        built.append((variant.mask, payload))
+        table = oracle(variant, payload, attack)
+        alive.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(attacks, "exact_round_analysis", counted)
+    attack = AttackModel(kind)
+    rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
+    masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=80)]
+    payloads = rng.integers(2, size=80).tolist()
+    route_rounds(n, masks, payloads, attack, rng.random((80, draws_per_round(attack, n))))
+    assert sorted(built) == sorted(set(zip(masks, payloads)))
+
+
+def random_table(rng, width, tapped):
+    """A ``RecordTable`` of random live records: codes drawn without
+    replacement (so some Bell outcomes and bit prefixes are missing), with
+    probabilities that are multiples of 2^-10 summing to exactly 1."""
+    eves = 4 if tapped else 1
+    size = int(rng.integers(1, min(eves << width, 64) + 1))
+    codes = np.sort(rng.choice(eves << width, size=size, replace=False))
+    cuts = np.sort(rng.choice(np.arange(1, 1024), size=size - 1, replace=False))
+    weights = np.diff(np.concatenate(([0], cuts, [1024])))
+    eve = codes >> width if tapped else np.full(size, -1)
+    return RecordTable(width, codes & ((1 << width) - 1), eve, weights / 1024.0)
+
+
+def spec_sample(table, row):
+    """One row's (index, eve), read off the table one record at a time: the
+    Bell draw takes the first live outcome whose running total exceeds it,
+    else the last; each readout takes outcome 0 iff its draw lies below the
+    node's p(0), the nearest double to the exact ratio of the node's masses."""
+    records = list(zip(table.index.tolist(), table.eve.tolist(), map(Fraction, table.p.tolist())))
+    draws = list(row)
+    if table.eve[0] >= 0:
+        masses = [sum(p for _i, e, p in records if e == eve) for eve in range(4)]
+        live = [eve for eve in range(4) if masses[eve] > 0]
+        total, picked = Fraction(0), live[-1]
+        for eve in live:
+            total += masses[eve]
+            if draws[0] < total:
+                picked = eve
+                break
+        records = [r for r in records if r[1] == picked]
+        draws = draws[1:]
+    for bit in range(table.width - 1, -1, -1):
+        mass = sum(p for _i, _e, p in records)
+        zero = sum(p for i, _e, p in records if not i >> bit & 1)
+        value = int(draws[-1 - bit] >= float(zero / mass))
+        records = [r for r in records if (r[0] >> bit & 1) == value]
+    ((index, eve, _p),) = records
+    return index, eve
+
+
+@pytest.mark.parametrize("tapped", (False, True), ids=("untapped", "tapped"))
+@pytest.mark.parametrize("width", range(2, 7))
+def test_table_sampler_follows_the_threshold_rule(width, tapped):
+    # random tables, not only this package's rounds: missing records, dead
+    # Bell outcomes and non-dyadic node ratios; the draws include every
+    # running total below 1 and the largest double below 1
+    rng = np.random.default_rng((width, tapped))
+    for _ in range(6):
+        table = random_table(rng, width, tapped)
+        columns = width + tapped
+        edges = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], table.p.cumsum()[:-1]))
+        us = np.where(
+            rng.random((160, columns)) < 0.3,
+            rng.choice(edges, size=(160, columns)),
+            rng.random((160, columns)),
+        )
+        index, eve = _sample_table(table, us)
+        assert list(zip(index.tolist(), eve.tolist())) == [spec_sample(table, row) for row in us]
 
 
 def test_session_walk_memory_stays_bounded():

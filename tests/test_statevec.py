@@ -460,6 +460,57 @@ def test_choose_follows_the_spec(state, data):
     assert picked == [spec_choose(probs, u) for u in samples]
 
 
+def ghz_with_hadamards(k, positions):
+    amps = np.zeros(1 << k, dtype=complex)
+    amps[0] = amps[-1] = 1 / RT2
+    state = StateVector(k, amps)
+    for q in positions:
+        state = apply_hadamard(state, q)
+    return state
+
+
+@pytest.mark.parametrize("k", range(3, 12))
+def test_branches_report_grid_probabilities(k):
+    # every reported p is a multiple of 2^-48 within 2^-49 of the outcome's
+    # weight over the total weight, and an outcome is collapsed onto iff
+    # its p is not 0; a Clifford state's readouts come out exactly dyadic
+    rng = np.random.default_rng(k)
+    for d in range(k):
+        amps = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        amps[rng.random(1 << k) < 0.5] = 0.0  # some branches die
+        amps[rng.integers(1 << k)] = 1.0
+        residue = np.zeros(1 << k, dtype=complex)  # 1 - 2^-53 next to a 1e-17 residue
+        residue[0], residue[1 << (k - 1 - d)] = 1.0 - 2.0**-53, 1e-17
+        random = StateVector(k, amps / np.linalg.norm(amps))
+        for state in (random, StateVector(k, residue)):
+            for basis, qubits in (("Z", (d,)), ("X", (d,)), ("Bell", (d, (d + 1) % k))):
+                probs, collapse = _branches(state, basis, qubits)
+                rotated = state if basis == "Z" else apply_hadamard(state, d)
+                if basis == "Bell":
+                    rotated = apply_hadamard(apply_cnot(state, *qubits), d)
+                weights = [
+                    sum(abs(a) ** 2 for i, a in enumerate(rotated.amps) if all(
+                        (i >> (k - 1 - q) & 1) == (value >> bit & 1)
+                        for bit, q in enumerate(qubits)
+                    ))
+                    for value in range(1 << len(qubits))
+                ]
+                for value, (p, w) in enumerate(zip(probs, weights)):
+                    assert (p * 2**48).is_integer()
+                    assert abs(p - w / sum(weights)) <= 2.0**-49 + 1e-15
+                    if p == 0.0:
+                        with pytest.raises(NormalizationError):
+                            collapse(value)
+                    else:
+                        collapse(value)
+        clifford = ghz_with_hadamards(k, np.flatnonzero(rng.random(k) < 0.5).tolist())
+        for basis in ("Z", "X"):
+            probs, _collapse = _branches(clifford, basis, (d,))
+            assert set(probs) <= {0.0, 0.5, 1.0} and sum(probs) == 1.0
+        probs, _collapse = _branches(clifford, "Bell", (d, (d + 1) % k))
+        assert set(probs) <= {0.0, 0.25, 0.5, 1.0} and sum(probs) == 1.0
+
+
 def test_choose_skips_impossible_outcomes_and_branches_validate():
     probs, _collapse = _branches(basis_state(2, 1), "Bell", (0, 1))
     assert _choose(probs, np.array([0.2, 0.999999, 0.3])).tolist() == [2, 3, 2]
