@@ -17,6 +17,7 @@ from ghzqss.attacks import (
     eve_record_distribution,
     exact_tables,
 )
+from ghzqss.cli import piped
 from ghzqss.protocol import standard_variants
 
 
@@ -63,4 +64,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(piped(main))

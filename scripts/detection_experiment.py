@@ -9,6 +9,7 @@ import argparse
 import math
 
 from ghzqss.attacks import ATTACK_KINDS, AttackModel, averaged_detection_rate
+from ghzqss.cli import piped
 from ghzqss.protocol import check_round_count
 from ghzqss.session import SessionConfig, run_session
 
@@ -57,4 +58,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(piped(main))

@@ -238,15 +238,10 @@ def cmd_table1(_args) -> int:
     return 0 if ok else 1
 
 
-def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+def piped(command, *args) -> int:
+    """``command(*args)``'s exit code, or 1 once stdout's reader is gone, quietly."""
     try:
-        if args.command == "run":
-            code = cmd_run(args)
-        elif args.command == "analyze":
-            code = cmd_analyze(args)
-        else:
-            code = cmd_table1(args)
+        code = command(*args)
         # a closed stdout must surface here, not in the flush at exit
         sys.stdout.flush()
         return code
@@ -261,6 +256,13 @@ def main(argv=None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 1
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    command = {"run": cmd_run, "analyze": cmd_analyze, "table1": cmd_table1}[args.command]
+    try:
+        return piped(command, args)
     except RegisterCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -227,6 +227,10 @@ class Transcript:
     round's variant ``masks``, its ``check`` role and its ``payloads`` bit.
     Row i of ``bits`` (readout bits in ``readout`` order) and of ``eves``
     (Bell record, -1 for none) is round i's record, as ``route_rounds`` gives it.
+    ``announcement_log`` is the public log, one dict per event with its
+    values as columns; its one ``check_announcements`` entry holds the check
+    ``rounds``, their receiver ``orders`` (``announcement_schedule``'s
+    rows) and the ``signs`` announced in that order.
     """
 
     masks: np.ndarray
@@ -307,23 +311,17 @@ def plan_sequences(
     return masks, check, payloads
 
 
-def announcement_schedule(check_indices, n: int, rng: np.random.Generator) -> dict[int, tuple[int, ...]]:
-    """Receiver announcement order for each check round.
+def announcement_schedule(num_check: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """Receiver announcement orders: row k is the k-th check round's order of parties 2..n.
 
-    Three parties: a random half of the check rounds (floor of the count)
-    hears party 2 first, the rest party 3 first.  More parties: an
-    independent uniform permutation of the receivers per check round.
+    Three parties: a random half of the rows (floor of the count) hears
+    party 2 first, the rest party 3 first.  More parties: an independent
+    uniform permutation of the receivers per row, one ``permutation(n - 1)``'s
+    draws each.
     """
-    indices = sorted(int(i) for i in check_indices)
-    schedule: dict[int, tuple[int, ...]] = {}
     if n == 3:
-        shuffled = rng.permutation(len(indices))
-        bob_first = {indices[j] for j in shuffled[: len(indices) // 2]}
-        for i in indices:
-            schedule[i] = (2, 3) if i in bob_first else (3, 2)
-    else:
-        for i in indices:
-            order = rng.permutation(n - 1) + 2
-            schedule[i] = tuple(int(r) for r in order)
-    return schedule
+        orders = np.full((num_check, 2), (3, 2))
+        orders[rng.permutation(num_check)[: num_check // 2]] = (2, 3)
+        return orders
+    return rng.permuted(np.tile(np.arange(2, n + 1), (num_check, 1)), axis=1)
 

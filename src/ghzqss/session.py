@@ -22,12 +22,13 @@ from the bit columns.  Each row is exactly the pair ``attacks.run_round``
 gives the round simulated alone.
 
 The public log kept on the transcript mirrors what actually goes over the
-classical channel, in order: receipt confirmation, the variant announcement,
-disclosure of the check subset, each check round's receiver announcements in
-their scheduled order, the sender's verdict, and, only when no eavesdropping
-was detected, the sender's message-round results.  Aborted sessions never
-announce message results, so a detected transcript contains nothing that
-would let an attacker finish decoding.
+classical channel, in order, one entry per event with its values as columns:
+receipt confirmation, the variant masks, the check subset, the receivers'
+check announcements (every check round's order and the signs announced in
+it), the sender's verdict, and, only when no eavesdropping was detected, the
+sender's message-round results.  Aborted sessions never announce message
+results, so a detected transcript contains nothing that would let an
+attacker finish decoding.
 """
 
 from __future__ import annotations
@@ -200,13 +201,12 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     actually published in their scheduled order, not from private state.
     """
     check_abort_threshold(abort_threshold)
-    entries = [e for e in transcript.announcement_log if e.get("event") == "check_announcements"]
-    if not entries:
+    entries = [e for e in transcript.announcement_log if e["event"] == "check_announcements"]
+    if not entries or not len(entries[0]["rounds"]):
         raise ValueError("transcript has no check rounds to audit")
-    rounds = [e["round"] for e in entries]
-    signs = np.array([e["signs"] for e in entries])  # their parity needs no receiver order
-    recovered = recover_secret(transcript.bits[rounds, 0], signs.T)
-    rate = int(np.count_nonzero(recovered != transcript.payloads[rounds])) / len(entries)
+    rounds, signs = entries[0]["rounds"], entries[0]["signs"]
+    recovered = recover_secret(transcript.bits[rounds, 0], signs.T)  # parity needs no order
+    rate = int(np.count_nonzero(recovered != transcript.payloads[rounds])) / len(rounds)
     return rate, rate > abort_threshold
 
 
@@ -227,23 +227,18 @@ def run_session(config: SessionConfig) -> SessionResult:
     masks, check, payloads = plan_sequences(
         config.rounds, config.check_fraction, config.message, config.n, plan_rng, config.all_subsets
     )
-    check_indices = np.flatnonzero(check).tolist()
-    schedule = announcement_schedule(check_indices, config.n, plan_rng)
+    check_rounds = np.flatnonzero(check)
+    orders = announcement_schedule(check_rounds.size, config.n, plan_rng)
 
     bits, eves = _run_rounds(masks, payloads, config)
     secrets = recover_secret(bits[:, 0], bits[:, 2:].T)  # each round's recovered bit
-    distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
-
-    positions = [mask_positions(mask) for mask in distinct.tolist()]
-    variant_lists = [list(positions[k]) for k in inverse.tolist()]
-    log = [{"event": "receipt_confirmed"}]
-    log.append({"event": "variants_announced", "variants": variant_lists})
-    log.append({"event": "check_indices", "rounds": check_indices})
-    orders = [list(schedule[i]) for i in check_indices]
-    # column r of the bits is receiver r's sign
-    announced = bits[np.array(check_indices)[:, None], orders].tolist()
-    for i, order, signs in zip(check_indices, orders, announced):
-        log.append({"event": "check_announcements", "round": i, "order": order, "signs": signs})
+    signs = bits[check_rounds[:, None], orders]  # column r of the bits is receiver r's sign
+    log = [
+        {"event": "receipt_confirmed"},
+        {"event": "variants_announced", "masks": masks},
+        {"event": "check_indices", "rounds": check_rounds},
+        {"event": "check_announcements", "rounds": check_rounds, "orders": orders, "signs": signs},
+    ]
     transcript = Transcript(masks, check, payloads, bits, eves, log)
 
     error_rate, detected = eavesdrop_check(transcript, config.abort_threshold)
@@ -252,13 +247,13 @@ def run_session(config: SessionConfig) -> SessionResult:
     recovered: str | None = None
     ber: float | None = None
     if not detected:
-        rounds = np.flatnonzero(~check).tolist()
-        alice_bits = bits[rounds, 0].tolist()
-        log.append({"event": "message_results", "rounds": rounds, "alice_bits": alice_bits})
+        rounds = np.flatnonzero(~check)
+        log.append({"event": "message_results", "rounds": rounds, "alice_bits": bits[rounds, 0]})
         recovered = "".join(map(str, secrets[rounds[: len(config.message)]].tolist()))
         wrong = sum(got != sent for got, sent in zip(recovered, config.message))
         ber = wrong / len(config.message) if config.message else 0.0
 
+    distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
     counted = inverse, inverse[check], inverse[check & (secrets != payloads)]  # as in _STATS
     counts = np.stack([np.bincount(c, minlength=distinct.size) for c in counted], 1).tolist()
     # the standard names first, in index order, then the other masks as they first appear
@@ -307,8 +302,12 @@ def transcript_lines(transcript: Transcript) -> list[str]:
     """
     orders = np.full(len(transcript.masks), "null", dtype=object)
     for entry in transcript.announcement_log:
-        if entry.get("event") == "check_announcements":
-            orders[entry["round"]] = _int_list(entry["order"])
+        if entry["event"] == "check_announcements":  # each distinct order rendered once
+            rows = np.ascontiguousarray(entry["orders"])  # one void key per row sorts fast
+            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+            texts = np.array([_int_list(row) for row in rows[first].tolist()], dtype=object)
+            orders[entry["rounds"]] = texts[inverse]
     distinct, inverse = np.unique(transcript.masks, return_inverse=True)
     variants = np.array([_int_list(mask_positions(m)) for m in distinct.tolist()], dtype=object)
     bits = transcript.bits

@@ -3,6 +3,8 @@
 It draws round by round, one ``Generator.integers`` call per bounded
 draw, and returns one ``RoundPlan`` per round.  ``plan_columns`` turns its
 plans into the (masks, check, payloads) columns the package returns.
+``scalar_schedule`` is the same kind of reference for
+``protocol.announcement_schedule``: one dict entry per check round.
 """
 
 import numpy as np
@@ -37,6 +39,22 @@ def scalar_plan(num_rounds, check_fraction, message, n, rng, all_subsets=False):
                 payload = int(rng.integers(2))
         plans.append(RoundPlan(i, variant, role, payload))
     return plans
+
+
+def scalar_schedule(check_indices, n, rng):
+    """Each check round's receiver order, keyed by round index, drawn one round at a time."""
+    indices = sorted(int(i) for i in check_indices)
+    schedule = {}
+    if n == 3:
+        shuffled = rng.permutation(len(indices))
+        bob_first = {indices[j] for j in shuffled[: len(indices) // 2]}
+        for i in indices:
+            schedule[i] = (2, 3) if i in bob_first else (3, 2)
+    else:
+        for i in indices:
+            order = rng.permutation(n - 1) + 2
+            schedule[i] = tuple(int(r) for r in order)
+    return schedule
 
 
 def plan_columns(plans):

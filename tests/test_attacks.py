@@ -540,10 +540,10 @@ def test_table_sampler_follows_the_threshold_rule(width, tapped):
         assert list(zip(index.tolist(), eve.tolist())) == [spec_sample(table, row) for row in us]
 
 
-def test_session_walk_memory_stays_bounded():
-    # the walk stacks and embeds in chunks, so a 500-round n=9 session's
-    # walk allocates at most 1 MiB above where it starts (numpy buffers
-    # included)
+def test_session_sampler_memory_stays_bounded():
+    # the sampler keeps one (variant, payload) table alive at a time, so a
+    # 500-round n=9 session's rounds allocate at most 1 MiB above where
+    # they start (numpy buffers included)
     config = SessionConfig(
         n=9, rounds=500, attack=AttackModel("collective_h_cnot"), mode="exact"
     )

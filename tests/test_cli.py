@@ -4,11 +4,14 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ghzqss
 from ghzqss import attacks
 from ghzqss.cli import main
 from ghzqss.protocol import standard_variants
@@ -55,6 +58,31 @@ def test_closed_pipe_is_pointed_at_devnull(capsys):
         assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "command", ["attack_analysis.py --parties 5", "detection_experiment.py --rounds 4000"]
+)
+def test_scripts_exit_quietly_when_their_reader_leaves(command):
+    # `script | head -n 1`: the reader closes the pipe after one line.  Unbuffered,
+    # every print is a write, so the first one after the close meets the closed pipe
+    name, *args = command.split()
+    script = Path(__file__).resolve().parent.parent / "scripts" / name
+    paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
+    with subprocess.Popen(
+        [sys.executable, str(script), *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    ) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.strip()
+    assert err == b""
+    assert code == 1
 
 
 # ------------------------------------------------------------------------ run

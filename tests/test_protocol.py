@@ -24,7 +24,7 @@ from ghzqss.protocol import (
     standard_variants,
 )
 from ghzqss.session import _stream
-from planner import plan_columns, scalar_plan
+from planner import plan_columns, scalar_plan, scalar_schedule
 from ghzqss.statevec import outcome_distribution, state_from_amplitudes, z_projections
 from records import distribution_dict
 from states import receiver_parity_state
@@ -387,18 +387,36 @@ def test_bounded_draws_in_one_call_match_scalar_integers(bound, word):
 
 def test_announcement_schedule_three_parties():
     rng = np.random.default_rng(9)
-    indices = list(range(0, 20, 2))
-    schedule = announcement_schedule(indices, 3, rng)
-    orders = list(schedule.values())
-    assert all(o in ((2, 3), (3, 2)) for o in orders)
-    assert sum(1 for o in orders if o == (2, 3)) == len(indices) // 2
+    orders = announcement_schedule(10, 3, rng)
+    assert orders.shape == (10, 2)
+    assert all(o in ([2, 3], [3, 2]) for o in orders.tolist())
+    assert orders.tolist().count([2, 3]) == 10 // 2
 
 
 def test_announcement_schedule_more_parties():
     rng = np.random.default_rng(9)
-    schedule = announcement_schedule([0, 1, 2], 5, rng)
-    for order in schedule.values():
+    orders = announcement_schedule(3, 5, rng)
+    assert orders.shape == (3, 4)
+    for order in orders.tolist():
         assert sorted(order) == [2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("num_check", (0, 1, 2, 7, 50))
+@pytest.mark.parametrize("n", range(3, 9))
+def test_announcement_schedule_matches_scalar_reference(n, num_check):
+    # row k is the k-th check round's order in the dict the scalar loop
+    # builds, and the generator ends where the loop leaves it; the
+    # planner's integers call may leave half a word buffered, so both starts
+    indices = [3 * k + 1 for k in reversed(range(num_check))]
+    for seed, buffered in itertools.product(PLANNER_SEEDS, (False, True)):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            rng.integers(5), reference.integers(5)
+        orders = announcement_schedule(num_check, n, rng)
+        schedule = scalar_schedule(indices, n, reference)
+        assert orders.shape == (num_check, n - 1) and orders.dtype.kind == "i"
+        assert orders.tolist() == [list(schedule[i]) for i in sorted(schedule)]
+        assert rng.bit_generator.state == reference.bit_generator.state
 
 
 def test_measure_round_consumes_one_draw_per_readout():

@@ -33,6 +33,12 @@ def empty_transcript():
     return Transcript(no_rounds, no_rounds > 0, no_rounds, np.zeros((0, 4), int), no_rounds, [])
 
 
+def check_announcements(transcript):
+    """The log's one check_announcements entry."""
+    (entry,) = [e for e in transcript.announcement_log if e["event"] == "check_announcements"]
+    return entry
+
+
 def small_config(**overrides):
     base = dict(n=3, rounds=12, check_fraction=0.5, seed=99, message="101")
     base.update(overrides)
@@ -122,13 +128,26 @@ def test_detected_session_withholds_message_results():
 
 def test_announcement_log_event_order():
     result = run_session(small_config())
-    events = [e["event"] for e in result.transcript.announcement_log]
-    assert events[0] == "receipt_confirmed"
-    assert events[1] == "variants_announced"
-    assert events[2] == "check_indices"
-    assert events.count("check_announcements") == 6
-    assert events.index("check_verdict") == len(events) - 2
-    assert events[-1] == "message_results"
+    transcript = result.transcript
+    log = transcript.announcement_log
+    assert [e["event"] for e in log] == [
+        "receipt_confirmed",
+        "variants_announced",
+        "check_indices",
+        "check_announcements",
+        "check_verdict",
+        "message_results",
+    ]
+    # every event is logged once, its values as columns rather than per-round entries
+    values = [v for e in log if e["event"] != "check_verdict" for k, v in e.items() if k != "event"]
+    assert len(values) == 7 and all(isinstance(v, np.ndarray) for v in values)
+    assert (log[1]["masks"] == transcript.masks).all()
+    check_rounds = np.flatnonzero(transcript.check)
+    assert log[2]["rounds"].tolist() == log[3]["rounds"].tolist() == check_rounds.tolist()
+    assert log[3]["orders"].shape == log[3]["signs"].shape == (6, 2)
+    message_rounds = np.flatnonzero(~transcript.check)
+    assert log[5]["rounds"].tolist() == message_rounds.tolist()
+    assert log[5]["alice_bits"].tolist() == transcript.bits[message_rounds, 0].tolist()
 
 
 def test_eavesdrop_check_reads_announced_signs():
@@ -136,10 +155,7 @@ def test_eavesdrop_check_reads_announced_signs():
     rate, detected = eavesdrop_check(result.transcript, 0.0)
     assert rate == 0.0 and detected is False
     # corrupt one announced sign: the audit must now see exactly one error
-    for entry in result.transcript.announcement_log:
-        if entry["event"] == "check_announcements":
-            entry["signs"][0] ^= 1
-            break
+    check_announcements(result.transcript)["signs"][0, 0] ^= 1
     rate, detected = eavesdrop_check(result.transcript, 0.0)
     assert rate == pytest.approx(0.1)
     assert detected is True
@@ -147,10 +163,7 @@ def test_eavesdrop_check_reads_announced_signs():
 
 def test_eavesdrop_check_threshold_is_strict():
     result = run_session(small_config(rounds=20, message=""))
-    for entry in result.transcript.announcement_log:
-        if entry["event"] == "check_announcements":
-            entry["signs"][0] ^= 1
-            break
+    check_announcements(result.transcript)["signs"][0, 0] ^= 1
     rate, detected = eavesdrop_check(result.transcript, 0.1)
     assert rate == pytest.approx(0.1)
     assert detected is False  # rate must exceed, not reach, the threshold
@@ -162,18 +175,30 @@ def test_announced_signs_belong_to_the_announcing_receivers(kind):
     # which parity alone cannot tell apart from any other arrangement
     result = run_session(small_config(n=5, rounds=60, attack=AttackModel(kind)))
     lines = [json.loads(t) for t in transcript_lines(result.transcript)]
-    entries = [e for e in result.transcript.announcement_log if e["event"] == "check_announcements"]
-    assert len(entries) == 30
-    for entry in entries:
-        line = lines[entry["round"]]
-        assert line["announcement_order"] == entry["order"]
+    entry = check_announcements(result.transcript)
+    assert len(entry["rounds"]) == 30
+    for i, order, announced in zip(*(entry[k].tolist() for k in ("rounds", "orders", "signs"))):
+        line = lines[i]
+        assert line["announcement_order"] == order
         signs = line["receiver_signs"]  # receivers 2..5 in party order
-        assert entry["signs"] == ["+-".index(signs[r - 2]) for r in entry["order"]]
+        assert announced == ["+-".index(signs[r - 2]) for r in order]
 
 
 def test_eavesdrop_check_requires_check_rounds():
-    with pytest.raises(ValueError):
-        eavesdrop_check(empty_transcript(), 0.0)
+    with pytest.raises(ValueError, match="no check rounds"):
+        eavesdrop_check(empty_transcript(), 0.0)  # a log without the announcements
+
+
+def test_eavesdrop_check_refuses_announcements_without_check_rounds():
+    # four message rounds: the announcements entry is logged, with no rows
+    masks, payloads, no_rows = np.zeros(4, int), np.array([1, 0, 1, 1]), np.zeros((0, 2), int)
+    entry = dict(event="check_announcements", rounds=no_rows[:, 0], orders=no_rows, signs=no_rows)
+    bits, eves = np.zeros((4, 4), int), np.full(4, -1)
+    transcript = Transcript(masks, masks > 0, payloads, bits, eves, [entry])
+    with pytest.raises(ValueError, match="no check rounds"):
+        eavesdrop_check(transcript, 0.0)
+    lines = transcript_lines(transcript)
+    assert [json.loads(line)["announcement_order"] for line in lines] == [None] * 4
 
 
 REPLAY_CASES = [
@@ -298,9 +323,10 @@ def test_transcript_line_format():
 def reference_lines(transcript):
     """The transcript lines as one ``json.dumps`` per round's record."""
     orders = {
-        e["round"]: list(e["order"])
+        i: order
         for e in transcript.announcement_log
         if e["event"] == "check_announcements"
+        for i, order in zip(e["rounds"].tolist(), e["orders"].tolist())
     }
     lines = []
     n = transcript.bits.shape[1] - 1
@@ -392,17 +418,17 @@ def test_check_rate_agrees_with_per_variant_stats():
 
 
 def reference_audit(transcript):
-    """The check's error rate, one log entry and one dict of signs at a time."""
+    """The check's error rate, one announced row and one dict of signs at a time."""
     alice_a = transcript.bits[:, 0].tolist()
     total = errors = 0
     for entry in transcript.announcement_log:
         if entry.get("event") != "check_announcements":
             continue
-        i = entry["round"]
-        announced = dict(zip(entry["order"], entry["signs"]))
-        signs = [announced[r] for r in sorted(announced)]
-        total += 1
-        errors += recover_secret(alice_a[i], signs) != transcript.payloads[i]
+        for i, order, row in zip(*(entry[k].tolist() for k in ("rounds", "orders", "signs"))):
+            announced = dict(zip(order, row))
+            signs = [announced[r] for r in sorted(announced)]
+            total += 1
+            errors += recover_secret(alice_a[i], signs) != transcript.payloads[i]
     return errors / total
 
 
@@ -439,7 +465,5 @@ def test_check_and_stats_match_per_round_loops(kind, n, all_subsets):
     assert list(stats.items()) == list(reference_stats(n, result.transcript).items())
     assert all(type(v) is int for counts in stats.values() for v in counts.values())
     # a corrupted announcement is seen by both audits
-    for entry in result.transcript.announcement_log:
-        if entry["event"] == "check_announcements":
-            entry["signs"][-1] ^= 1
+    check_announcements(result.transcript)["signs"][:, -1] ^= 1
     assert eavesdrop_check(result.transcript, 0.0)[0] == reference_audit(result.transcript)
