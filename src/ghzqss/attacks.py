@@ -33,15 +33,17 @@ sums run left to right (``np.cumsum`` or ``np.add.at``, never the
 pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
 cells of the information sum, since ``np.log2`` may differ in the last
 bit.
-``route_rounds`` samples a session's rounds from the same tables, one
-(variant, payload) at a time.  ``statevec`` reports every probability of
-these Clifford rounds as its exact dyadic, so the oracle's records and
-their running totals are exact, and so is every conditional probability
-of a readout given the ones before it.  A row moves down its table one
-measurement per step, under the threshold rule ``run_round`` applies to a
-collapsed state's (equal) probabilities, so each row is exactly the
-(bits, Bell record) pair that ``run_round``, the reference the sampler is
-tested against, returns from that row's draws.
+``route_rounds`` samples rounds from one such table, and a session builds
+each table it needs once (``session._run_rounds``).  ``statevec`` reports
+every probability of these Clifford rounds as its exact dyadic, so the
+oracle's records and their running totals are exact, and so is every
+conditional probability of a readout given the ones before it.  A row
+moves down its table one measurement per step, under the threshold rule
+``run_round`` applies to a collapsed state's (equal) probabilities, so
+each row is exactly the (bits, Bell record) pair that ``run_round``, the
+reference the sampler is tested against, returns from that row's draws.
+The oracle collapses each live Bell branch only when it reads it, so one
+branch state is alive at a time.
 """
 
 from __future__ import annotations
@@ -67,11 +69,11 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
+    _branches,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
     basis_state,
-    bell_projections,
     measure_bell,
     outcome_distribution,
 )
@@ -250,18 +252,16 @@ def exact_round_analysis(
     n = variant.n
     validate_round(n, attack)
     state, tap = _round_prefix(variant, payload_bit, attack)
-    branches: list[tuple[int, float, StateVector]] = [(-1, 1.0, state)]
+    weights = {-1: 1.0}  # each live branch's Bell record and probability
     if tap is not None:
         qubits, finish = tap
-        branches = [
-            (eve, p, finish(post))
-            for eve, p, post in bell_projections(state, *qubits)
-            if post is not None
-        ]
+        bell, collapse = _branches(state, "Bell", qubits)
+        weights = {eve: p for eve, p in enumerate(bell) if p > 0.0}
     plan = readout(n)
     parts = []
-    for eve, weight, branch in branches:
-        index, probs = outcome_distribution(branch, plan)
+    for eve, weight in weights.items():
+        # a Bell branch is collapsed only when it is read, so one is alive at a time
+        index, probs = outcome_distribution(state if tap is None else finish(collapse(eve)), plan)
         parts.append((index, np.full(index.size, eve), weight * probs))
     index, eve, p = (np.concatenate(column) for column in zip(*parts))
     return RecordTable(len(plan), index, eve, p)
@@ -360,41 +360,13 @@ def averaged_detection_rate(attack: AttackModel, n: int) -> float:
     return sum(rates) / len(rates)
 
 
-def route_rounds(
-    n: int, masks, payloads, attack: AttackModel, uniforms: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample many rounds, each from its (variant, payload)'s exact table.
+def route_rounds(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample one round per row of ``uniforms`` from ``table``, as ``run_round`` draws.
 
-    Row i of ``uniforms`` holds the draws, in ``run_round``'s order, of an
-    n-party round of the variant with mask ``masks[i]`` (``StateVariant.mask``)
-    carrying ``payloads[i]``; returns the readout bits (as
-    ``RecordTable.bits()``) and Bell record (-1: no attack) that
-    ``run_round`` gives each row.  The rows are sampled one (variant,
-    payload) group at a time, so at most one oracle table is alive.
-    """
-    uniforms = np.asarray(uniforms, dtype=np.float64)
-    masks, payloads = np.asarray(masks, dtype=np.int64), np.asarray(payloads, dtype=np.int64)
-    width = draws_per_round(attack, n)
-    bad_payloads = payloads.shape != masks.shape or not np.isin(payloads, (0, 1)).all()
-    if uniforms.shape != (masks.size, width) or bad_payloads:
-        raise ValueError(f"need a variant, a payload bit and a row of {width} uniforms per round")
-    # rows grouped by (variant mask, payload), each group's rows in row order
-    keys, inverse = np.unique(2 * masks + payloads, return_inverse=True)
-    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
-    index, eves = np.zeros(len(uniforms), dtype=np.int64), np.full(len(uniforms), -1)
-    for key, members in zip(keys.tolist(), groups):
-        variant = StateVariant.from_mask(n, key >> 1)
-        # only the call holds the table, so the next group's is built without it
-        index[members], eves[members] = _sample_table(
-            exact_round_analysis(variant, key & 1, attack), uniforms[members]
-        )
-    return _unpack(index, len(readout(n))), eves
-
-
-def _sample_table(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's (packed readout bits, Bell record), drawn from ``table`` as ``run_round`` draws.
-
-    The records' codes ``(eve + 1) << width | index`` ascend in table order,
+    Each row holds a round's draws in ``run_round``'s order, the Bell draw
+    first when the table has an attacker record; returns each row's readout
+    bits (as ``RecordTable.bits()``) and Bell record (-1: no attack).  The
+    records' codes ``(eve + 1) << width | index`` ascend in table order,
     so every node of the round's outcome tree is the run of records whose
     codes share its prefix, and the exact running sums of ``p`` give the
     probability of each run.  The Bell draw picks the first outcome whose
@@ -402,12 +374,15 @@ def _sample_table(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray,
     node's 1-child with one search and takes outcome 0 iff its draw lies
     below p(0).
     """
-    width = table.width
+    uniforms = np.asarray(uniforms, dtype=np.float64)
+    width, tapped = table.width, bool(table.eve[0] >= 0)
+    if uniforms.ndim != 2 or uniforms.shape[1] != width + tapped:
+        raise ValueError(f"need a row of {width + tapped} uniforms per round")
     codes = (table.eve + 1) << width | table.index
     totals = np.concatenate(([0.0], table.p.cumsum()))
     # each row's node: its code prefix, the running total below it, its probability
     prefix, below, mass = np.zeros(len(uniforms), dtype=np.int64), 0.0, totals[-1]
-    if table.eve[0] >= 0:  # the attacker's Bell tap, drawn first
+    if tapped:  # the attacker's Bell tap, drawn first
         # the first record whose running total exceeds the draw, else the last
         # record, lies in the first Bell outcome whose running total does
         first = np.minimum(totals[1:].searchsorted(uniforms[:, 0], "right"), codes.size - 1)
@@ -422,4 +397,4 @@ def _sample_table(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray,
         prefix, below = np.where(one, key, prefix), np.where(one, split, below)
         mass = np.where(one, mass - zero, zero)
     record = codes.searchsorted(prefix)
-    return table.index[record], table.eve[record]
+    return _unpack(table.index[record], width), table.eve[record]

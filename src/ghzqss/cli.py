@@ -117,8 +117,11 @@ _PARSER = _build_parser()
 
 def _parse_variant(args) -> StateVariant:
     if args.hadamard_positions is not None:
-        text = args.hadamard_positions.strip()
-        positions = [int(p) for p in text.split(",") if p.strip()] if text else []
+        text = args.hadamard_positions
+        try:
+            positions = [int(p) for p in text.split(",") if p.strip()]
+        except ValueError:  # int()'s message names neither the option nor its value
+            raise ValueError(f"--hadamard-positions {text!r} should look like 2,4") from None
         return StateVariant(args.parties, positions)
     name = args.variant.strip().lower()
     if not name.startswith("psi"):

@@ -12,9 +12,11 @@ round-by-round loop).  Round i's row of uniforms is defined as the first draws o
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
-tests).  It samples every round from the exact oracle's table for its
-(variant, payload) (``attacks.route_rounds``), which returns each round's
-record as one row of two arrays, its readout bits and Bell record.  The
+tests).  The exact oracle runs once per (variant, payload) table the
+session needs.  Each table samples its rounds (``attacks.route_rounds``),
+giving each round's record as one row of two arrays, its readout bits and
+Bell record, and an attacked exact session folds each standard variant's
+pair of tables into the reported information as they are built.  The
 transcript keeps the columns and the arrays as they are.  The
 announcements, the check, the per-variant counts and the transcript lines
 are array operations over them, and every round's bit is recovered once,
@@ -43,7 +45,7 @@ from .attacks import (
     AttackModel,
     draws_per_round,
     eve_mutual_information,
-    exact_tables,
+    exact_round_analysis,
     route_rounds,
     validate_round,
 )
@@ -55,6 +57,7 @@ from .protocol import (
     check_parties,
     mask_positions,
     plan_sequences,
+    readout,
     recover_secret,
     sign_strings,
     standard_variants,
@@ -210,11 +213,34 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
     return rate, rate > abort_threshold
 
 
-def _run_rounds(masks, payloads, config: SessionConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Every round's readout bits and Bell record, sampled from the oracle's tables."""
-    width = draws_per_round(config.attack, config.n)
-    uniforms = _round_uniforms(config.seed, np.arange(len(masks)), width)
-    return route_rounds(config.n, masks, payloads, config.attack, uniforms)
+def _run_rounds(
+    masks, payloads, config: SessionConfig
+) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """Every round's readout bits and Bell record, and the folded information values.
+
+    Each table is built once, in ascending ``2 * mask + payload`` order, and
+    samples its rounds (``route_rounds``).  An attacked exact session also
+    builds both tables of every standard variant and folds each pair with
+    ``eve_mutual_information`` when its payload-1 table arrives, so the
+    values come in standard index (= ascending mask) order.  Only a pair's
+    payload-0 table outlives the next build.
+    """
+    n, attack = config.n, config.attack
+    uniforms = _round_uniforms(config.seed, np.arange(len(masks)), draws_per_round(attack, n))
+    keys = 2 * np.asarray(masks, dtype=np.int64) + payloads
+    folded = {v.mask for v in standard_variants(n) if config.mode == "exact" and attack.active}
+    bits, eves = np.zeros((keys.size, len(readout(n))), dtype=np.int64), np.full(keys.size, -1)
+    infos, pair = [], {}
+    for key in sorted({*keys.tolist(), *(2 * mask + p for mask in folded for p in (0, 1))}):
+        mask, payload = divmod(key, 2)
+        pair[payload] = exact_round_analysis(StateVariant.from_mask(n, mask), payload, attack)
+        rows = np.flatnonzero(keys == key)
+        bits[rows], eves[rows] = route_rounds(pair[payload], uniforms[rows])
+        if mask in folded and payload:
+            infos.append(eve_mutual_information(pair))
+        if mask not in folded or payload:
+            pair.clear()
+    return bits, eves, infos
 
 
 _STATS = ("rounds", "check_rounds", "check_errors")  # per variant, in report order
@@ -230,7 +256,7 @@ def run_session(config: SessionConfig) -> SessionResult:
     check_rounds = np.flatnonzero(check)
     orders = announcement_schedule(check_rounds.size, config.n, plan_rng)
 
-    bits, eves = _run_rounds(masks, payloads, config)
+    bits, eves, infos = _run_rounds(masks, payloads, config)
     secrets = recover_secret(bits[:, 0], bits[:, 2:].T)  # each round's recovered bit
     signs = bits[check_rounds[:, None], orders]  # column r of the bits is receiver r's sign
     log = [
@@ -263,12 +289,8 @@ def run_session(config: SessionConfig) -> SessionResult:
         stats[name] = dict(zip(_STATS, counts[k]))
 
     mi: float | None = None
-    if config.mode == "exact":
-        mi = 0.0  # an unattacked round leaves no record, so no oracle run is needed
-        if config.attack.active:
-            variants = standard_variants(config.n)
-            values = [eve_mutual_information(exact_tables(config.attack, v)) for v in variants]
-            mi = sum(values) / len(values)
+    if config.mode == "exact":  # an unattacked round leaves no record, so nothing is folded
+        mi = sum(infos) / len(infos) if infos else 0.0
 
     report = SessionReport(
         config=config,

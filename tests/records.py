@@ -1,7 +1,8 @@
 """The engine's packed records, read back as the tuples and dicts tests compare.
 
 A record leaves the package only as arrays: a ``RecordTable``'s columns,
-``route_rounds``' per-row readout bits and Bell records, and
+the per-row readout bits and Bell records that ``route_rounds`` samples
+from one table (and a session's ``Transcript`` holds), and
 ``outcome_distribution``'s packed indices and probabilities.  These helpers
 turn them into plain Python values, in the arrays' order, so that tests
 can compare with ``==`` and check ordering.  A record reads as

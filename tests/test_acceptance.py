@@ -208,10 +208,9 @@ def test_oracle_sample_agreement():
                 for payload in (0, 1):
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
-                    counts = record_counts(
-                        *route_rounds(3, [variant.mask] * rounds, [payload] * rounds, attack, us)
-                    )
-                    exact = table_dict(exact_round_analysis(variant, payload, attack))
+                    table = exact_round_analysis(variant, payload, attack)
+                    counts = record_counts(*route_rounds(table, us))
+                    exact = table_dict(table)
                     assert set(counts) <= set(exact)
                     for key, p in exact.items():
                         se = math.sqrt(rounds * p * (1 - p))

@@ -21,7 +21,6 @@ from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
     RecordTable,
-    _sample_table,
     averaged_detection_rate,
     conditional_detection_rate,
     draws_per_round,
@@ -214,6 +213,21 @@ def test_oracle_reads_each_branch_through_outcome_distribution(kind, n, vidx, mo
         assert live_branches > 1
 
 
+def test_oracle_peak_memory_stays_within_three_tables():
+    # each Bell branch is collapsed only when it is read, so at n=14 the
+    # collective-CNOT table of the all-Hadamard variant (3 MiB) is built
+    # with at most three tables' worth of memory in use
+    variant = StateVariant.from_index(14, 15)
+    for payload in (0, 1):
+        tracemalloc.start()
+        try:
+            table = exact_round_analysis(variant, payload, CNOT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * (table.index.nbytes + table.eve.nbytes + table.p.nbytes)
+
+
 def test_exact_analysis_validation():
     with pytest.raises(ValueError):
         exact_round_analysis(V[1], 2, AttackModel())
@@ -301,6 +315,18 @@ def test_clean_tables_carry_exactly_zero_information(n):
         assert eve_mutual_information(exact_tables(AttackModel(), variant)) == 0.0
 
 
+@pytest.mark.parametrize("n", range(3, 9))
+def test_standard_tables_carry_exactly_zero_information(n):
+    # every cell of the information sum has p(view, payload) = p(view) / 2, so
+    # each term is p * log2(1) = 0 and the fold is exactly 0.0, for every
+    # attack, every valid target and every standard variant
+    for kind in ATTACK_KINDS:
+        for target in range(2 + (kind == "intercept_resend_bell"), n + 1):
+            attack = AttackModel(kind, target)
+            for variant in standard_variants(n):
+                assert eve_mutual_information(exact_tables(attack, variant)) == 0.0, (kind, target)
+
+
 @pytest.mark.parametrize(
     "kind,vidx", [("collective_cnot", 1), ("collective_cnot", 2), ("collective_h_cnot", 3), ("collective_h_cnot", 4)]
 )
@@ -353,10 +379,8 @@ def replayed_record(variant, payload, attack, row):
 
 
 def routed_records(variant, payload, attack, us):
-    """Each row's record from one sampler call, in row order."""
-    return row_records(
-        *route_rounds(variant.n, [variant.mask] * len(us), [payload] * len(us), attack, us)
-    )
+    """Each row's record from one sampler call on the (variant, payload) table, in row order."""
+    return row_records(*route_rounds(exact_round_analysis(variant, payload, attack), us))
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
@@ -420,8 +444,9 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    counts = record_counts(*route_rounds(3, [V[2].mask] * n, [1] * n, INTERCEPT, us))
-    exact = table_dict(exact_round_analysis(V[2], 1, INTERCEPT))
+    table = exact_round_analysis(V[2], 1, INTERCEPT)
+    counts = record_counts(*route_rounds(table, us))
+    exact = table_dict(table)
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         se = math.sqrt(n * p * (1 - p))
@@ -429,55 +454,69 @@ def test_bulk_sampler_matches_exact_distribution():
 
 
 def test_bulk_sampler_shape_validation():
+    # a tapped table needs its Bell draw in front of the readout's
     with pytest.raises(ValueError):
-        route_rounds(3, [0] * 10, [0] * 10, INTERCEPT, np.zeros((10, 4)))
+        route_rounds(exact_round_analysis(V[1], 0, INTERCEPT), np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        route_rounds(3, [0] * 40, [0] * 40, AttackModel(), np.zeros(40))
+        route_rounds(exact_round_analysis(V[1], 0, AttackModel()), np.zeros(40))
     with pytest.raises(ValueError):
-        route_rounds(3, [0] * 10, [0] * 9, INTERCEPT, np.zeros((10, 5)))
-    with pytest.raises(ValueError):
-        route_rounds(3, [0] * 10, [2] * 10, INTERCEPT, np.zeros((10, 5)))  # not a payload bit
+        route_rounds(exact_round_analysis(V[1], 0, AttackModel()), np.zeros((10, 5)))
 
 
+@pytest.mark.parametrize("mode", ("sample", "exact"))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n", (3, 5, 8))
-def test_mixed_rows_replay_run_round_exactly(kind, n):
-    # one sampler call over rows of every variant and payload, as a session makes it
+def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
+    # a session's rows of every variant and payload, sampled as it samples
+    # them, against each round simulated alone from its own stream; an
+    # attacked exact session also folds every standard variant's pair
     attack = AttackModel(kind)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind)))
     variants = [standard_variants(n)[i] for i in rng.integers(n + 1, size=120)]
     payloads = rng.integers(2, size=120)
-    us = rng.random((120, draws_per_round(attack, n)))
+    config = SessionConfig(n=n, attack=attack, seed=n, mode=mode)
     expected = [
-        replayed_record(variant, int(payload), attack, row)
-        for variant, payload, row in zip(variants, payloads, us)
+        run_round(RoundPlan(i, variant, "check", int(payload)), attack, session._stream(n, i))
+        for i, (variant, payload) in enumerate(zip(variants, payloads))
     ]
     masks = [variant.mask for variant in variants]
-    assert row_records(*route_rounds(n, masks, payloads, attack, us)) == expected
+    bits, eves, infos = session._run_rounds(masks, payloads, config)
+    assert row_records(bits, eves) == row_records(*zip(*expected))
+    folded = [eve_mutual_information(exact_tables(attack, v)) for v in standard_variants(n)]
+    assert infos == (folded if mode == "exact" and attack.active else [])
 
 
+@pytest.mark.parametrize("mode", ("sample", "exact"))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
-@pytest.mark.parametrize("n", (3, 5))
-def test_route_rounds_builds_one_table_per_group(kind, n, monkeypatch):
-    # one oracle run per distinct (variant mask, payload) among the rows, and
-    # each group's table is freed before the next group's is built
-    built, alive = [], []
+@pytest.mark.parametrize("n,rounds", ((3, 80), (5, 80), (5, 6)))
+def test_each_route_rounds_table_is_built_once_and_freed(kind, n, rounds, mode, monkeypatch):
+    # one oracle run per key 2 * mask + payload, in ascending order: the
+    # planned keys, plus both keys of every standard variant in an attacked
+    # exact session (6 rounds plan at most half of them).  Each table is
+    # freed before the next is built, except a folded pair's payload-0
+    # table, which lives until its pair arrives
+    attack = AttackModel(kind)
+    standard = {v.mask for v in standard_variants(n) if mode == "exact" and attack.active}
+    built, alive = [], {}
     oracle = attacks.exact_round_analysis
 
     def counted(variant, payload, attack):
-        assert all(ref() is None for ref in alive)
-        built.append((variant.mask, payload))
+        mask = variant.mask
+        waiting = [(mask, 0)] if mask in standard and payload else []
+        assert [key for key, ref in alive.items() if ref() is not None] == waiting
+        built.append(2 * mask + payload)
         table = oracle(variant, payload, attack)
-        alive.append(weakref.ref(table))
+        alive[mask, payload] = weakref.ref(table)
         return table
 
-    monkeypatch.setattr(attacks, "exact_round_analysis", counted)
-    attack = AttackModel(kind)
+    monkeypatch.setattr(session, "exact_round_analysis", counted)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
-    masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=80)]
-    payloads = rng.integers(2, size=80).tolist()
-    route_rounds(n, masks, payloads, attack, rng.random((80, draws_per_round(attack, n))))
-    assert sorted(built) == sorted(set(zip(masks, payloads)))
+    masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=rounds)]
+    payloads = rng.integers(2, size=rounds)
+    session._run_rounds(masks, payloads, SessionConfig(n=n, attack=attack, mode=mode))
+    planned = {2 * m + p for m, p in zip(masks, payloads.tolist())}
+    assert built == sorted(planned | {2 * m + p for m in standard for p in (0, 1)})
+    assert all(ref() is None for ref in alive.values())
 
 
 def random_table(rng, width, tapped):
@@ -536,7 +575,8 @@ def test_table_sampler_follows_the_threshold_rule(width, tapped):
             rng.choice(edges, size=(160, columns)),
             rng.random((160, columns)),
         )
-        index, eve = _sample_table(table, us)
+        bits, eve = route_rounds(table, us)
+        index = bits @ (1 << np.arange(width - 1, -1, -1))
         assert list(zip(index.tolist(), eve.tolist())) == [spec_sample(table, row) for row in us]
 
 

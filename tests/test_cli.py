@@ -14,7 +14,7 @@ import pytest
 import ghzqss
 from ghzqss import attacks
 from ghzqss.cli import main
-from ghzqss.protocol import standard_variants
+from ghzqss.protocol import StateVariant, standard_variants
 
 
 def run_cli(capsys, *argv):
@@ -291,6 +291,14 @@ def test_analyze_bad_variant_exits_2(capsys):
     assert out == ""
 
 
+@pytest.mark.parametrize("positions", ("a", "2,x", "2;4"))
+def test_analyze_bad_hadamard_positions_exit_2_naming_the_option(capsys, positions):
+    code, out, err = run_cli(capsys, "analyze", "--parties", "4", "--hadamard-positions", positions)
+    assert code == 2
+    assert out == ""
+    assert f"--hadamard-positions {positions!r}" in err
+
+
 def test_analyze_impossible_condition_exits_2_before_printing(capsys):
     # without an attack no record carries a Bell outcome; the failed command
     # must not leave the tables it would have printed on stdout
@@ -354,16 +362,16 @@ def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, targ
 
 
 def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):
-    # analyze folds every figure over one pair of oracle tables; a session
-    # samples each (variant, payload) it plans from one table, and in exact
-    # mode the information fold adds one pair per standard variant, none
-    # without an attack
+    # analyze folds every figure over one pair of oracle tables.  A session
+    # builds one table per key 2 * mask + payload, in ascending order: each
+    # planned key, plus, in an attacked exact session, both keys of every
+    # standard variant, whose pairs its information fold reads
     calls = []
     oracle = attacks.exact_round_analysis
 
-    def counted(*args):
-        calls.append(args)
-        return oracle(*args)
+    def counted(variant, payload, attack):
+        calls.append(2 * variant.mask + payload)
+        return oracle(variant, payload, attack)
 
     # every ghzqss namespace that holds the oracle, so no caller escapes the count
     for name, module in list(sys.modules.items()):
@@ -374,21 +382,24 @@ def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkey
     )
     assert code == 0
     assert len(calls) == 2
-    for attack in ("none", "intercept-resend"):
-        calls.clear()
-        out_dir = tmp_path / attack
-        code, _out, _err = run_cli(
-            capsys, "run", "--mode", "exact", "--rounds", "16", "--attack", attack,
-            "--out", str(out_dir),
-        )
-        assert code == 0
-        lines = (out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
-        planned = {(tuple(r["variant"]), r["payload_bit"]) for r in map(json.loads, lines)}
-        sampled = [(tuple(sorted(v.hadamard_positions)), p) for v, p, _a in calls[: len(planned)]]
-        assert sorted(sampled) == sorted(planned)
-        folded = [(v, p) for v, p, _a in calls[len(planned) :]]
-        fold = [(v, p) for v in standard_variants(3) for p in (0, 1)]
-        assert folded == (fold if attack != "none" else [])
+    for n, rounds in ((3, "16"), (4, "6"), (9, "500")):
+        standard = {2 * v.mask + p for v in standard_variants(n) for p in (0, 1)}
+        for mode in ("sample", "exact"):
+            for attack in ("none", "intercept-resend"):
+                calls.clear()
+                out_dir = tmp_path / f"{n}-{mode}-{attack}"
+                code, _out, _err = run_cli(
+                    capsys, "run", "--parties", str(n), "--rounds", rounds, "--mode", mode,
+                    "--attack", attack, "--out", str(out_dir),
+                )
+                assert code == 0
+                lines = (out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
+                rows = map(json.loads, lines)
+                planned = {2 * StateVariant(n, r["variant"]).mask + r["payload_bit"] for r in rows}
+                folded = standard if mode == "exact" and attack != "none" else set()
+                assert calls == sorted(planned | folded)
+                if n == 9 and folded:
+                    assert len(calls) == 20  # each key of the 10 standard variants, once
 
 
 def test_analyze_respects_env_free_success_contract(capsys):

@@ -4,9 +4,11 @@ Each command's stdout (and, for ``run``, its transcript and report) must
 hash to the recorded digest, and so must the stdout of
 ``scripts/attack_analysis.py --parties 4`` and of
 ``scripts/detection_experiment.py --rounds 400``, so any change that moves a
-printed digit or a transcript byte fails here.  Exact-mode reports are left out: their
-full-precision mutual information may differ in the last ulp on another
-numpy build.  The digests were recorded on Python 3.11 with numpy 2.4.6.
+printed digit or a transcript byte fails here.  Exact-mode reports are
+pinned too: their mutual information is exactly 0.0 on any build, since
+every term of its sum is p * log2(1) = 0 (``test_attacks`` checks this for
+n=3..8, every attack, target and standard variant).  The digests were
+recorded on Python 3.11 with numpy 2.4.6.
 """
 
 import hashlib
@@ -70,6 +72,15 @@ RUN = [
 ] + [
     ("run", "--parties", "4", "--rounds", "200", "--seed", "3", "--all-subsets",
      "--attack", "collective-h-cnot"),
+] + [
+    ("run", "--parties", str(n), "--rounds", rounds, "--seed", "7", "--attack", attack,
+     "--random-message", "8", "--mode", "exact")
+    for n, rounds in ((3, "200"), (9, "120"))
+    for attack in ATTACKS
+] + [
+    # six rounds plan only 3 of the 10 standard keys, and 3 keys of other subsets
+    ("run", "--parties", "4", "--rounds", "6", "--seed", "3", "--all-subsets",
+     "--attack", "intercept-resend", "--mode", "exact"),
 ]
 
 GOLDEN = {
@@ -225,6 +236,24 @@ GOLDEN = {
         "9d0464a2d2042bac3045e80e69dbd20bd2a234718f7af246cb549d3efcea19ca",
     "analyze --parties 10 --variant Psi10 --attack collective-cnot":
         "bd6faa0ac87f395e9b6fefa68ffa144257bc7a83b5395523a421a9587a3ea809",
+    "run --parties 3 --rounds 200 --seed 7 --attack none --random-message 8 --mode exact":
+        "a8d63190b7bec90dcb115f21c5a1cd76835096cfc29dcedcfb9695931e440997",
+    "run --parties 3 --rounds 200 --seed 7 --attack intercept-resend --random-message 8 --mode exact":
+        "60f2e3a707506832be65df110149b51fbb640921fc08ef09107d0f6d0c4f8f66",
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-cnot --random-message 8 --mode exact":
+        "e81c4c0b55312dc5d4c9a5568b79e56e04a7aed9e7b9aa1fb684658211bd2134",
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-h-cnot --random-message 8 --mode exact":
+        "112c3a823a4e44e2527f575d63dc2ca4dfb2bbfb0fedb03d757973cc38eb7ae0",
+    "run --parties 9 --rounds 120 --seed 7 --attack none --random-message 8 --mode exact":
+        "95c11933421b453256d7b47449639f246d20ceb344fd120ca5efb45bdc30a6dc",
+    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --random-message 8 --mode exact":
+        "6e43961967b2d8b374251203ea6e745426a3430dfafa1933ab03b4e97aa91d9c",
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --random-message 8 --mode exact":
+        "5bd92dfd83edfca88f46558f458f1dba517bd93f08a452f8ffefde0b16285dfd",
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --random-message 8 --mode exact":
+        "5990139b00d7a02d1d0211c0aa17d8f9093205d38923535aaf7ebdbce0e47396",
+    "run --parties 4 --rounds 6 --seed 3 --all-subsets --attack intercept-resend --mode exact":
+        "c5bf1a8541f6d03f404d426e9e5bef717085b55c4d589a699ec512fa793ad555",
 }
 
 # stdout of each script run with these arguments

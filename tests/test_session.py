@@ -202,27 +202,38 @@ def test_eavesdrop_check_refuses_announcements_without_check_rounds():
 
 
 REPLAY_CASES = [
-    (n, kind, None, all_subsets)
+    (n, kind, None, all_subsets, "sample", 80)
     for n in (3, 4, 5)
     for kind in ATTACK_KINDS
     for all_subsets in (False, True)
 ] + [
-    (4, "intercept_resend_bell", 3, False),
-    (5, "intercept_resend_bell", 3, True),
-    (8, "collective_h_cnot", None, False),
-    (8, "collective_h_cnot", None, True),
+    (4, "intercept_resend_bell", 3, False, "sample", 80),
+    (5, "intercept_resend_bell", 3, True, "sample", 80),
+    (8, "collective_h_cnot", None, False, "sample", 80),
+    (8, "collective_h_cnot", None, True, "sample", 80),
+] + [
+    # exact mode samples the folded standard pairs' tables
+    (n, kind, None, False, "exact", 80)
+    for n in (3, 4, 5)
+    for kind in ATTACK_KINDS
+] + [
+    (4, "collective_cnot", None, True, "exact", 80),
+    # a plan that misses most standard keys: their tables are built only to be folded
+    (5, "intercept_resend_bell", None, False, "exact", 6),
 ]
 
 
-@pytest.mark.parametrize("n,kind,target,all_subsets", REPLAY_CASES)
-def test_session_replays_run_round_exactly(n, kind, target, all_subsets):
+@pytest.mark.parametrize("n,kind,target,all_subsets,mode,rounds", REPLAY_CASES)
+def test_session_replays_run_round_exactly(n, kind, target, all_subsets, mode, rounds):
     # the batched session must give every round exactly what simulating it
     # alone from its own (seed, round index) stream gives
     attack = AttackModel(kind, target)
-    config = small_config(n=n, rounds=80, attack=attack, all_subsets=all_subsets, seed=n)
+    config = small_config(
+        n=n, rounds=rounds, attack=attack, all_subsets=all_subsets, seed=n, mode=mode
+    )
     transcript = run_session(config).transcript
     plans = round_plans(n, transcript.masks, transcript.check, transcript.payloads)
-    assert len(plans) == 80
+    assert len(plans) == rounds
     alone = [run_round(p, attack, _stream(config.seed, p.round_index)) for p in plans]
     assert row_records(transcript.bits, transcript.eves) == row_records(*zip(*alone))
 
