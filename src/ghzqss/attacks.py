@@ -226,10 +226,6 @@ class RecordTable:
         for array in (self.index, self.eve, self.p):
             array.flags.writeable = False
 
-    def bits(self) -> np.ndarray:
-        """Each record's readout bits, one row per record, alice_a first."""
-        return _unpack(self.index, self.width)
-
 
 def _unpack(index: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` bits of each packed index, one row each, most significant first."""
@@ -300,9 +296,11 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
     weights, errors = [], []
     for payload in (0, 1):
         table = tables[payload]
-        bits = table.bits()
-        # the recovery rule XORs whole columns: alice_a, then each receiver's signs
-        flagged = recover_secret(bits[:, 0], bits[:, 2:].T) != payload
+        index, width = table.index, table.width
+        # recover_secret keeps the low bit of its XOR, so each shift only has to
+        # bring alice_a or one receiver's sign down to bit 0
+        signs = [index >> bit for bit in range(width - 3, -1, -1)]
+        flagged = recover_secret(index >> width - 1, signs) != payload
         kept = np.full(table.p.size, True)
         if condition is not None:
             kept = (table.eve == condition) & (table.eve >= 0)
@@ -341,7 +339,7 @@ def eve_mutual_information(tables: ExactTables) -> float:
     cells: list[tuple[int, int]] = []
     for payload in (0, 1):
         table = tables[payload]
-        view = 2 * table.eve + table.bits()[:, 2]
+        view = 2 * table.eve + (table.index >> table.width - 3 & 1)  # receiver 2's sign
         np.add.at(joint[payload], view, 0.5 * table.p)
         seen, first = np.unique(view, return_index=True)
         cells += [(payload, cell) for cell in seen[np.argsort(first)].tolist()]
@@ -365,14 +363,14 @@ def route_rounds(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, 
 
     Each row holds a round's draws in ``run_round``'s order, the Bell draw
     first when the table has an attacker record; returns each row's readout
-    bits (as ``RecordTable.bits()``) and Bell record (-1: no attack).  The
-    records' codes ``(eve + 1) << width | index`` ascend in table order,
-    so every node of the round's outcome tree is the run of records whose
-    codes share its prefix, and the exact running sums of ``p`` give the
-    probability of each run.  The Bell draw picks the first outcome whose
-    running total exceeds it; each readout finds the first record of the
-    node's 1-child with one search and takes outcome 0 iff its draw lies
-    below p(0).
+    bits (one row per round, alice_a first) and Bell record (-1: no
+    attack).  The records' codes ``(eve + 1) << width | index`` ascend in
+    table order, so every node of the round's outcome tree is the run of
+    records whose codes share its prefix, and the exact running sums of
+    ``p`` give the probability of each run.  The Bell draw picks the first
+    outcome whose running total exceeds it; each readout finds the first
+    record of the node's 1-child with one search and takes outcome 0 iff
+    its draw lies below p(0).
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     width, tapped = table.width, bool(table.eve[0] >= 0)

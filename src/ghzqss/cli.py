@@ -5,9 +5,10 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-``analyze`` renders each payload's table from its arrays, one ``%``
-format over all lines, and writes its whole output at once, after every
-figure is computed.
+``analyze`` renders each payload's table from its arrays: every line has
+the same width, so the table is one byte array, one row per line, whose
+columns are written in place.  It writes its whole output at once, after
+every figure is computed.
 
 Exit codes: 0 success, 1 recovery-table mismatch or stdout closed by its
 reader (e.g. piped into ``head``), 2 usage or validation error, 3 register
@@ -30,7 +31,7 @@ from .attacks import (
     eve_mutual_information,
     exact_tables,
 )
-from .protocol import StateVariant, check_message_size, recover_secret, sign_strings
+from .protocol import StateVariant, check_message_size, recover_secret
 from .session import (
     SessionConfig,
     check_seed,
@@ -176,29 +177,37 @@ def cmd_run(args) -> int:
     return 0
 
 
-# the text of a record's attacker field, indexed by RecordTable.eve (-1: no record)
-_EVE_TEXT = np.array(["0", "1", "2", "3", "-"], dtype=object)
-
-
 def _table_text(payload: int, table: RecordTable) -> str:
     """One payload's joint distribution as ``analyze`` prints it.
 
-    Lines run in ascending (alice_a, alice_A, signs, eve).  The columns are
-    gathered from the table's arrays and formatted by one ``%`` over all
-    lines; ``%.8f`` gives the same digits as ``format(p, ".8f")``.
+    Lines run in ascending (alice_a, alice_A, signs, eve), each
+    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A record's p is at
+    most 1, so its text is always 10 characters and every line has the
+    same width: the lines are rows of one byte array, copied from one
+    template and overwritten column by column.  Each distinct p is
+    formatted once, by ``%.8f``, and gathered into its rows.
     """
     order = np.lexsort((table.eve, table.index))
-    bits = table.bits()[order]
-    columns = np.empty((order.size, 5), dtype=object)
-    columns[:, 0] = bits[:, 0]
-    columns[:, 1] = bits[:, 1]
-    columns[:, 2] = sign_strings(bits)
-    columns[:, 3] = _EVE_TEXT[table.eve[order]]
-    columns[:, 4] = table.p[order]
-    line = "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
-    return f"payload {payload} joint distribution:\n" + (line * order.size) % tuple(
-        columns.ravel().tolist()
+    index, eve, width = table.index[order], table.eve[order], table.width
+    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve=0  p=0.00000000\n"
+    rows = np.empty((order.size, len(template)), dtype=np.uint8)
+    rows[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    # each field's first column
+    a, big_a, signs, e = (
+        template.index(key) + len(key) for key in ("alice_a=", "alice_A=", "signs=", "eve=")
     )
+    # each index's four bytes (the qubit cap keeps width under 32), most significant
+    # first, as bits: the last width are the record's readout bits, alice_a first
+    bits = np.unpackbits(index.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - width :]
+    rows[:, a] = ord("0") + bits[:, 0]
+    rows[:, big_a] = ord("0") + bits[:, 1]
+    rows[:, signs : signs + width - 2] = ord("+") + 2 * bits[:, 2:]  # "+" and "-" are 2 apart
+    rows[:, e] = np.where(eve < 0, ord("-"), ord("0") + eve)
+    values, inverse = np.unique(table.p[order], return_inverse=True)
+    text = ("%.8f" * values.size) % tuple(values.tolist())
+    texts = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 10)
+    rows[:, -11:-1] = texts.take(inverse, axis=0)
+    return f"payload {payload} joint distribution:\n" + rows.tobytes().decode("ascii")
 
 
 def cmd_analyze(args) -> int:

@@ -35,7 +35,7 @@ def record_counts(bits, eve):
 
 def table_dict(table):
     """A ``RecordTable`` as {record: probability}, in table order."""
-    return dict(zip(row_records(table.bits(), table.eve), table.p.tolist()))
+    return dict(zip(row_records(_unpack(table.index, table.width), table.eve), table.p.tolist()))
 
 
 def distribution_dict(distribution, width):

@@ -13,7 +13,7 @@ import pytest
 
 import ghzqss
 from ghzqss import attacks
-from ghzqss.cli import main
+from ghzqss.cli import _table_text, main
 from ghzqss.protocol import StateVariant, standard_variants
 
 
@@ -225,6 +225,55 @@ def test_run_capacity_failure_exits_3(capsys, tmp_path):
 
 
 # -------------------------------------------------------------------- analyze
+
+
+def reference_table_text(payload, table):
+    """One payload's printout, one ``%`` format per record, ascending (index, eve)."""
+    lines = [f"payload {payload} joint distribution:\n"]
+    for index, eve, p in sorted(zip(table.index.tolist(), table.eve.tolist(), table.p.tolist())):
+        bits = format(index, f"0{table.width}b")
+        signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
+        eve_text = "-" if eve < 0 else str(eve)
+        lines.append(
+            "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
+            % (int(bits[0]), int(bits[1]), signs, eve_text, p)
+        )
+    return "".join(lines)
+
+
+def random_record_table(rng, width, tapped):
+    """A table in the oracle's order: eve-major blocks of ascending indices.
+
+    Its probabilities mix 1.0, exact dyadics whose 9th decimal is 5 (so
+    ``%.8f`` rounds half to even), near-halfway decimals, many distinct
+    random values, and repeats of each.
+    """
+    eves = np.sort(rng.choice(4, size=rng.integers(1, 5), replace=False)) if tapped else [-1]
+    blocks = [
+        np.sort(rng.choice(1 << width, size=rng.integers(1, (1 << width) + 1), replace=False))
+        for _ in eves
+    ]
+    index = np.concatenate(blocks)
+    eve = np.concatenate([np.full(block.size, e) for block, e in zip(blocks, eves)])
+    halfway = [2.0**-9, 3 * 2.0**-9, 5 * 2.0**-9, 2.0**-9 + 2.0**-3]
+    near_halfway = np.floor(rng.random(8) * 1e8) / 1e8 + 5e-9  # below 1
+    pool = np.concatenate(([1.0], halfway, near_halfway, rng.random(index.size)))
+    return attacks.RecordTable(width, index, eve, rng.choice(pool, size=index.size))
+
+
+@pytest.mark.parametrize("tapped", (False, True))
+@pytest.mark.parametrize("width", range(3, 14))
+def test_table_text_equals_a_per_record_format(width, tapped):
+    rng = np.random.default_rng(width + 100 * tapped)
+    # a lone certain record, then random tables
+    eve = np.array([3 if tapped else -1])
+    certain = attacks.RecordTable(width, np.array([1 << width - 1]), eve, np.array([1.0]))
+    tables = [certain] + [random_record_table(rng, width, tapped) for _ in range(3)]
+    for payload, table in enumerate(tables):
+        text = _table_text(payload % 2, table)
+        # compared as lines: pytest reports the first that differs, not a diff of the text
+        assert text.endswith("\n")
+        assert text.splitlines() == reference_table_text(payload % 2, table).splitlines()
 
 
 def test_analyze_clean_round(capsys):
