@@ -16,34 +16,36 @@ another receiver, i.e. strictly before the round's variant is announced:
   sign he later announces comes from a particle already collapsed into a
   Bell pair with the probe.
 
-Every path builds a round from one prefix, ``_round_prefix`` (prepare,
-tap, correct, encode, deferred Bell measurement), so the exact oracle and
-the one-round reference model the identical circuit.
 ``exact_round_analysis`` enumerates the exact joint distribution of one
 round's classical record and backs every security number in this package:
 ``exact_tables`` runs it once per payload bit, and the detection rate, the
 attacker's record distribution and information are pure folds over that
 pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
+The oracle writes the round on a symbolic stabilizer tableau
+(``stabilizer.Tableau``): each random outcome is a free bit and every
+record bit an affine form in them, so a table is 2^V equally likely
+records, found in time polynomial in n.  ``run_round``, the one-round
+reference, simulates the same round on the dense engine from one prefix,
+``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
+measurement), and the tests pin the oracle ``==`` to the dense
+enumeration of that prefix (``tests/reference.py``).
 A record is always held as arrays: a table is a ``RecordTable``, three
 read-only arrays (packed readout bits, Bell record or -1 without an
-attack, probability), and each branch of the oracle is read by
-``statevec.outcome_distribution``.  The folds are array operations, and
+attack, probability).  The folds are array operations, and
 every float equals the one a loop over the records in table order gives:
 sums run left to right (``np.cumsum`` or ``np.add.at``, never the
 pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
 cells of the information sum, since ``np.log2`` may differ in the last
 bit.
 ``route_rounds`` samples rounds from one such table, and a session builds
-each table it needs once (``session._run_rounds``).  ``statevec`` reports
-every probability of these Clifford rounds as its exact dyadic, so the
-oracle's records and their running totals are exact, and so is every
-conditional probability of a readout given the ones before it.  A row
-moves down its table one measurement per step, under the threshold rule
-``run_round`` applies to a collapsed state's (equal) probabilities, so
-each row is exactly the (bits, Bell record) pair that ``run_round``, the
-reference the sampler is tested against, returns from that row's draws.
-The oracle collapses each live Bell branch only when it reads it, so one
-branch state is alive at a time.
+each table it needs once (``session._run_rounds``).  Every record's
+probability is exactly 2^-V, so the running totals are exact, and so is
+every conditional probability of a readout given the ones before it; the
+dense engine reports the same exact dyadics.  A row moves down its table
+one measurement per step, under the threshold rule ``run_round`` applies
+to a collapsed state's (equal) probabilities, so each row is exactly the
+(bits, Bell record) pair that ``run_round``, the reference the sampler is
+tested against, returns from that row's draws.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import numpy as np
 from .protocol import (
     RoundPlan,
     StateVariant,
+    check_payload,
     encode_round,
     measure_round,
     prepare_variant,
@@ -69,14 +72,13 @@ from .statevec import (
     MAX_QUBITS,
     RegisterCapacityError,
     StateVector,
-    _branches,
     append_ancilla,
     apply_cnot,
     apply_hadamard,
     basis_state,
     measure_bell,
-    outcome_distribution,
 )
+from .stabilizer import Tableau
 
 ATTACK_KINDS = ("none", "intercept_resend_bell", "collective_cnot", "collective_h_cnot")
 
@@ -122,7 +124,8 @@ def validate_round(n: int, attack: AttackModel) -> None:
     """Refuse a round whose attack targets no receiver or whose register is too large.
 
     The target must be a receiver, whether or not an attack runs.  The
-    dense register has a qubit cap.
+    dense register has a qubit cap, and the oracle keeps it too: ``analyze``
+    prints a table's 2^V records and has no bound of its own.
     """
     attack.resolve_target(n)
     needed = _register_qubits(n, attack)
@@ -189,6 +192,7 @@ def _round_prefix(
     encoding follow on each of its branches.  The collective probe is
     entangled in flight and read after encoding.  Without an attack the
     returned state is already encoded and ready for the readout.
+    ``exact_round_analysis`` writes the same round on its tableau.
     """
     n = variant.n
 
@@ -232,6 +236,20 @@ def _unpack(index: np.ndarray, width: int) -> np.ndarray:
     return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
 
 
+def _bell_tap(tableau: Tableau, q1: int, q2: int) -> list[int]:
+    """Bell-measure (q1, q2) and re-synthesize the pair, as ``statevec._branches`` does.
+
+    Returns the forms of the record's parity and phase bits, in that
+    order, so the record reads phase + 2 * parity.
+    """
+    tableau.cx(q1, q2)
+    tableau.h(q1)
+    phase, parity = tableau.measure(q1), tableau.measure(q2)
+    tableau.h(q1)
+    tableau.cx(q1, q2)
+    return [parity, phase]
+
+
 def exact_round_analysis(
     variant: StateVariant, payload_bit: int, attack: AttackModel
 ) -> RecordTable:
@@ -241,26 +259,53 @@ def exact_round_analysis(
     sign) and the attacker's Bell outcome, -1 without an attack.  Only
     live outcomes appear, and their exact dyadic probabilities sum to 1.
     This enumeration is the oracle the session samples from
-    (``route_rounds``), and it never draws randomness.  Each live Bell
-    branch's readout comes from ``statevec.outcome_distribution``, and its
-    probabilities are scaled by the branch's.
+    (``route_rounds``), and it never draws randomness.  The round runs on
+    a ``stabilizer.Tableau`` in the post-encoding layout (qubit 0 the
+    sender's work qubit, qubit i party i, qubit n+1 the collective probe),
+    so each record bit comes out as an affine form in the V random
+    outcomes, and the table lists the 2^V records, each with p = 2^-V.
     """
     n = variant.n
     validate_round(n, attack)
-    state, tap = _round_prefix(variant, payload_bit, attack)
-    weights = {-1: 1.0}  # each live branch's Bell record and probability
-    if tap is not None:
-        qubits, finish = tap
-        bell, collapse = _branches(state, "Bell", qubits)
-        weights = {eve: p for eve, p in enumerate(bell) if p > 0.0}
-    plan = readout(n)
-    parts = []
-    for eve, weight in weights.items():
-        # a Bell branch is collapsed only when it is read, so one is alive at a time
-        index, probs = outcome_distribution(state if tap is None else finish(collapse(eve)), plan)
-        parts.append((index, np.full(index.size, eve), weight * probs))
-    index, eve, p = (np.concatenate(column) for column in zip(*parts))
-    return RecordTable(len(plan), index, eve, p)
+    check_payload(payload_bit)
+    tableau = Tableau(_register_qubits(n, attack))
+    tableau.h(1)
+    for party in range(2, n + 1):
+        tableau.cx(1, party)
+    positions = sorted(variant.hadamard_positions)
+    for party in positions:
+        tableau.h(party)
+    eve = []  # the Bell record's forms, most significant bit first
+    target, hadamard = attack.resolve_target(n), attack.kind == "collective_h_cnot"
+    if attack.kind == "intercept_resend_bell":
+        eve = _bell_tap(tableau, 2, target)
+    elif attack.collective:  # the probe copies the flying qubit, as ``tap_collective``
+        if hadamard:
+            tableau.h(target)
+        tableau.cx(target, n + 1)
+        if hadamard:
+            tableau.h(target)
+    for party in positions:
+        tableau.h(party)
+    if payload_bit:
+        tableau.x(0)
+    tableau.h(0)
+    tableau.cx(0, 1)
+    tableau.h(0)
+    if attack.collective:
+        eve = _bell_tap(tableau, 2, n + 1)
+    forms = []
+    for qubit, basis in readout(n):
+        if basis == "X":
+            tableau.h(qubit)
+        forms.append(tableau.measure(qubit))
+    # each record's code (eve + 1) << width | index, less 1 << width when tapped
+    codes = tableau.records(eve + forms)
+    width = len(forms)
+    if eve:
+        codes += 1 << width
+    p = np.full(codes.size, 1.0 / codes.size)
+    return RecordTable(width, codes & (1 << width) - 1, (codes >> width) - 1, p)
 
 
 ExactTables = dict[int, RecordTable]

@@ -172,12 +172,17 @@ def encode_round(state: StateVector, payload_bit: int) -> StateVector:
     1), applies CNOT from it onto a1, then a Hadamard on it.  After this the
     sender's two qubits are 0 and 1 and party i sits at qubit i.
     """
-    if payload_bit not in (0, 1):
-        raise ValueError(f"payload bit must be 0 or 1, got {payload_bit!r}")
+    check_payload(payload_bit)
     work = state_from_amplitudes(_MINUS if payload_bit else _PLUS)
     state = append_ancilla(state, work, "front")
     state = apply_cnot(state, 0, 1)
     return apply_hadamard(state, 0)
+
+
+def check_payload(payload_bit: int) -> None:
+    """A round carries one bit."""
+    if payload_bit not in (0, 1):
+        raise ValueError(f"payload bit must be 0 or 1, got {payload_bit!r}")
 
 
 def readout(n: int) -> list[tuple[int, str]]:

@@ -1,0 +1,142 @@
+"""A stabilizer tableau whose signs are affine forms over the random outcomes.
+
+The tableau is Aaronson and Gottesman's (PRA 70, 052328, 2004): on k
+qubits, rows 0..k-1 are destabilizers and rows k..2k-1 stabilizers, each a
+Pauli product with a sign.  It is held column-major in Python ints: for
+each qubit q, ``xs[q]`` has bit r set when row r holds X or Y on q, and
+``zs[q]`` when it holds Z or Y.  A sign is not a bit but an affine form
+over GF(2) in the outcomes drawn so far (Dehaene and De Moor, PRA 68,
+042318, 2003): ``signs[s]`` has bit r set when slot s is in row r's sign,
+where slot 0 is the constant 1 and slot v >= 1 is the v-th random outcome.
+Destabilizer signs are never read, so they are not kept meaningful.
+
+``measure`` returns an outcome as such a form, one int with bit s set for
+each slot in it.  A random outcome is a fresh slot; a determinate one is
+the XOR of the forms of the stabilizers whose product is the measured
+Pauli, plus the product's phase.  Every assignment of the slots is one
+equally likely run, so a circuit's record is uniform over an affine
+subspace, found without enumerating a state.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+class Tableau:
+    """k qubits in |0...0>, acted on by ``h``, ``x``, ``cx`` and Z ``measure``."""
+
+    def __init__(self, k: int) -> None:
+        self.k = k
+        self.xs = [1 << q for q in range(k)]  # destabilizer q is X_q
+        self.zs = [1 << (k + q) for q in range(k)]  # stabilizer k + q is Z_q
+        self.signs = [0]
+        self._stabilizers = ((1 << k) - 1) << k
+
+    @property
+    def slots(self) -> int:
+        """How many slots the forms use: the constant and one per random outcome."""
+        return len(self.signs)
+
+    def h(self, q: int) -> None:
+        xs, zs = self.xs, self.zs
+        self.signs[0] ^= xs[q] & zs[q]
+        xs[q], zs[q] = zs[q], xs[q]
+
+    def x(self, q: int) -> None:
+        self.signs[0] ^= self.zs[q]
+
+    def cx(self, control: int, target: int) -> None:
+        xs, zs = self.xs, self.zs
+        self.signs[0] ^= xs[control] & zs[target] & ~(xs[target] ^ zs[control])
+        xs[target] ^= xs[control]
+        zs[control] ^= zs[target]
+
+    def measure(self, q: int) -> int:
+        """Measure Z on qubit ``q``; the outcome's form (bit s: slot s is in it)."""
+        anticommuting = self.xs[q]
+        stabilizers = anticommuting >> self.k
+        if stabilizers:
+            pivot = self.k + (stabilizers & -stabilizers).bit_length() - 1
+            return self._random(q, pivot, anticommuting & ~(1 << pivot))
+        return self._determinate(anticommuting << self.k)
+
+    def _random(self, q: int, pivot: int, others: int) -> int:
+        """Multiply the pivot row into every other row that anticommutes with Z_q,
+        move it to the destabilizers and replace it by Z_q with a fresh slot."""
+        xs, zs, signs = self.xs, self.zs, self.signs
+        rows = others & self._stabilizers  # the rows whose signs matter
+        # each row's product phase, as powers of i summed mod 4 in two bit planes
+        if rows:
+            # each row's product phase, as powers of i summed mod 4 in two bit planes
+            low = high = 0
+            for x, z in zip(xs, zs):
+                x1, z1, x2, z2 = x >> pivot & 1, z >> pivot & 1, x & rows, z & rows
+                if x1 and z1:  # Y times X is -iZ, Y times Z is iX
+                    plus, minus = z2 & ~x2, x2 & ~z2
+                elif x1:  # X times Y is iZ, X times Z is -iY
+                    plus, minus = z2 & x2, z2 & ~x2
+                elif z1:  # Z times X is iY, Z times Y is -iX
+                    plus, minus = x2 & ~z2, x2 & z2
+                else:
+                    continue
+                high ^= low & plus
+                low ^= plus
+                high ^= ~low & minus
+                low ^= minus
+            # commuting rows multiply to a real sign, so the phase is 0 or 2
+            signs[0] ^= high
+        bit = 1 << pivot
+        for s, form in enumerate(signs):
+            if form & bit:
+                signs[s] = (form ^ rows) & ~bit
+        destabilizer = 1 << (pivot - self.k)
+        for j, (x, z) in enumerate(zip(xs, zs)):
+            if x & bit:
+                x ^= others
+            if z & bit:
+                z ^= others
+            # the destabilizer takes the pivot row, which becomes Z_q
+            xs[j] = (x & ~destabilizer | (destabilizer if x & bit else 0)) & ~bit
+            zs[j] = (z & ~destabilizer | (destabilizer if z & bit else 0)) & ~bit
+        zs[q] |= bit
+        signs.append(bit)
+        return 1 << (len(signs) - 1)
+
+    def _determinate(self, rows: int) -> int:
+        """The form of the product of the stabilizer ``rows``, taken in row order."""
+        form = 0
+        for s, signed in enumerate(self.signs):
+            form |= ((signed & rows).bit_count() & 1) << s
+        # on each qubit the product of the rows' i^(xz) X^x Z^z is i^e X^x' Z^z'
+        # with e = sum xz + 2 #{r < r': z_r x_r'}, as Z_q's X parts cancel
+        phase = 0
+        for x, z in zip(self.xs, self.zs):
+            x, z = x & rows, z & rows
+            below = z
+            shift = 1
+            while shift < 2 * self.k:
+                below ^= below << shift
+                shift <<= 1
+            phase += (x & z).bit_count() + 2 * (x & below << 1).bit_count()
+        return form ^ (phase >> 1 & 1)
+
+    def records(self, forms: list[int]) -> np.ndarray:
+        """Every equally likely record of the outcome ``forms``, ascending.
+
+        Record bit i, counted from the most significant, is ``forms[i]``
+        evaluated at one assignment of the random slots; each of the
+        2^(slots - 1) assignments gives one record.
+        """
+        vectors = [0] * self.slots  # the record's offset, then one vector per slot
+        for position, form in enumerate(reversed(forms)):
+            while form:
+                slot = form & -form
+                vectors[slot.bit_length() - 1] |= 1 << position
+                form ^= slot
+        codes = np.empty(1 << self.slots - 1, dtype=np.int64)
+        codes[0] = vectors[0]
+        for v, vector in enumerate(vectors[1:]):
+            codes[1 << v : 2 << v] = codes[: 1 << v] ^ vector
+        codes.sort()
+        return codes

@@ -7,7 +7,6 @@ tests guard those values as regressions.
 
 import itertools
 import math
-import sys
 import tracemalloc
 import weakref
 from fractions import Fraction
@@ -45,6 +44,7 @@ from ghzqss import attacks, session, statevec
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 from records import distribution_dict, record_counts, row_records, table_dict
+from reference import dense_round_analysis
 
 RT2 = math.sqrt(2.0)
 
@@ -191,32 +191,47 @@ def test_exact_analysis_is_a_distribution(kind, vidx, payload):
     assert all(p > 0 for p in table.values())
 
 
+def assert_same_table(table, reference):
+    assert table.width == reference.width
+    for column in ("index", "eve", "p"):
+        got, want = getattr(table, column), getattr(reference, column)
+        assert got.dtype == want.dtype and np.array_equal(got, want), column
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_tableau_oracle_equals_the_dense_reference(n):
+    # every attack, both payloads, every standard variant and three random
+    # subset masks; every valid target up to n = 6, the default one above
+    masks = np.random.default_rng(n).integers(1 << (n - 1), size=3).tolist()
+    variants = [*standard_variants(n), *(StateVariant.from_mask(n, mask) for mask in masks)]
+    for kind in ATTACK_KINDS:
+        first = 2 + (kind == "intercept_resend_bell")
+        for target in range(first, n + 1) if n <= 6 else (None,):
+            attack = AttackModel(kind, target)
+            for variant in variants:
+                for payload in (0, 1):
+                    assert_same_table(
+                        exact_round_analysis(variant, payload, attack),
+                        dense_round_analysis(variant, payload, attack),
+                    )
+
+
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
-@pytest.mark.parametrize("n,vidx", [(3, 1), (3, 2), (3, 4), (4, 3), (5, 6)])
-def test_oracle_reads_each_branch_through_outcome_distribution(kind, n, vidx, monkeypatch):
-    # the oracle's readout goes through the public name, so tracing it sees
-    # every call: one without an attack, else one per live Bell branch
-    calls = []
-    distribution = statevec.outcome_distribution
-
-    def counted(*args):
-        calls.append(args)
-        return distribution(*args)
-
-    for name, module in list(sys.modules.items()):
-        if name.startswith("ghzqss") and hasattr(module, "outcome_distribution"):
-            monkeypatch.setattr(module, "outcome_distribution", counted)
-    table = exact_round_analysis(StateVariant.from_index(n, vidx), 1, AttackModel(kind))
-    live_branches = len(eve_record_distribution(table))
-    assert len(calls) == (live_branches if kind != "none" else 1)
-    if kind != "none":
-        assert live_branches > 1
+@pytest.mark.parametrize("n", (12, 14))
+def test_tableau_oracle_equals_the_dense_reference_all_hadamard(n, kind):
+    # the largest tables: every receiver holds an X-basis arm
+    variant, attack = StateVariant.from_index(n, n + 1), AttackModel(kind)
+    for payload in (0, 1):
+        assert_same_table(
+            exact_round_analysis(variant, payload, attack),
+            dense_round_analysis(variant, payload, attack),
+        )
 
 
 def test_oracle_peak_memory_stays_within_three_tables():
-    # each Bell branch is collapsed only when it is read, so at n=14 the
-    # collective-CNOT table of the all-Hadamard variant (3 MiB) is built
-    # with at most three tables' worth of memory in use
+    # the tableau expands its affine form straight into the sorted codes, so
+    # at n=14 the collective-CNOT table of the all-Hadamard variant (3 MiB)
+    # is built with at most three tables' worth of memory in use
     variant = StateVariant.from_index(14, 15)
     for payload in (0, 1):
         tracemalloc.start()
