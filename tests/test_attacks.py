@@ -1,7 +1,7 @@
 """Attack physics against the exact single-round oracle.
 
 Every numeric constant in this file was frozen from exact_round_analysis
-runs (dense enumeration, no sampling) before the tests were written; the
+runs (exact enumeration, no sampling) before the tests were written; the
 tests guard those values as regressions.
 """
 
