@@ -4,7 +4,7 @@ Prints, per attack kind and carrier variant: the single-round detection
 probability, the attacker's mutual information about a uniform payload, and
 the attacker's Bell-record distribution.  Everything here is enumerated
 exactly; nothing is sampled, and each (attack, variant) pair runs the oracle
-once per payload bit.
+once, for both payload bits.
 """
 
 import argparse

@@ -16,36 +16,29 @@ another receiver, i.e. strictly before the round's variant is announced:
   sign he later announces comes from a particle already collapsed into a
   Bell pair with the probe.
 
-``exact_round_analysis`` enumerates the exact joint distribution of one
-round's classical record and backs every security number in this package:
-``exact_tables`` runs it once per payload bit, and the detection rate, the
-attacker's record distribution and information are pure folds over that
-pair of tables, so ``ghzqss analyze`` makes one oracle pass per payload.
-The oracle writes the round on a symbolic stabilizer tableau
-(``stabilizer.Tableau``): each random outcome is a free bit and every
-record bit an affine form in them, so a table is 2^V equally likely
-records, found in time polynomial in n.  ``run_round``, the one-round
-reference, simulates the same round on the dense engine from one prefix,
+``exact_tables`` gives the exact joint distribution of one round's
+classical record for both payload bits, and backs every security number
+in this package: the detection rate, the attacker's record distribution
+and information are pure folds over that pair of tables, so ``ghzqss
+analyze`` makes one oracle pass.  The oracle writes the round on a
+symbolic stabilizer tableau (``stabilizer.Tableau``): each random outcome
+is a free bit and every record bit an affine form in them, with the
+payload's X as a parameter slot, so payload 1's form is payload 0's with
+one vector XORed into its offset.  A table is that form, a
+``RecordTable``, found in time polynomial in n, and the folds count its
+records without listing them.  ``run_round``, the one-round reference,
+simulates the same round on the dense engine from one prefix,
 ``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
 measurement), and the tests pin the oracle ``==`` to the dense
 enumeration of that prefix (``tests/reference.py``).
-A record is always held as arrays: a table is a ``RecordTable``, three
-read-only arrays (packed readout bits, Bell record or -1 without an
-attack, probability).  The folds are array operations, and
-every float equals the one a loop over the records in table order gives:
-sums run left to right (``np.cumsum`` or ``np.add.at``, never the
-pairwise ``np.sum``), and ``math.log2`` runs on each of the at most 16
-cells of the information sum, since ``np.log2`` may differ in the last
-bit.
-``route_rounds`` samples rounds from one such table, and a session builds
-each table it needs once (``session._run_rounds``).  Every record's
-probability is exactly 2^-V, so the running totals are exact, and so is
-every conditional probability of a readout given the ones before it; the
-dense engine reports the same exact dyadics.  A row moves down its table
-one measurement per step, under the threshold rule ``run_round`` applies
-to a collapsed state's (equal) probabilities, so each row is exactly the
-(bits, Bell record) pair that ``run_round``, the reference the sampler is
-tested against, returns from that row's draws.
+``route_rounds`` samples rounds from one table by XORing vectors, and a
+session builds each variant's pair of tables once
+(``session._run_rounds``).  A random readout has p(0) = 1/2 exactly, and
+the dense engine reports the same exact dyadics, so the threshold rule
+``run_round`` applies to a collapsed state takes a fresh outcome's vector
+iff its draw is at least 1/2, and each row is exactly the (bits, Bell
+record) pair that ``run_round``, the reference the sampler is tested
+against, returns from that row's draws.
 """
 
 from __future__ import annotations
@@ -65,7 +58,6 @@ from .protocol import (
     prepare_variant,
     readout,
     receiver_correction,
-    recover_secret,
     standard_variants,
 )
 from .statevec import (
@@ -209,31 +201,61 @@ def _round_prefix(
     return finish(state), None
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RecordTable:
-    """One payload's exact record distribution: three parallel read-only arrays.
+    """One payload's exact record distribution, as an affine form over GF(2).
 
-    Record i has its readout bits packed in ``index[i]`` (alice_a most
-    significant, then alice_A, then each receiver's sign in party order,
-    ``width`` bits in all), the attacker's Bell outcome ``eve[i]`` (-1 when
-    no attack leaves a record) and its probability ``p[i]``.  Records run
-    eve-major, then by ascending index, i.e. C order of the bits, and only
-    live records are listed.
+    A record's code holds its ``width`` readout bits (alice_a most
+    significant, then alice_A, then each receiver's sign in party order)
+    and, when the attacker is ``tapped``, his Bell record (phase + 2 *
+    parity) in the two bits above them.  The live records are the 2^V
+    codes ``offset`` XOR a subset of the V ``slots``' vectors, each with
+    probability ``p`` = 2^-V.  A slot is one random outcome as (draw
+    column, vector): the column of a round's row of draws that picks it (0,
+    the Bell draw, for either Bell bit) and the record bits it flips.  A
+    readout outcome is read into its vector's highest bit, which no other
+    vector and not the offset holds, so ``offset`` XOR any Bell slots'
+    vectors is the least record with that Bell record.
     """
 
     width: int
-    index: np.ndarray
-    eve: np.ndarray
-    p: np.ndarray
+    tapped: bool
+    offset: int
+    slots: tuple[tuple[int, int], ...]
 
-    def __post_init__(self) -> None:
-        for array in (self.index, self.eve, self.p):
-            array.flags.writeable = False
+    @property
+    def p(self) -> float:
+        return 2.0 ** -len(self.slots)
+
+    def records(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every live record's packed readout bits and Bell record (-1 untapped), by code."""
+        codes = np.empty(1 << len(self.slots), dtype=np.int64)
+        codes[0] = self.offset
+        for v, (_column, vector) in enumerate(self.slots):
+            codes[1 << v : 2 << v] = codes[: 1 << v] ^ vector
+        codes.sort()
+        eve = codes >> self.width if self.tapped else np.full(codes.size, -1)
+        return codes & (1 << self.width) - 1, eve
 
 
 def _unpack(index: np.ndarray, width: int) -> np.ndarray:
-    """The ``width`` bits of each packed index, one row each, most significant first."""
+    """The ``width`` low bits of each packed index, one row each, most significant first."""
     return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
+
+
+def _blocks(table: RecordTable) -> tuple[list[int], list[tuple[int, int]]]:
+    """Each live Bell record's least code, ascending, and the readout slots.
+
+    A Bell record's records are its least code XOR a subset of the readout
+    slots' vectors; an untapped table is one block, from its offset.
+    """
+    bases, readout = [table.offset], []
+    for column, vector in table.slots:
+        if table.tapped and column == 0:
+            bases += [base ^ vector for base in bases]
+        else:
+            readout.append((column, vector))
+    return sorted(bases), readout
 
 
 def _bell_tap(tableau: Tableau, q1: int, q2: int) -> list[int]:
@@ -250,25 +272,25 @@ def _bell_tap(tableau: Tableau, q1: int, q2: int) -> list[int]:
     return [parity, phase]
 
 
-def exact_round_analysis(
-    variant: StateVariant, payload_bit: int, attack: AttackModel
-) -> RecordTable:
-    """Exact joint distribution of one round's classical record, as a ``RecordTable``.
+ExactTables = dict[int, RecordTable]
+
+
+def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
+    """Exact joint distribution of one round's classical record, as ``{payload: table}``.
 
     A record is the readout bits (alice_a, alice_A, then each receiver's
-    sign) and the attacker's Bell outcome, -1 without an attack.  Only
-    live outcomes appear, and their exact dyadic probabilities sum to 1.
-    This enumeration is the oracle the session samples from
-    (``route_rounds``), and it never draws randomness.  The round runs on
-    a ``stabilizer.Tableau`` in the post-encoding layout (qubit 0 the
-    sender's work qubit, qubit i party i, qubit n+1 the collective probe),
-    so each record bit comes out as an affine form in the V random
-    outcomes, and the table lists the 2^V records, each with p = 2^-V.
+    sign) and the attacker's Bell outcome.  This is the oracle the session
+    samples from (``route_rounds``), and it never draws randomness.  The
+    round runs once on a ``stabilizer.Tableau`` in the post-encoding
+    layout (qubit 0 the sender's work qubit, qubit i party i, qubit n+1
+    the collective probe), with the payload's X on a parameter slot, so
+    each record bit comes out as an affine form in the V random outcomes
+    and the payload.
     """
     n = variant.n
     validate_round(n, attack)
-    check_payload(payload_bit)
     tableau = Tableau(_register_qubits(n, attack))
+    payload = tableau.parameter()  # slot 1
     tableau.h(1)
     for party in range(2, n + 1):
         tableau.cx(1, party)
@@ -287,8 +309,7 @@ def exact_round_analysis(
             tableau.h(target)
     for party in positions:
         tableau.h(party)
-    if payload_bit:
-        tableau.x(0)
+    tableau.x(0, payload)
     tableau.h(0)
     tableau.cx(0, 1)
     tableau.h(0)
@@ -299,35 +320,19 @@ def exact_round_analysis(
         if basis == "X":
             tableau.h(qubit)
         forms.append(tableau.measure(qubit))
-    # each record's code (eve + 1) << width | index, less 1 << width when tapped
-    codes = tableau.records(eve + forms)
-    width = len(forms)
-    if eve:
-        codes += 1 << width
-    p = np.full(codes.size, 1.0 / codes.size)
-    return RecordTable(width, codes & (1 << width) - 1, (codes >> width) - 1, p)
+    width, tapped = len(forms), bool(eve)
+    offset, frame, *vectors = tableau.vectors(eve + forms)
+    # a random outcome is drawn where it is measured, its vector's highest bit
+    slots = tuple((max(width + tapped - vector.bit_length(), 0), vector) for vector in vectors)
+    return {p: RecordTable(width, tapped, offset ^ frame * p, slots) for p in (0, 1)}
 
 
-ExactTables = dict[int, RecordTable]
-
-
-def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
-    """The oracle's table for each payload bit, as ``{0: table, 1: table}``.
-
-    The security figures below are pure folds over this pair, so a caller
-    that needs several of them runs the oracle once per payload.
-    """
-    return {payload: exact_round_analysis(variant, payload, attack) for payload in (0, 1)}
-
-
-def _ordered_sum(values: np.ndarray) -> float:
-    """values[0] + values[1] + ..., added left to right; 0.0 when empty.
-
-    This is the float a loop over the records gives.  ``np.sum`` adds
-    pairwise (and ``math.fsum``, or ``sum`` from Python 3.12 on, is
-    compensated), so the last bit could differ.
-    """
-    return float(np.cumsum(values)[-1]) if values.size else 0.0
+def exact_round_analysis(
+    variant: StateVariant, payload_bit: int, attack: AttackModel
+) -> RecordTable:
+    """The oracle's table for one payload bit (``exact_tables``)."""
+    check_payload(payload_bit)
+    return exact_tables(attack, variant)[payload_bit]
 
 
 def conditional_detection_rate(tables: ExactTables, condition: int | None = None) -> float:
@@ -335,36 +340,32 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
 
     The payload bit is uniform.  ``condition`` restricts to rounds where the
     attacker's Bell record equals that outcome index; conditioning on an
-    impossible outcome is an error.  Both sums run over payload 0's records
-    and then payload 1's, in table order.
+    impossible outcome is an error.  Every live Bell record holds an equal
+    share of its table, and within one the flagged records are all, none
+    or half of them, so every sum is exact.
     """
-    weights, errors = [], []
+    weight = errors = 0.0
     for payload in (0, 1):
         table = tables[payload]
-        index, width = table.index, table.width
-        # recover_secret keeps the low bit of its XOR, so each shift only has to
-        # bring alice_a or one receiver's sign down to bit 0
-        signs = [index >> bit for bit in range(width - 3, -1, -1)]
-        flagged = recover_secret(index >> width - 1, signs) != payload
-        kept = np.full(table.p.size, True)
-        if condition is not None:
-            kept = (table.eve == condition) & (table.eve >= 0)
-        weights.append(0.5 * table.p[kept])
-        errors.append(weights[-1][flagged[kept]])
-    total = _ordered_sum(np.concatenate(weights))
-    if total == 0.0:
+        bases, readout = _blocks(table)
+        # recover_secret's parity reads alice_a and every receiver's sign
+        read = 1 << table.width - 1 | (1 << table.width - 2) - 1
+        split = any((vector & read).bit_count() & 1 for _column, vector in readout)
+        mass = 0.5 / len(bases)
+        for base in bases:
+            if condition is None or table.tapped and base >> table.width == condition:
+                flagged = (base & read).bit_count() & 1 != payload
+                weight += mass
+                errors += mass / 2 if split else mass * flagged
+    if weight == 0.0:
         raise ValueError("conditioning event has zero probability")
-    return _ordered_sum(np.concatenate(errors)) / total
+    return errors / weight
 
 
 def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
     """Marginal distribution of the attacker's Bell record in one payload's table."""
-    # records run eve-major, so each record's block is contiguous and in order
-    eves, starts = np.unique(table.eve, return_index=True)
-    return {
-        None if eve < 0 else eve: _ordered_sum(block)
-        for eve, block in zip(eves.tolist(), np.split(table.p, starts[1:]))
-    }
+    bases, _readout = _blocks(table)
+    return {base >> table.width if table.tapped else None: 1.0 / len(bases) for base in bases}
 
 
 def eve_mutual_information(tables: ExactTables) -> float:
@@ -373,27 +374,30 @@ def eve_mutual_information(tables: ExactTables) -> float:
     The view is the Bell record together with the attacker's own announced
     X sign (receiver 2's readout), i.e. everything he holds before any
     sender announcement.  Tables without an attacker record (no attack)
-    carry exactly zero information.  Each of the at most 16 (view,
-    payload) cells sums its records in table order (``np.add.at``), and
-    the cells' terms are added in the order their first records appear,
-    payload 0 first, with ``math.log2`` on each.
+    carry exactly zero information.  The at most 16 (view, payload) cells
+    are summed in the order their first records appear, by code, payload
+    0 first, with ``math.log2`` on each.
     """
-    if all((tables[payload].eve < 0).all() for payload in (0, 1)):
+    if not tables[0].tapped:
         return 0.0
-    joint = np.zeros((2, 8))  # [payload, 2 * Bell record + own sign]
-    cells: list[tuple[int, int]] = []
+    joint = {}  # (payload, 2 * Bell record + own sign): probability
     for payload in (0, 1):
         table = tables[payload]
-        view = 2 * table.eve + (table.index >> table.width - 3 & 1)  # receiver 2's sign
-        np.add.at(joint[payload], view, 0.5 * table.p)
-        seen, first = np.unique(view, return_index=True)
-        cells += [(payload, cell) for cell in seen[np.argsort(first)].tolist()]
-    view_marginal = joint[0] + joint[1]
+        bases, readout = _blocks(table)
+        own = table.width - 3  # receiver 2's sign
+        split = any(vector >> own & 1 for _column, vector in readout)
+        mass = 0.5 / len(bases)
+        for base in bases:  # its own sign is the block's first
+            view = 2 * (base >> table.width) + (base >> own & 1)
+            joint[payload, view] = mass / 2 if split else mass
+            if split:
+                joint[payload, view ^ 1] = mass / 2
+    view_marginal: dict[int, float] = {}
+    for (_payload, view), p in joint.items():
+        view_marginal[view] = view_marginal.get(view, 0.0) + p
     info = 0.0
-    for payload, cell in cells:
-        p = float(joint[payload, cell])
-        if p > 0.0:
-            info += p * math.log2(p / (float(view_marginal[cell]) * 0.5))
+    for (_payload, view), p in joint.items():
+        info += p * math.log2(p / (view_marginal[view] * 0.5))
     return max(info, 0.0)
 
 
@@ -407,37 +411,22 @@ def route_rounds(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, 
     """Sample one round per row of ``uniforms`` from ``table``, as ``run_round`` draws.
 
     Each row holds a round's draws in ``run_round``'s order, the Bell draw
-    first when the table has an attacker record; returns each row's readout
-    bits (one row per round, alice_a first) and Bell record (-1: no
-    attack).  The records' codes ``(eve + 1) << width | index`` ascend in
-    table order, so every node of the round's outcome tree is the run of
-    records whose codes share its prefix, and the exact running sums of
-    ``p`` give the probability of each run.  The Bell draw picks the first
-    outcome whose running total exceeds it; each readout finds the first
-    record of the node's 1-child with one search and takes outcome 0 iff
-    its draw lies below p(0).
+    first when the table is tapped; returns each row's readout bits (one
+    row per round, alice_a first) and Bell record (-1: no attack).  The
+    Bell draw u takes the floor(u * k)-th of the k live Bell records in
+    ascending order; each random readout takes its vector iff its draw is
+    at least 1/2, and the determinate bits follow.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
-    width, tapped = table.width, bool(table.eve[0] >= 0)
+    width, tapped = table.width, table.tapped
     if uniforms.ndim != 2 or uniforms.shape[1] != width + tapped:
         raise ValueError(f"need a row of {width + tapped} uniforms per round")
-    codes = (table.eve + 1) << width | table.index
-    totals = np.concatenate(([0.0], table.p.cumsum()))
-    # each row's node: its code prefix, the running total below it, its probability
-    prefix, below, mass = np.zeros(len(uniforms), dtype=np.int64), 0.0, totals[-1]
-    if tapped:  # the attacker's Bell tap, drawn first
-        # the first record whose running total exceeds the draw, else the last
-        # record, lies in the first Bell outcome whose running total does
-        first = np.minimum(totals[1:].searchsorted(uniforms[:, 0], "right"), codes.size - 1)
-        prefix = (table.eve[first] + 1) << width
-        below = totals[codes.searchsorted(prefix)]
-        mass = totals[codes.searchsorted(prefix + (1 << width))] - below
-    for bit in range(width - 1, -1, -1):
-        key = prefix | 1 << bit  # the code the node's 1-child starts at
-        split = totals[codes.searchsorted(key)]
-        zero = split - below
-        one = uniforms[:, -1 - bit] >= zero / mass
-        prefix, below = np.where(one, key, prefix), np.where(one, split, below)
-        mass = np.where(one, mass - zero, zero)
-    record = codes.searchsorted(prefix)
-    return _unpack(table.index[record], width), table.eve[record]
+    bases, readout = _blocks(table)
+    if tapped:
+        pick = np.minimum(uniforms[:, 0] * len(bases), len(bases) - 1).astype(np.intp)
+        codes = np.array(bases)[pick]
+    else:
+        codes = np.full(len(uniforms), table.offset)
+    for column, vector in readout:
+        codes ^= (uniforms[:, column] >= 0.5) * vector
+    return _unpack(codes, width), codes >> width if tapped else np.full(codes.size, -1)

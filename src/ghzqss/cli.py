@@ -5,10 +5,10 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-``analyze`` renders each payload's table from its arrays: every line has
-the same width, so the table is one byte array, one row per line, whose
-columns are written in place.  It writes its whole output at once, after
-every figure is computed.
+``analyze`` renders each payload's table from the records its form
+expands to: every line has the same width, so the table is one byte
+array, one row per line, whose columns are written in place.  It writes
+its whole output at once, after every figure is computed.
 
 Exit codes: 0 success, 1 recovery-table mismatch or stdout closed by its
 reader (e.g. piped into ``head``), 2 usage or validation error, 3 register
@@ -181,15 +181,15 @@ def _table_text(payload: int, table: RecordTable) -> str:
     """One payload's joint distribution as ``analyze`` prints it.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
-    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A record's p is at
-    most 1, so its text is always 10 characters and every line has the
-    same width: the lines are rows of one byte array, copied from one
-    template and overwritten column by column.  Each distinct p is
-    formatted once, by ``%.8f``, and gathered into its rows.
+    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  Every record has
+    the table's p, at most 1, so every line has the same width: the lines
+    are rows of one byte array, copied from one template with p's text and
+    overwritten column by column.
     """
-    order = np.lexsort((table.eve, table.index))
-    index, eve, width = table.index[order], table.eve[order], table.width
-    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve=0  p=0.00000000\n"
+    index, eve = table.records()
+    order = np.lexsort((eve, index))
+    index, eve, width = index[order], eve[order], table.width
+    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve=0  p={table.p:.8f}\n"
     rows = np.empty((order.size, len(template)), dtype=np.uint8)
     rows[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
     # each field's first column
@@ -203,10 +203,6 @@ def _table_text(payload: int, table: RecordTable) -> str:
     rows[:, big_a] = ord("0") + bits[:, 1]
     rows[:, signs : signs + width - 2] = ord("+") + 2 * bits[:, 2:]  # "+" and "-" are 2 apart
     rows[:, e] = np.where(eve < 0, ord("-"), ord("0") + eve)
-    values, inverse = np.unique(table.p[order], return_inverse=True)
-    text = ("%.8f" * values.size) % tuple(values.tolist())
-    texts = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, 10)
-    rows[:, -11:-1] = texts.take(inverse, axis=0)
     return f"payload {payload} joint distribution:\n" + rows.tobytes().decode("ascii")
 
 

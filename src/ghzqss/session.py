@@ -12,11 +12,11 @@ round-by-round loop).  Round i's row of uniforms is defined as the first draws o
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
-tests).  The exact oracle runs once per (variant, payload) table the
-session needs.  Each table samples its rounds (``attacks.route_rounds``),
+tests).  The exact oracle runs once per variant the session needs, for
+both payloads.  Each table samples its rounds (``attacks.route_rounds``),
 giving each round's record as one row of two arrays, its readout bits and
 Bell record, and an attacked exact session folds each standard variant's
-pair of tables into the reported information as they are built.  The
+pair of tables into the reported information as it is built.  The
 transcript keeps the columns and the arrays as they are.  The
 announcements, the check, the per-variant counts and the transcript lines
 are array operations over them, and every round's bit is recovered once,
@@ -45,7 +45,7 @@ from .attacks import (
     AttackModel,
     draws_per_round,
     eve_mutual_information,
-    exact_round_analysis,
+    exact_tables,
     route_rounds,
     validate_round,
 )
@@ -218,28 +218,27 @@ def _run_rounds(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every round's readout bits and Bell record, and the folded information values.
 
-    Each table is built once, in ascending ``2 * mask + payload`` order, and
-    samples its rounds (``route_rounds``).  An attacked exact session also
-    builds both tables of every standard variant and folds each pair with
-    ``eve_mutual_information`` when its payload-1 table arrives, so the
-    values come in standard index (= ascending mask) order.  Only a pair's
-    payload-0 table outlives the next build.
+    Each variant's pair of tables is built once, in ascending mask order,
+    and samples its rounds (``route_rounds``).  An attacked exact session
+    also builds the pair of every standard variant and folds it with
+    ``eve_mutual_information``, so the values come in standard index (=
+    ascending mask) order.  No pair outlives its mask.
     """
     n, attack = config.n, config.attack
     uniforms = _round_uniforms(config.seed, np.arange(len(masks)), draws_per_round(attack, n))
-    keys = 2 * np.asarray(masks, dtype=np.int64) + payloads
+    masks = np.asarray(masks, dtype=np.int64)
+    keys = 2 * masks + payloads
     folded = {v.mask for v in standard_variants(n) if config.mode == "exact" and attack.active}
     bits, eves = np.zeros((keys.size, len(readout(n))), dtype=np.int64), np.full(keys.size, -1)
-    infos, pair = [], {}
-    for key in sorted({*keys.tolist(), *(2 * mask + p for mask in folded for p in (0, 1))}):
-        mask, payload = divmod(key, 2)
-        pair[payload] = exact_round_analysis(StateVariant.from_mask(n, mask), payload, attack)
-        rows = np.flatnonzero(keys == key)
-        bits[rows], eves[rows] = route_rounds(pair[payload], uniforms[rows])
-        if mask in folded and payload:
-            infos.append(eve_mutual_information(pair))
-        if mask not in folded or payload:
-            pair.clear()
+    infos = []
+    for mask in sorted({*masks.tolist(), *folded}):
+        tables = exact_tables(attack, StateVariant.from_mask(n, mask))
+        for payload in (0, 1):
+            rows = np.flatnonzero(keys == 2 * mask + payload)
+            bits[rows], eves[rows] = route_rounds(tables[payload], uniforms[rows])
+        if mask in folded:
+            infos.append(eve_mutual_information(tables))
+        del tables
     return bits, eves, infos
 
 

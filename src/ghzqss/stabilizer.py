@@ -7,20 +7,22 @@ each qubit q, ``xs[q]`` has bit r set when row r holds X or Y on q, and
 ``zs[q]`` when it holds Z or Y.  A sign is not a bit but an affine form
 over GF(2) in the outcomes drawn so far (Dehaene and De Moor, PRA 68,
 042318, 2003): ``signs[s]`` has bit r set when slot s is in row r's sign,
-where slot 0 is the constant 1 and slot v >= 1 is the v-th random outcome.
+where slot 0 is the constant 1 and each later slot a parameter or a random
+outcome, numbered in the order they arise.
 Destabilizer signs are never read, so they are not kept meaningful.
 
 ``measure`` returns an outcome as such a form, one int with bit s set for
 each slot in it.  A random outcome is a fresh slot; a determinate one is
 the XOR of the forms of the stabilizers whose product is the measured
-Pauli, plus the product's phase.  Every assignment of the slots is one
-equally likely run, so a circuit's record is uniform over an affine
-subspace, found without enumerating a state.
+Pauli, plus the product's phase.  Every assignment of the random slots is
+one equally likely run, so a circuit's record is uniform over an affine
+subspace, found without enumerating a state.  A ``parameter`` slot is a
+classical bit the circuit is written for both values of, such as an X
+that runs only when it is 1: a Pauli frame (as in Gidney's Stim, Quantum
+5, 497, 2021), so the record for either value comes from the one run.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class Tableau:
@@ -35,7 +37,7 @@ class Tableau:
 
     @property
     def slots(self) -> int:
-        """How many slots the forms use: the constant and one per random outcome."""
+        """How many slots the forms use: the constant, each parameter and each random outcome."""
         return len(self.signs)
 
     def h(self, q: int) -> None:
@@ -43,8 +45,14 @@ class Tableau:
         self.signs[0] ^= xs[q] & zs[q]
         xs[q], zs[q] = zs[q], xs[q]
 
-    def x(self, q: int) -> None:
-        self.signs[0] ^= self.zs[q]
+    def x(self, q: int, slot: int = 0) -> None:
+        """X on ``q``; given a ``parameter`` slot, X when that slot's bit is 1."""
+        self.signs[slot] ^= self.zs[q]
+
+    def parameter(self) -> int:
+        """A new slot for a classical bit chosen outside the circuit; its index."""
+        self.signs.append(0)
+        return len(self.signs) - 1
 
     def cx(self, control: int, target: int) -> None:
         xs, zs = self.xs, self.zs
@@ -121,22 +129,17 @@ class Tableau:
             phase += (x & z).bit_count() + 2 * (x & below << 1).bit_count()
         return form ^ (phase >> 1 & 1)
 
-    def records(self, forms: list[int]) -> np.ndarray:
-        """Every equally likely record of the outcome ``forms``, ascending.
+    def vectors(self, forms: list[int]) -> list[int]:
+        """The outcome ``forms`` as one vector of record bits per slot.
 
-        Record bit i, counted from the most significant, is ``forms[i]``
-        evaluated at one assignment of the random slots; each of the
-        2^(slots - 1) assignments gives one record.
+        Record bit i, counted from the most significant, is ``forms[i]``;
+        entry s of the result has that bit set when slot s is in it, so
+        entry 0 is the record at which every other slot reads 0.
         """
-        vectors = [0] * self.slots  # the record's offset, then one vector per slot
+        vectors = [0] * self.slots
         for position, form in enumerate(reversed(forms)):
             while form:
                 slot = form & -form
                 vectors[slot.bit_length() - 1] |= 1 << position
                 form ^= slot
-        codes = np.empty(1 << self.slots - 1, dtype=np.int64)
-        codes[0] = vectors[0]
-        for v, vector in enumerate(vectors[1:]):
-            codes[1 << v : 2 << v] = codes[: 1 << v] ^ vector
-        codes.sort()
-        return codes
+        return vectors

@@ -1,7 +1,7 @@
 """The engine's packed records, read back as the tuples and dicts tests compare.
 
-A record leaves the package only as arrays: a ``RecordTable``'s columns,
-the per-row readout bits and Bell records that ``route_rounds`` samples
+A record leaves the package only as arrays: a ``RecordTable``'s records,
+expanded from its affine form (``records()``), the per-row readout bits and Bell records that ``route_rounds`` samples
 from one table (and a session's ``Transcript`` holds), and
 ``outcome_distribution``'s packed indices and probabilities.  These helpers
 turn them into plain Python values, in the arrays' order, so that tests
@@ -34,11 +34,48 @@ def record_counts(bits, eve):
 
 
 def table_dict(table):
-    """A ``RecordTable`` as {record: probability}, in table order."""
-    return dict(zip(row_records(_unpack(table.index, table.width), table.eve), table.p.tolist()))
+    """A ``RecordTable`` (or the dense reference's table) as {record: probability}, by code."""
+    index, eve = table.records()
+    p = np.broadcast_to(table.p, index.shape)
+    return dict(zip(row_records(_unpack(index, table.width), eve), p.tolist()))
 
 
 def distribution_dict(distribution, width):
     """``outcome_distribution``'s (index, p) arrays as {bit tuple: p}, first bit first."""
     index, p = distribution
     return dict(zip(map(tuple, _unpack(index, width).tolist()), p.tolist()))
+
+
+def random_form(rng, width, tapped, rank=None, bell_rank=None):
+    """A random ``RecordTable`` that keeps the oracle's rules.
+
+    ``rank`` of the ``width`` readout bits (random when None) are random
+    outcomes, each read into the highest bit of its vector; no other vector
+    and not the offset holds that bit, and the vector's lower bits are
+    random.  A tapped form's Bell record has ``bell_rank`` random outcomes
+    (0..2, random when None): with two, the phase slot's vector may flip
+    the parity bit too, i.e. the parity's form reads the phase slot; with
+    one, the slot flips the phase bit, the parity bit or both.
+    """
+    from ghzqss.attacks import RecordTable
+
+    def bits(count):
+        return int(rng.integers(1 << count)) if count else 0
+
+    if rank is None:
+        rank = int(rng.integers(width + 1))
+    read = sorted(rng.choice(width, size=rank, replace=False).tolist())  # readout positions
+    pivots = sum(1 << width - 1 - i for i in read)
+    slots = []
+    if tapped:
+        if bell_rank is None:
+            bell_rank = int(rng.integers(3))
+        phase, parity = 1 << width, 2 << width
+        if bell_rank == 2:
+            eves = [phase | parity * int(rng.integers(2)), parity]
+        else:
+            eves = [(phase, parity, phase | parity)[rng.integers(3)]] * bell_rank
+        slots += [(0, eve | bits(width) & ~pivots) for eve in eves]
+    slots += [(tapped + i, 1 << width - 1 - i | bits(width - 1 - i) & ~pivots) for i in read]
+    offset = bits(width + 2 * tapped) & ~pivots
+    return RecordTable(width, tapped, offset, tuple(slots))

@@ -4,15 +4,32 @@ It runs the round's circuit (``attacks._round_prefix``, the one
 ``run_round`` replays) on a dense state vector, collapses each live Bell
 branch of the attacker's tap in turn and reads its readout through
 ``statevec.outcome_distribution``, so its cost grows as 2^(n+2).  The
-package's tableau oracle must give the same ``RecordTable``: the same
-width, records in the same order and the same probabilities.
+package's tableau oracle must give the same records, expanded from its
+``RecordTable``: the same width, records in the same order and the same
+probabilities.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
-from ghzqss.attacks import RecordTable, _round_prefix, validate_round
+from ghzqss.attacks import _round_prefix, validate_round
 from ghzqss.protocol import readout
 from ghzqss.statevec import _branches, outcome_distribution
+
+
+@dataclass(frozen=True)
+class DenseTable:
+    """Live records as three arrays, ascending by (eve, index): packed readout bits,
+    Bell record (-1 without an attack) and probability."""
+
+    width: int
+    index: np.ndarray
+    eve: np.ndarray
+    p: np.ndarray
+
+    def records(self):
+        return self.index, self.eve
 
 
 def dense_round_analysis(variant, payload_bit, attack):
@@ -32,4 +49,4 @@ def dense_round_analysis(variant, payload_bit, attack):
         index, probs = outcome_distribution(state if tap is None else finish(collapse(eve)), plan)
         parts.append((index, np.full(index.size, eve), weight * probs))
     index, eve, p = (np.concatenate(column) for column in zip(*parts))
-    return RecordTable(len(plan), index, eve, p)
+    return DenseTable(len(plan), index, eve, p)

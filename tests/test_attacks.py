@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
-    RecordTable,
     averaged_detection_rate,
     conditional_detection_rate,
     draws_per_round,
@@ -43,7 +42,7 @@ from ghzqss.protocol import (
 from ghzqss import attacks, session, statevec
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
-from records import distribution_dict, record_counts, row_records, table_dict
+from records import distribution_dict, random_form, record_counts, row_records, table_dict
 from reference import dense_round_analysis
 
 RT2 = math.sqrt(2.0)
@@ -192,10 +191,11 @@ def test_exact_analysis_is_a_distribution(kind, vidx, payload):
 
 
 def assert_same_table(table, reference):
+    # the form's records, expanded, and its one p against the dense arrays
     assert table.width == reference.width
-    for column in ("index", "eve", "p"):
-        got, want = getattr(table, column), getattr(reference, column)
-        assert got.dtype == want.dtype and np.array_equal(got, want), column
+    for got, want in zip(table.records(), reference.records()):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (reference.p == table.p).all()
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -229,18 +229,26 @@ def test_tableau_oracle_equals_the_dense_reference_all_hadamard(n, kind):
 
 
 def test_oracle_peak_memory_stays_within_three_tables():
-    # the tableau expands its affine form straight into the sorted codes, so
-    # at n=14 the collective-CNOT table of the all-Hadamard variant (3 MiB)
-    # is built with at most three tables' worth of memory in use
-    variant = StateVariant.from_index(14, 15)
-    for payload in (0, 1):
+    # the oracle keeps the affine form, so at n=14 the collective-CNOT pair
+    # of the all-Hadamard variant (2^17 records each) is built in under
+    # 64 KiB; only ``records()`` expands a table, with at most three times
+    # the two arrays it returns in use
+    tracemalloc.start()
+    try:
+        tables = exact_tables(CNOT, StateVariant.from_index(14, 15))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 10
+    for table in tables.values():
         tracemalloc.start()
         try:
-            table = exact_round_analysis(variant, payload, CNOT)
+            index, eve = table.records()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * (table.index.nbytes + table.eve.nbytes + table.p.nbytes)
+        assert index.size == 1 << 17
+        assert peak <= 3 * (index.nbytes + eve.nbytes)
 
 
 def test_exact_analysis_validation():
@@ -504,47 +512,36 @@ def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
 @pytest.mark.parametrize("mode", ("sample", "exact"))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n,rounds", ((3, 80), (5, 80), (5, 6)))
-def test_each_route_rounds_table_is_built_once_and_freed(kind, n, rounds, mode, monkeypatch):
-    # one oracle run per key 2 * mask + payload, in ascending order: the
-    # planned keys, plus both keys of every standard variant in an attacked
-    # exact session (6 rounds plan at most half of them).  Each table is
-    # freed before the next is built, except a folded pair's payload-0
-    # table, which lives until its pair arrives
+def test_affine_forms_are_built_once_per_mask_and_freed(kind, n, rounds, mode, monkeypatch):
+    # one tableau run per mask, for both payloads, in ascending order: the
+    # planned masks, plus every standard mask in an attacked exact session
+    # (6 rounds plan at most half of them).  No mask's forms are alive when
+    # the next mask's are built, nor after the session
     attack = AttackModel(kind)
     standard = {v.mask for v in standard_variants(n) if mode == "exact" and attack.active}
-    built, alive = [], {}
-    oracle = attacks.exact_round_analysis
+    built, runs, alive = [], [], []
+    oracle, tableau = attacks.exact_tables, attacks.Tableau
 
-    def counted(variant, payload, attack):
-        mask = variant.mask
-        waiting = [(mask, 0)] if mask in standard and payload else []
-        assert [key for key, ref in alive.items() if ref() is not None] == waiting
-        built.append(2 * mask + payload)
-        table = oracle(variant, payload, attack)
-        alive[mask, payload] = weakref.ref(table)
-        return table
+    def counted(attack, variant):
+        assert all(ref() is None for ref in alive)
+        built.append(variant.mask)
+        tables = oracle(attack, variant)
+        alive.extend(weakref.ref(table) for table in tables.values())
+        return tables
 
-    monkeypatch.setattr(session, "exact_round_analysis", counted)
+    def counted_tableau(k):
+        runs.append(k)
+        return tableau(k)
+
+    monkeypatch.setattr(session, "exact_tables", counted)
+    monkeypatch.setattr(attacks, "Tableau", counted_tableau)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
     masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=rounds)]
     payloads = rng.integers(2, size=rounds)
     session._run_rounds(masks, payloads, SessionConfig(n=n, attack=attack, mode=mode))
-    planned = {2 * m + p for m, p in zip(masks, payloads.tolist())}
-    assert built == sorted(planned | {2 * m + p for m in standard for p in (0, 1)})
-    assert all(ref() is None for ref in alive.values())
-
-
-def random_table(rng, width, tapped):
-    """A ``RecordTable`` of random live records: codes drawn without
-    replacement (so some Bell outcomes and bit prefixes are missing), with
-    probabilities that are multiples of 2^-10 summing to exactly 1."""
-    eves = 4 if tapped else 1
-    size = int(rng.integers(1, min(eves << width, 64) + 1))
-    codes = np.sort(rng.choice(eves << width, size=size, replace=False))
-    cuts = np.sort(rng.choice(np.arange(1, 1024), size=size - 1, replace=False))
-    weights = np.diff(np.concatenate(([0], cuts, [1024])))
-    eve = codes >> width if tapped else np.full(size, -1)
-    return RecordTable(width, codes & ((1 << width) - 1), eve, weights / 1024.0)
+    assert built == sorted(set(masks) | standard)
+    assert len(runs) == len(built)
+    assert len(alive) == 2 * len(built) and all(ref() is None for ref in alive)
 
 
 def spec_sample(table, row):
@@ -552,9 +549,10 @@ def spec_sample(table, row):
     Bell draw takes the first live outcome whose running total exceeds it,
     else the last; each readout takes outcome 0 iff its draw lies below the
     node's p(0), the nearest double to the exact ratio of the node's masses."""
-    records = list(zip(table.index.tolist(), table.eve.tolist(), map(Fraction, table.p.tolist())))
+    index, eve = table.records()
+    records = list(zip(index.tolist(), eve.tolist(), [Fraction(table.p)] * index.size))
     draws = list(row)
-    if table.eve[0] >= 0:
+    if table.tapped:
         masses = [sum(p for _i, e, p in records if e == eve) for eve in range(4)]
         live = [eve for eve in range(4) if masses[eve] > 0]
         total, picked = Fraction(0), live[-1]
@@ -574,20 +572,24 @@ def spec_sample(table, row):
     return index, eve
 
 
+# every running total of 1, 2 or 4 equally likely Bell records, the draw
+# just below 1/2 and the largest double below 1
+SAMPLER_DRAWS = (0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 1.0 - 2.0**-53)
+
+
 @pytest.mark.parametrize("tapped", (False, True), ids=("untapped", "tapped"))
 @pytest.mark.parametrize("width", range(2, 7))
-def test_table_sampler_follows_the_threshold_rule(width, tapped):
-    # random tables, not only this package's rounds: missing records, dead
-    # Bell outcomes and non-dyadic node ratios; the draws include every
-    # running total below 1 and the largest double below 1
+def test_affine_sampler_follows_the_threshold_rule(width, tapped):
+    # random forms, not only this package's rounds: random rank and offset,
+    # Bell rank 0, 1 or 2 (a parity that reads the phase slot included),
+    # so dead Bell records and determinate readouts of every kind
     rng = np.random.default_rng((width, tapped))
-    for _ in range(6):
-        table = random_table(rng, width, tapped)
+    for _ in range(12):
+        table = random_form(rng, width, tapped)
         columns = width + tapped
-        edges = np.concatenate(([0.0, 0.5, 1.0 - 2.0**-53], table.p.cumsum()[:-1]))
         us = np.where(
             rng.random((160, columns)) < 0.3,
-            rng.choice(edges, size=(160, columns)),
+            rng.choice(SAMPLER_DRAWS, size=(160, columns)),
             rng.random((160, columns)),
         )
         bits, eve = route_rounds(table, us)
@@ -595,8 +597,19 @@ def test_table_sampler_follows_the_threshold_rule(width, tapped):
         assert list(zip(index.tolist(), eve.tolist())) == [spec_sample(table, row) for row in us]
 
 
+def run_rounds_growth(masks, payloads, config):
+    """Bytes ``session._run_rounds`` allocates above where it starts, at its peak."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        session._run_rounds(masks, payloads, config)
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
 def test_session_sampler_memory_stays_bounded():
-    # the sampler keeps one (variant, payload) table alive at a time, so a
+    # the sampler keeps one variant's pair of forms alive at a time, so a
     # 500-round n=9 session's rounds allocate at most 1 MiB above where
     # they start (numpy buffers included)
     config = SessionConfig(
@@ -605,11 +618,13 @@ def test_session_sampler_memory_stays_bounded():
     masks, _check, payloads = plan_sequences(
         config.rounds, config.check_fraction, config.message, config.n, session._stream(0, -1)
     )
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        session._run_rounds(masks, payloads, config)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - start <= 1 << 20
+    assert run_rounds_growth(masks, payloads, config) <= 1 << 20
+
+
+def test_session_sampler_memory_stays_bounded_on_the_largest_table():
+    # 200 rounds of the all-Hadamard collective-CNOT variant at n=14, whose
+    # tables hold 2^17 records each, are sampled from the forms alone
+    config = SessionConfig(n=14, rounds=200, attack=CNOT)
+    masks = [StateVariant.from_index(14, 15).mask] * config.rounds
+    payloads = np.random.default_rng(14).integers(2, size=config.rounds)
+    assert run_rounds_growth(masks, payloads, config) <= 1 << 20

@@ -15,6 +15,7 @@ import ghzqss
 from ghzqss import attacks
 from ghzqss.cli import _table_text, main
 from ghzqss.protocol import StateVariant, standard_variants
+from records import random_form
 
 
 def run_cli(capsys, *argv):
@@ -64,25 +65,25 @@ def test_closed_pipe_is_pointed_at_devnull(capsys):
     "command", ["attack_analysis.py --parties 5", "detection_experiment.py --rounds 4000"]
 )
 def test_scripts_exit_quietly_when_their_reader_leaves(command):
-    # `script | head -n 1`: the reader closes the pipe after one line.  Unbuffered,
-    # every print is a write, so the first one after the close meets the closed pipe
+    # `script | head -n 1` once head has gone: the pipe's read end is closed
+    # before the script starts, so its first print meets the closed pipe
+    # however fast the script runs (read after one line, a fast script could
+    # fill the pipe and finish before the close)
     name, *args = command.split()
     script = Path(__file__).resolve().parent.parent / "scripts" / name
     paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
-    with subprocess.Popen(
-        [sys.executable, str(script), *args],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    ) as proc:
-        first = proc.stdout.readline()
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=120)
-    assert first.strip()
-    assert err == b""
-    assert code == 1
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    try:
+        proc = subprocess.run(
+            [sys.executable, str(script), *args],
+            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_fd)
+    assert proc.stderr == b""
+    assert proc.returncode == 1
 
 
 # ------------------------------------------------------------------------ run
@@ -230,45 +231,30 @@ def test_run_capacity_failure_exits_3(capsys, tmp_path):
 def reference_table_text(payload, table):
     """One payload's printout, one ``%`` format per record, ascending (index, eve)."""
     lines = [f"payload {payload} joint distribution:\n"]
-    for index, eve, p in sorted(zip(table.index.tolist(), table.eve.tolist(), table.p.tolist())):
+    index, eve = table.records()
+    for index, eve in sorted(zip(index.tolist(), eve.tolist())):
         bits = format(index, f"0{table.width}b")
         signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
         eve_text = "-" if eve < 0 else str(eve)
         lines.append(
             "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
-            % (int(bits[0]), int(bits[1]), signs, eve_text, p)
+            % (int(bits[0]), int(bits[1]), signs, eve_text, table.p)
         )
     return "".join(lines)
-
-
-def random_record_table(rng, width, tapped):
-    """A table in the oracle's order: eve-major blocks of ascending indices.
-
-    Its probabilities mix 1.0, exact dyadics whose 9th decimal is 5 (so
-    ``%.8f`` rounds half to even), near-halfway decimals, many distinct
-    random values, and repeats of each.
-    """
-    eves = np.sort(rng.choice(4, size=rng.integers(1, 5), replace=False)) if tapped else [-1]
-    blocks = [
-        np.sort(rng.choice(1 << width, size=rng.integers(1, (1 << width) + 1), replace=False))
-        for _ in eves
-    ]
-    index = np.concatenate(blocks)
-    eve = np.concatenate([np.full(block.size, e) for block, e in zip(blocks, eves)])
-    halfway = [2.0**-9, 3 * 2.0**-9, 5 * 2.0**-9, 2.0**-9 + 2.0**-3]
-    near_halfway = np.floor(rng.random(8) * 1e8) / 1e8 + 5e-9  # below 1
-    pool = np.concatenate(([1.0], halfway, near_halfway, rng.random(index.size)))
-    return attacks.RecordTable(width, index, eve, rng.choice(pool, size=index.size))
 
 
 @pytest.mark.parametrize("tapped", (False, True))
 @pytest.mark.parametrize("width", range(3, 14))
 def test_table_text_equals_a_per_record_format(width, tapped):
     rng = np.random.default_rng(width + 100 * tapped)
-    # a lone certain record, then random tables
-    eve = np.array([3 if tapped else -1])
-    certain = attacks.RecordTable(width, np.array([1 << width - 1]), eve, np.array([1.0]))
-    tables = [certain] + [random_record_table(rng, width, tapped) for _ in range(3)]
+    # a lone certain record (p = 1.0), a table of 2^9 records, whose
+    # p = 0.001953125 is a tie at the 9th decimal that ``%.8f`` rounds half
+    # to even, or the largest one the width allows, then random forms
+    certain = attacks.RecordTable(width, tapped, (3 << width) * tapped | 1 << width - 1, ())
+    bell_rank = min(2, 9 - min(9, width)) if tapped else None
+    largest = random_form(rng, width, tapped, min(9, width), bell_rank)
+    tables = [certain, largest] + [random_form(rng, width, tapped) for _ in range(3)]
+    assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
     for payload, table in enumerate(tables):
         text = _table_text(payload % 2, table)
         # compared as lines: pytest reports the first that differs, not a diff of the text
@@ -410,29 +396,29 @@ def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, targ
     assert not out_dir.exists()
 
 
-def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkeypatch, tmp_path):
+def test_oracle_runs_once_per_variant_and_folds_only_under_an_attack(capsys, monkeypatch, tmp_path):
     # analyze folds every figure over one pair of oracle tables.  A session
-    # builds one table per key 2 * mask + payload, in ascending order: each
-    # planned key, plus, in an attacked exact session, both keys of every
-    # standard variant, whose pairs its information fold reads
+    # builds each variant's pair once, in ascending mask order: each planned
+    # mask, plus, in an attacked exact session, every standard mask, whose
+    # pair its information fold reads
     calls = []
-    oracle = attacks.exact_round_analysis
+    oracle = attacks.exact_tables
 
-    def counted(variant, payload, attack):
-        calls.append(2 * variant.mask + payload)
-        return oracle(variant, payload, attack)
+    def counted(attack, variant):
+        calls.append(variant.mask)
+        return oracle(attack, variant)
 
     # every ghzqss namespace that holds the oracle, so no caller escapes the count
     for name, module in list(sys.modules.items()):
-        if name.startswith("ghzqss") and hasattr(module, "exact_round_analysis"):
-            monkeypatch.setattr(module, "exact_round_analysis", counted)
+        if name.startswith("ghzqss") and hasattr(module, "exact_tables"):
+            monkeypatch.setattr(module, "exact_tables", counted)
     code, _out, _err = run_cli(
         capsys, "analyze", "--variant", "psi2", "--attack", "intercept-resend"
     )
     assert code == 0
-    assert len(calls) == 2
+    assert len(calls) == 1
     for n, rounds in ((3, "16"), (4, "6"), (9, "500")):
-        standard = {2 * v.mask + p for v in standard_variants(n) for p in (0, 1)}
+        standard = {v.mask for v in standard_variants(n)}
         for mode in ("sample", "exact"):
             for attack in ("none", "intercept-resend"):
                 calls.clear()
@@ -443,12 +429,11 @@ def test_oracle_runs_once_per_payload_and_never_without_an_attack(capsys, monkey
                 )
                 assert code == 0
                 lines = (out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
-                rows = map(json.loads, lines)
-                planned = {2 * StateVariant(n, r["variant"]).mask + r["payload_bit"] for r in rows}
+                planned = {StateVariant(n, json.loads(line)["variant"]).mask for line in lines}
                 folded = standard if mode == "exact" and attack != "none" else set()
                 assert calls == sorted(planned | folded)
                 if n == 9 and folded:
-                    assert len(calls) == 20  # each key of the 10 standard variants, once
+                    assert len(calls) == 10  # each of the 10 standard variants, once
 
 
 def test_analyze_respects_env_free_success_contract(capsys):

@@ -79,10 +79,13 @@ def tableau_records(k, before, tap, after):
     tableau.cx(q1, q2)
     for kind, *qubits in after:
         getattr(tableau, kind)(*qubits)
-    codes = tableau.records([parity, phase] + [tableau.measure(q) for q in range(k)])
-    assert (np.diff(codes) > 0).all()
-    p = 1.0 / codes.size
-    return {(code >> k, code & (1 << k) - 1): p for code in codes.tolist()}
+    offset, *vectors = tableau.vectors([parity, phase] + [tableau.measure(q) for q in range(k)])
+    codes = {offset}
+    for vector in vectors:
+        codes |= {code ^ vector for code in codes}
+    assert len(codes) == 1 << len(vectors)
+    p = 1.0 / len(codes)
+    return {(code >> k, code & (1 << k) - 1): p for code in sorted(codes)}
 
 
 @pytest.mark.parametrize("k", range(2, 9))
@@ -105,3 +108,25 @@ def test_tableau_forms_name_their_slots():
     assert tableau.measure(0) == 0b10
     assert tableau.measure(1) == 0b11
     assert tableau.slots == 2
+    assert tableau.vectors([0b11, 0b10]) == [0b10, 0b11]
+
+
+def test_a_parameter_slot_is_a_pauli_frame():
+    # an X raised to a parameter bit, before a Bell pair's CNOT, enters the
+    # target's outcome and not the control's fresh one; run for both values
+    # of the bit, the circuit gives the same records with that vector added
+    for bit in (0, 1):
+        tableau = Tableau(2)
+        payload = tableau.parameter()
+        tableau.h(0)
+        tableau.x(1, payload)
+        tableau.cx(0, 1)
+        forms = [tableau.measure(0), tableau.measure(1)]
+        assert (payload, forms) == (1, [0b100, 0b110])
+        fixed = Tableau(2)
+        fixed.h(0)
+        if bit:
+            fixed.x(1)
+        fixed.cx(0, 1)
+        offset, frame, vector = tableau.vectors(forms)
+        assert fixed.vectors([fixed.measure(0), fixed.measure(1)]) == [offset ^ frame * bit, vector]
