@@ -1,16 +1,20 @@
 """The engine's packed records, read back as the tuples and dicts tests compare.
 
 A record leaves the package only as arrays: a ``RecordTable``'s records,
-expanded from its affine form (``records()``), the per-row readout bits and Bell records that ``route_rounds`` samples
-from one table (and a session's ``Transcript`` holds), and
-``outcome_distribution``'s packed indices and probabilities.  These helpers
-turn them into plain Python values, in the arrays' order, so that tests
-can compare with ``==`` and check ordering.  A record reads as
+expanded from its affine form (``records()``), the per-row readout bits
+and Bell records that ``route_rounds`` samples from one table (and a
+session's ``Transcript`` holds), and ``outcome_distribution``'s packed
+indices and probabilities.  These helpers turn them into plain Python
+values, in the arrays' order, so that tests can compare with ``==`` and
+check ordering; ``random_form`` draws a form for the tests that need
+tables the protocol does not produce.  A record reads as
 (alice_a, alice_A, receiver_signs, eve_record), with eve_record None where
 the arrays hold -1 (no attack).
 """
 
 import numpy as np
+
+from ghzqss.attacks import RecordTable
 
 
 def row_records(bits, eve):
@@ -57,7 +61,6 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
     the parity bit too, i.e. the parity's form reads the phase slot; with
     one, the slot flips the phase bit, the parity bit or both.
     """
-    from ghzqss.attacks import RecordTable
 
     def bits(count):
         return int(rng.integers(1 << count)) if count else 0

@@ -68,7 +68,8 @@ def test_scripts_exit_quietly_when_their_reader_leaves(command):
     # `script | head -n 1` once head has gone: the pipe's read end is closed
     # before the script starts, so its first print meets the closed pipe
     # however fast the script runs (read after one line, a fast script could
-    # fill the pipe and finish before the close)
+    # fill the pipe and finish before the close).  Unbuffered, that print is
+    # a write, inside the script's ``piped`` call
     name, *args = command.split()
     script = Path(__file__).resolve().parent.parent / "scripts" / name
     paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]

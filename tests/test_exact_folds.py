@@ -118,11 +118,11 @@ def random_tables(rng, width=5):
     """A random pair of forms with the same number of random outcomes, and
     the same pair as dicts.
 
-    Every other pair shares its vectors but not its offset, as the oracle's
-    payloads do; then each information term is 0 or the cell's mass, and
-    any order sums to the same float.  The other pairs draw their vectors
-    apart, so the terms' logarithms are not whole and the sum's order
-    shows.  Only pairs with non-zero information are kept: the protocol's
+    About half the pairs share their vectors but not their offsets, as the
+    oracle's payloads do; then each information term is 0 or the cell's
+    mass, and any order sums to the same float.  The rest draw their
+    vectors apart, so the terms' logarithms are not whole and the sum's
+    order shows.  Only pairs with non-zero information are kept: the protocol's
     own tables give the attacker exactly zero.
     """
     while True:
