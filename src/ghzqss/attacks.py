@@ -23,10 +23,11 @@ and information are pure folds over that pair of tables, so ``ghzqss
 analyze`` makes one oracle pass.  The oracle writes the round on a
 symbolic stabilizer tableau (``stabilizer.Tableau``): each random outcome
 is a free bit and every record bit an affine form in them, with the
-payload's X as a parameter slot, so payload 1's form is payload 0's with
-one vector XORed into its offset.  A table is that form, a
-``RecordTable``, found in time polynomial in n, and the folds count its
-records without listing them.  ``run_round``, the one-round reference,
+payload's X as a parameter slot, so payload 1's records are payload 0's
+with one vector XORed in.  A table is that form, a ``RecordTable``: the
+least record of each live Bell record and one vector per random readout,
+found in time polynomial in n, and the folds count its records without
+listing them.  ``run_round``, the one-round reference,
 simulates the same round on the dense engine from one prefix,
 ``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
 measurement), and the tests pin the oracle ``==`` to the dense
@@ -208,31 +209,32 @@ class RecordTable:
     A record's code holds its ``width`` readout bits (alice_a most
     significant, then alice_A, then each receiver's sign in party order)
     and, when the attacker is ``tapped``, his Bell record (phase + 2 *
-    parity) in the two bits above them.  The live records are the 2^V
-    codes ``offset`` XOR a subset of the V ``slots``' vectors, each with
-    probability ``p`` = 2^-V.  A slot is one random outcome as (draw
-    column, vector): the column of a round's row of draws that picks it (0,
-    the Bell draw, for either Bell bit) and the record bits it flips.  A
-    readout outcome is read into its vector's highest bit, which no other
-    vector and not the offset holds, so ``offset`` XOR any Bell slots'
-    vectors is the least record with that Bell record.
+    parity) in the two bits above them.  ``bases`` are the least codes of
+    the 1, 2 or 4 live Bell records, ascending (one base untapped), and
+    ``vectors`` the record bits each random readout outcome flips: the
+    live records are every base XOR every subset of the vectors, each with
+    probability ``p``.  A readout outcome is read into its vector's highest
+    bit, which no other vector and no base holds, so the draw that picks
+    it is a round's column ``width + tapped - vector.bit_length()``.
     """
 
     width: int
     tapped: bool
-    offset: int
-    slots: tuple[tuple[int, int], ...]
+    bases: tuple[int, ...]
+    vectors: tuple[int, ...]
 
     @property
     def p(self) -> float:
-        return 2.0 ** -len(self.slots)
+        return 2.0 ** -len(self.vectors) / len(self.bases)
 
     def records(self) -> tuple[np.ndarray, np.ndarray]:
         """Every live record's packed readout bits and Bell record (-1 untapped), by code."""
-        codes = np.empty(1 << len(self.slots), dtype=np.int64)
-        codes[0] = self.offset
-        for v, (_column, vector) in enumerate(self.slots):
-            codes[1 << v : 2 << v] = codes[: 1 << v] ^ vector
+        size = len(self.bases)
+        codes = np.empty(size << len(self.vectors), dtype=np.int64)
+        codes[:size] = self.bases
+        for vector in self.vectors:
+            codes[size : 2 * size] = codes[:size] ^ vector
+            size *= 2
         codes.sort()
         eve = codes >> self.width if self.tapped else np.full(codes.size, -1)
         return codes & (1 << self.width) - 1, eve
@@ -241,21 +243,6 @@ class RecordTable:
 def _unpack(index: np.ndarray, width: int) -> np.ndarray:
     """The ``width`` low bits of each packed index, one row each, most significant first."""
     return (index[:, None] >> np.arange(width - 1, -1, -1)) & 1
-
-
-def _blocks(table: RecordTable) -> tuple[list[int], list[tuple[int, int]]]:
-    """Each live Bell record's least code, ascending, and the readout slots.
-
-    A Bell record's records are its least code XOR a subset of the readout
-    slots' vectors; an untapped table is one block, from its offset.
-    """
-    bases, readout = [table.offset], []
-    for column, vector in table.slots:
-        if table.tapped and column == 0:
-            bases += [base ^ vector for base in bases]
-        else:
-            readout.append((column, vector))
-    return sorted(bases), readout
 
 
 def _bell_tap(tableau: Tableau, q1: int, q2: int) -> list[int]:
@@ -322,9 +309,15 @@ def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
         forms.append(tableau.measure(qubit))
     width, tapped = len(forms), bool(eve)
     offset, frame, *vectors = tableau.vectors(eve + forms)
-    # a random outcome is drawn where it is measured, its vector's highest bit
-    slots = tuple((max(width + tapped - vector.bit_length(), 0), vector) for vector in vectors)
-    return {p: RecordTable(width, tapped, offset ^ frame * p, slots) for p in (0, 1)}
+    bases = [offset]
+    for vector in vectors:  # a Bell outcome's vector flips the Bell record
+        if vector >> width:
+            bases += [base ^ vector for base in bases]
+    vectors = tuple(vector for vector in vectors if not vector >> width)
+    return {
+        p: RecordTable(width, tapped, tuple(sorted(base ^ frame * p for base in bases)), vectors)
+        for p in (0, 1)
+    }
 
 
 def exact_round_analysis(
@@ -347,12 +340,11 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
     weight = errors = 0.0
     for payload in (0, 1):
         table = tables[payload]
-        bases, readout = _blocks(table)
         # recover_secret's parity reads alice_a and every receiver's sign
         read = 1 << table.width - 1 | (1 << table.width - 2) - 1
-        split = any((vector & read).bit_count() & 1 for _column, vector in readout)
-        mass = 0.5 / len(bases)
-        for base in bases:
+        split = any((vector & read).bit_count() & 1 for vector in table.vectors)
+        mass = 0.5 / len(table.bases)
+        for base in table.bases:
             if condition is None or table.tapped and base >> table.width == condition:
                 flagged = (base & read).bit_count() & 1 != payload
                 weight += mass
@@ -364,7 +356,7 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
 
 def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
     """Marginal distribution of the attacker's Bell record in one payload's table."""
-    bases, _readout = _blocks(table)
+    bases = table.bases
     return {base >> table.width if table.tapped else None: 1.0 / len(bases) for base in bases}
 
 
@@ -383,11 +375,10 @@ def eve_mutual_information(tables: ExactTables) -> float:
     joint = {}  # (payload, 2 * Bell record + own sign): probability
     for payload in (0, 1):
         table = tables[payload]
-        bases, readout = _blocks(table)
         own = table.width - 3  # receiver 2's sign
-        split = any(vector >> own & 1 for _column, vector in readout)
-        mass = 0.5 / len(bases)
-        for base in bases:  # its own sign is the block's first
+        split = any(vector >> own & 1 for vector in table.vectors)
+        mass = 0.5 / len(table.bases)
+        for base in table.bases:  # its own sign is the block's first
             view = 2 * (base >> table.width) + (base >> own & 1)
             joint[payload, view] = mass / 2 if split else mass
             if split:
@@ -413,20 +404,17 @@ def route_rounds(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, 
     Each row holds a round's draws in ``run_round``'s order, the Bell draw
     first when the table is tapped; returns each row's readout bits (one
     row per round, alice_a first) and Bell record (-1: no attack).  The
-    Bell draw u takes the floor(u * k)-th of the k live Bell records in
-    ascending order; each random readout takes its vector iff its draw is
-    at least 1/2, and the determinate bits follow.
+    first draw u picks the floor(u * k)-th of the k bases, ascending (the
+    Bell draw; an untapped table has one base), and each random readout
+    takes its vector iff its draw is at least 1/2.
     """
     uniforms = np.asarray(uniforms, dtype=np.float64)
     width, tapped = table.width, table.tapped
     if uniforms.ndim != 2 or uniforms.shape[1] != width + tapped:
         raise ValueError(f"need a row of {width + tapped} uniforms per round")
-    bases, readout = _blocks(table)
-    if tapped:
-        pick = np.minimum(uniforms[:, 0] * len(bases), len(bases) - 1).astype(np.intp)
-        codes = np.array(bases)[pick]
-    else:
-        codes = np.full(len(uniforms), table.offset)
-    for column, vector in readout:
-        codes ^= (uniforms[:, column] >= 0.5) * vector
+    bases = table.bases
+    pick = np.minimum(uniforms[:, 0] * len(bases), len(bases) - 1).astype(np.intp)
+    codes = np.array(bases)[pick]
+    for vector in table.vectors:
+        codes ^= (uniforms[:, width + tapped - vector.bit_length()] >= 0.5) * vector
     return _unpack(codes, width), codes >> width if tapped else np.full(codes.size, -1)

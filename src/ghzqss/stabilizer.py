@@ -74,39 +74,32 @@ class Tableau:
         move it to the destabilizers and replace it by Z_q with a fresh slot."""
         xs, zs, signs = self.xs, self.zs, self.signs
         rows = others & self._stabilizers  # the rows whose signs matter
+        bit, destabilizer = 1 << pivot, 1 << (pivot - self.k)
+        keep = ~(bit | destabilizer)
         # each row's product phase, as powers of i summed mod 4 in two bit planes
-        if rows:
-            # each row's product phase, as powers of i summed mod 4 in two bit planes
-            low = high = 0
-            for x, z in zip(xs, zs):
-                x1, z1, x2, z2 = x >> pivot & 1, z >> pivot & 1, x & rows, z & rows
-                if x1 and z1:  # Y times X is -iZ, Y times Z is iX
+        low = high = 0
+        for j, (x, z) in enumerate(zip(xs, zs)):
+            xp, zp = x & bit, z & bit
+            if xp or zp:
+                x2, z2 = x & rows, z & rows
+                if xp and zp:  # Y times X is -iZ, Y times Z is iX
                     plus, minus = z2 & ~x2, x2 & ~z2
-                elif x1:  # X times Y is iZ, X times Z is -iY
+                elif xp:  # X times Y is iZ, X times Z is -iY
                     plus, minus = z2 & x2, z2 & ~x2
-                elif z1:  # Z times X is iY, Z times Y is -iX
+                else:  # Z times X is iY, Z times Y is -iX
                     plus, minus = x2 & ~z2, x2 & z2
-                else:
-                    continue
                 high ^= low & plus
                 low ^= plus
                 high ^= ~low & minus
                 low ^= minus
-            # commuting rows multiply to a real sign, so the phase is 0 or 2
-            signs[0] ^= high
-        bit = 1 << pivot
+            # the destabilizer takes the pivot row, which becomes Z_q
+            xs[j] = (x ^ others) & keep | destabilizer if xp else x & keep
+            zs[j] = (z ^ others) & keep | destabilizer if zp else z & keep
+        # commuting rows multiply to a real sign, so the phase is 0 or 2
+        signs[0] ^= high
         for s, form in enumerate(signs):
             if form & bit:
                 signs[s] = (form ^ rows) & ~bit
-        destabilizer = 1 << (pivot - self.k)
-        for j, (x, z) in enumerate(zip(xs, zs)):
-            if x & bit:
-                x ^= others
-            if z & bit:
-                z ^= others
-            # the destabilizer takes the pivot row, which becomes Z_q
-            xs[j] = (x & ~destabilizer | (destabilizer if x & bit else 0)) & ~bit
-            zs[j] = (z & ~destabilizer | (destabilizer if z & bit else 0)) & ~bit
         zs[q] |= bit
         signs.append(bit)
         return 1 << (len(signs) - 1)

@@ -14,7 +14,7 @@ the arrays hold -1 (no attack).
 
 import numpy as np
 
-from ghzqss.attacks import RecordTable
+from ghzqss.attacks import RecordTable, _unpack
 
 
 def row_records(bits, eve):
@@ -23,10 +23,6 @@ def row_records(bits, eve):
         (row[0], row[1], tuple(row[2:]), None if e < 0 else e)
         for row, e in zip(np.asarray(bits).tolist(), np.asarray(eve).tolist())
     ]
-
-
-def _unpack(index, width):
-    return (np.asarray(index)[:, None] >> np.arange(width - 1, -1, -1)) & 1
 
 
 def record_counts(bits, eve):
@@ -55,11 +51,12 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
 
     ``rank`` of the ``width`` readout bits (random when None) are random
     outcomes, each read into the highest bit of its vector; no other vector
-    and not the offset holds that bit, and the vector's lower bits are
-    random.  A tapped form's Bell record has ``bell_rank`` random outcomes
-    (0..2, random when None): with two, the phase slot's vector may flip
+    and no base holds that bit, and the vector's lower bits are random.  A
+    tapped form's Bell record has ``bell_rank`` random outcomes (0..2,
+    random when None), so 1, 2 or 4 bases, each a random offset XOR a
+    subset of their vectors: with two, the phase outcome's vector may flip
     the parity bit too, i.e. the parity's form reads the phase slot; with
-    one, the slot flips the phase bit, the parity bit or both.
+    one, the outcome flips the phase bit, the parity bit or both.
     """
 
     def bits(count):
@@ -69,7 +66,7 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
         rank = int(rng.integers(width + 1))
     read = sorted(rng.choice(width, size=rank, replace=False).tolist())  # readout positions
     pivots = sum(1 << width - 1 - i for i in read)
-    slots = []
+    bells = []
     if tapped:
         if bell_rank is None:
             bell_rank = int(rng.integers(3))
@@ -78,7 +75,9 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
             eves = [phase | parity * int(rng.integers(2)), parity]
         else:
             eves = [(phase, parity, phase | parity)[rng.integers(3)]] * bell_rank
-        slots += [(0, eve | bits(width) & ~pivots) for eve in eves]
-    slots += [(tapped + i, 1 << width - 1 - i | bits(width - 1 - i) & ~pivots) for i in read]
-    offset = bits(width + 2 * tapped) & ~pivots
-    return RecordTable(width, tapped, offset, tuple(slots))
+        bells = [eve | bits(width) & ~pivots for eve in eves]
+    vectors = tuple(1 << width - 1 - i | bits(width - 1 - i) & ~pivots for i in read)
+    bases = [bits(width + 2 * tapped) & ~pivots]
+    for vector in bells:
+        bases += [base ^ vector for base in bases]
+    return RecordTable(width, tapped, tuple(sorted(bases)), vectors)

@@ -251,7 +251,7 @@ def test_table_text_equals_a_per_record_format(width, tapped):
     # a lone certain record (p = 1.0), a table of 2^9 records, whose
     # p = 0.001953125 is a tie at the 9th decimal that ``%.8f`` rounds half
     # to even, or the largest one the width allows, then random forms
-    certain = attacks.RecordTable(width, tapped, (3 << width) * tapped | 1 << width - 1, ())
+    certain = attacks.RecordTable(width, tapped, ((3 << width) * tapped | 1 << width - 1,), ())
     bell_rank = min(2, 9 - min(9, width)) if tapped else None
     largest = random_form(rng, width, tapped, min(9, width), bell_rank)
     tables = [certain, largest] + [random_form(rng, width, tapped) for _ in range(3)]

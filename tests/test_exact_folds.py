@@ -94,7 +94,7 @@ def assert_equal_to_the_loops(tables, reference):
     for payload in (0, 1):
         assert list(table_dict(tables[payload]).items()) == list(reference[payload].items())
         with pytest.raises(dataclasses.FrozenInstanceError):
-            tables[payload].offset = 0
+            tables[payload].bases = ()
         assert list(eve_record_distribution(tables[payload]).items()) == list(
             reference_record_distribution(reference[payload]).items()
         )
@@ -118,8 +118,8 @@ def random_tables(rng, width=5):
     """A random pair of forms with the same number of random outcomes, and
     the same pair as dicts.
 
-    About half the pairs share their vectors but not their offsets, as the
-    oracle's payloads do; then each information term is 0 or the cell's
+    About half the pairs share their vectors and differ in their bases by
+    one mask, as the oracle's payloads do; then each information term is 0 or the cell's
     mass, and any order sums to the same float.  The rest draw their
     vectors apart, so the terms' logarithms are not whole and the sum's
     order shows.  Only pairs with non-zero information are kept: the protocol's
@@ -129,9 +129,10 @@ def random_tables(rng, width=5):
         rank, bell_rank = int(rng.integers(width + 1)), int(rng.integers(3))
         table = random_form(rng, width, True, rank, bell_rank)
         if rng.integers(2):
-            # the bits random readouts are read into stay 0 in every offset
-            read = sum(1 << vector.bit_length() - 1 for column, vector in table.slots if column)
-            other = dataclasses.replace(table, offset=int(rng.integers(4 << width)) & ~read)
+            # the bits random readouts are read into stay 0 in every base
+            read = sum(1 << vector.bit_length() - 1 for vector in table.vectors)
+            mask = int(rng.integers(4 << width)) & ~read
+            other = dataclasses.replace(table, bases=tuple(sorted(b ^ mask for b in table.bases)))
         else:
             other = random_form(rng, width, True, rank, bell_rank)
         tables = {0: table, 1: other}
