@@ -119,10 +119,10 @@ def random_tables(rng, width=5):
     the same pair as dicts.
 
     About half the pairs share their vectors and differ in their bases by
-    one mask, as the oracle's payloads do; then each information term is 0 or the cell's
-    mass, and any order sums to the same float.  The rest draw their
-    vectors apart, so the terms' logarithms are not whole and the sum's
-    order shows.  Only pairs with non-zero information are kept: the protocol's
+    one mask, as the oracle's payloads do; then each information term is
+    0 or the cell's mass, and any order sums to the same float.  The rest
+    draw their vectors apart, so the terms' logarithms are not whole and
+    the sum's order shows.  Only pairs with non-zero information are kept: the protocol's
     own tables give the attacker exactly zero.
     """
     while True:
