@@ -228,31 +228,31 @@ def test_tableau_oracle_equals_the_dense_reference_all_hadamard(n, kind):
         )
 
 
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n", range(3, 10))
-def test_oracle_forms_keep_the_affine_invariants(n):
+def test_oracle_forms_keep_the_affine_invariants(n, kind):
     # the rules route_rounds and the folds read a form by: ascending,
     # distinct bases, one per live Bell record; each readout vector's
     # highest bit, its draw's column, is held by no other vector and no
     # base; the payloads differ by one frame vector XORed into every base
     masks = np.random.default_rng(n).integers(1 << (n - 1), size=3).tolist()
     variants = [*standard_variants(n), *(StateVariant.from_mask(n, mask) for mask in masks)]
-    for kind in ATTACK_KINDS:
-        attack = AttackModel(kind)
-        for variant in variants:
-            tables = exact_tables(attack, variant)
-            for table in tables.values():
-                assert table.tapped == attack.active
-                assert list(table.bases) == sorted(set(table.bases))
-                assert len(table.bases) in ((1, 2, 4) if table.tapped else (1,))
-                for i, vector in enumerate(table.vectors):
-                    assert 0 < vector < 1 << table.width
-                    top = 1 << vector.bit_length() - 1
-                    others = table.vectors[:i] + table.vectors[i + 1 :] + table.bases
-                    assert not any(other & top for other in others), (kind, variant)
-            zero, one = tables[0], tables[1]
-            assert zero.vectors == one.vectors
-            frames = [zero.bases[0] ^ base for base in one.bases]
-            assert any(sorted(b ^ f for b in zero.bases) == list(one.bases) for f in frames)
+    attack = AttackModel(kind)
+    for variant in variants:
+        tables = exact_tables(attack, variant)
+        for table in tables.values():
+            assert table.tapped == attack.active
+            assert list(table.bases) == sorted(set(table.bases))
+            assert len(table.bases) in ((1, 2, 4) if table.tapped else (1,))
+            for i, vector in enumerate(table.vectors):
+                assert 0 < vector < 1 << table.width
+                top = 1 << vector.bit_length() - 1
+                others = table.vectors[:i] + table.vectors[i + 1 :] + table.bases
+                assert not any(other & top for other in others), variant
+        zero, one = tables[0], tables[1]
+        assert zero.vectors == one.vectors
+        frames = [zero.bases[0] ^ base for base in one.bases]
+        assert any(sorted(b ^ f for b in zero.bases) == list(one.bases) for f in frames)
 
 
 def test_oracle_peak_memory_stays_within_three_tables():
