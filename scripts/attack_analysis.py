@@ -16,6 +16,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_tables,
+    validate_round,
 )
 from ghzqss.cli import piped
 from ghzqss.protocol import standard_variants
@@ -35,9 +36,12 @@ def main() -> int:
     args = parser.parse_args()
 
     variants = standard_variants(args.parties)
+    attacks = [AttackModel(kind) for kind in ATTACK_KINDS[1:]]
+    for attack in attacks:
+        validate_round(args.parties, attack)  # before the first print, as in analyze
     tables = {}
-    for kind in ATTACK_KINDS[1:]:
-        attack = AttackModel(kind)
+    for attack in attacks:
+        kind = attack.kind
         print(f"== {kind} (target receiver {attack.resolve_target(args.parties)}) ==")
         print(f"{'variant':>8}  {'detection':>9}  {'eve_info':>8}  bell record")
         rates = []

@@ -23,23 +23,28 @@ def main() -> int:
     parser.add_argument("--abort-threshold", type=float, default=0.05)
     args = parser.parse_args()
 
+    configs = [
+        SessionConfig(
+            n=args.parties,
+            rounds=args.rounds,
+            check_fraction=args.check_fraction,
+            attack=AttackModel(kind),
+            seed=args.seed,
+            abort_threshold=args.abort_threshold,
+        )
+        for kind in ATTACK_KINDS
+    ]
+    for config in configs:
+        config.validate()  # before the first print, so a bad option leaves stdout empty
     checks = check_round_count(args.rounds, args.check_fraction)
     print(
         f"{args.rounds} rounds, {checks} checks, seed {args.seed}, "
         f"abort threshold {args.abort_threshold}"
     )
     print(f"{'attack':>22}  {'exact':>7}  {'measured':>8}  {'sigma':>6}  detected")
-    for kind in ATTACK_KINDS:
-        attack = AttackModel(kind)
-        expected = averaged_detection_rate(attack, args.parties)
-        config = SessionConfig(
-            n=args.parties,
-            rounds=args.rounds,
-            check_fraction=args.check_fraction,
-            attack=attack,
-            seed=args.seed,
-            abort_threshold=args.abort_threshold,
-        )
+    for config in configs:
+        kind = config.attack.kind
+        expected = averaged_detection_rate(config.attack, args.parties)
         report = run_session(config).report
         if expected in (0.0, 1.0):
             sigma_text = "   n/a"

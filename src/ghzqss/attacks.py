@@ -215,7 +215,9 @@ class RecordTable:
     live records are every base XOR every subset of the vectors, each with
     probability ``p``.  A readout outcome is read into its vector's highest
     bit, which no other vector and no base holds, so the draw that picks
-    it is a round's column ``width + tapped - vector.bit_length()``.
+    it is a round's column ``width + tapped - vector.bit_length()``.  The
+    sampler, the folds and ``analyze``'s printout all read the two fields;
+    nothing in the package lists the records.
     """
 
     width: int
@@ -226,18 +228,6 @@ class RecordTable:
     @property
     def p(self) -> float:
         return 2.0 ** -len(self.vectors) / len(self.bases)
-
-    def records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every live record's packed readout bits and Bell record (-1 untapped), by code."""
-        size = len(self.bases)
-        codes = np.empty(size << len(self.vectors), dtype=np.int64)
-        codes[:size] = self.bases
-        for vector in self.vectors:
-            codes[size : 2 * size] = codes[:size] ^ vector
-            size *= 2
-        codes.sort()
-        eve = codes >> self.width if self.tapped else np.full(codes.size, -1)
-        return codes & (1 << self.width) - 1, eve
 
 
 def _unpack(index: np.ndarray, width: int) -> np.ndarray:

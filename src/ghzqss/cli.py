@@ -5,15 +5,17 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-``analyze`` renders each payload's table from the records its form
-expands to: every line has the same width, so the table is one byte
-array, one row per line, whose columns are written in place.  It writes
-its whole output at once, after every figure is computed.
+``analyze`` prints each payload's table straight from its affine form:
+each line's sort key is XORed together from the form's bases and vectors,
+and every line has the same width, so the table is one byte array, one
+row per line, into whose columns the key bits are added.  It writes its
+whole output at once, after every figure is computed.
 
-Exit codes: 0 success, 1 recovery-table mismatch or stdout closed by its
-reader (e.g. piped into ``head``), 2 usage or validation error, 3 register
-capacity exceeded.  Nothing is written to stderr on success or when stdout
-is closed.
+Exit codes, kept by ``piped`` for the subcommands and the scripts alike:
+0 success, 1 recovery-table mismatch or stdout closed by its reader (e.g.
+piped into ``head``), 2 usage or validation error, 3 register capacity
+exceeded.  Nothing is written to stderr on success or when stdout is
+closed.
 """
 
 from __future__ import annotations
@@ -181,29 +183,43 @@ def _table_text(payload: int, table: RecordTable) -> str:
     """One payload's joint distribution as ``analyze`` prints it.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
-    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  Every record has
-    the table's p, at most 1, so every line has the same width: the lines
-    are rows of one byte array, copied from one template with p's text and
-    overwritten column by column.
+    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key is
+    its record's code with the two Bell bits moved below the readout bits,
+    so the keys sort in line order; moving bits is linear, so a record's
+    key is its base's key XOR its vectors' keys.  A key has width + 2 bits
+    in a uint64, so widths up to 62 print.  Every record has the table's p,
+    at most 1, so every line has the same width: the lines are rows of one
+    byte array behind the heading, copied from one template with p's text,
+    and each key bit is added into its column.
     """
-    index, eve = table.records()
-    order = np.lexsort((eve, index))
-    index, eve, width = index[order], eve[order], table.width
-    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve=0  p={table.p:.8f}\n"
-    rows = np.empty((order.size, len(template)), dtype=np.uint8)
+    width, size = table.width, len(table.bases)
+    keys = np.empty(size << len(table.vectors), dtype=np.uint64)
+    keys[:size] = [(base & (1 << width) - 1) << 2 | base >> width for base in table.bases]
+    for vector in table.vectors:
+        keys[size : 2 * size] = keys[:size] ^ vector << 2
+        size *= 2
+    keys.sort()
+    heading = f"payload {payload} joint distribution:\n"
+    eve = "0" if table.tapped else "-"
+    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve={eve}  p={table.p:.8f}\n"
+    text = np.empty(len(heading) + keys.size * len(template), dtype=np.uint8)
+    text[: len(heading)] = np.frombuffer(heading.encode("ascii"), dtype=np.uint8)
+    rows = text[len(heading) :].reshape(keys.size, len(template))
     rows[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
     # each field's first column
     a, big_a, signs, e = (
-        template.index(key) + len(key) for key in ("alice_a=", "alice_A=", "signs=", "eve=")
+        template.index(field) + len(field) for field in ("alice_a=", "alice_A=", "signs=", "eve=")
     )
-    # each index's four bytes (the qubit cap keeps width under 32), most significant
-    # first, as bits: the last width are the record's readout bits, alice_a first
-    bits = np.unpackbits(index.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - width :]
-    rows[:, a] = ord("0") + bits[:, 0]
-    rows[:, big_a] = ord("0") + bits[:, 1]
-    rows[:, signs : signs + width - 2] = ord("+") + 2 * bits[:, 2:]  # "+" and "-" are 2 apart
-    rows[:, e] = np.where(eve < 0, ord("-"), ord("0") + eve)
-    return f"payload {payload} joint distribution:\n" + rows.tobytes().decode("ascii")
+    # (column, shift, mask): readout bit i, alice_a first, is key bit
+    # width + 1 - i, shifted to bit 0 for a digit and to bit 1 for a sign
+    # ("+" and "-" are 2 apart); the Bell digit is the key's two low bits,
+    # 0 under the untapped template's "-"
+    columns = [(a, width + 1, 1), (big_a, width, 1), (e, 0, 3)]
+    columns += [(signs + i, width - 2 - i, 2) for i in range(width - 2)]
+    for column, shift, mask in columns:
+        # the low byte holds every bit the mask keeps
+        rows[:, column] += (keys >> shift).astype(np.uint8) & mask
+    return str(text, "ascii")  # decoded from the array's buffer, with no bytes copy
 
 
 def cmd_analyze(args) -> int:
@@ -247,13 +263,17 @@ def cmd_table1(_args) -> int:
 
 
 def piped(command, *args) -> int:
-    """``command(*args)``'s exit code, or 1 once stdout's reader is gone, quietly."""
+    """``command(*args)``'s exit code under the exit-code contract.
+
+    A closed stdout returns 1 quietly; a capacity error returns 3 and a
+    validation or file error 2, each after one ``error:`` line on stderr.
+    """
     try:
         code = command(*args)
         # a closed stdout must surface here, not in the flush at exit
         sys.stdout.flush()
         return code
-    except BrokenPipeError:
+    except BrokenPipeError:  # an OSError, so caught before the errors below
         # the recipe in the ``signal`` docs: point stdout at devnull so the
         # interpreter's flush at exit cannot fail again, and exit 1 quietly
         try:
@@ -264,19 +284,18 @@ def piped(command, *args) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 1
-
-
-def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    command = {"run": cmd_run, "analyze": cmd_analyze, "table1": cmd_table1}[args.command]
-    try:
-        return piped(command, args)
     except RegisterCapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
+    command = {"run": cmd_run, "analyze": cmd_analyze, "table1": cmd_table1}[args.command]
+    return piped(command, args)
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
 """The engine's packed records, read back as the tuples and dicts tests compare.
 
-A record leaves the package only as arrays: a ``RecordTable``'s records,
-expanded from its affine form (``records()``), the per-row readout bits
-and Bell records that ``route_rounds`` samples from one table (and a
-session's ``Transcript`` holds), and ``outcome_distribution``'s packed
-indices and probabilities.  These helpers turn them into plain Python
-values, in the arrays' order, so that tests can compare with ``==`` and
-check ordering; ``random_form`` draws a form for the tests that need
-tables the protocol does not produce.  A record reads as
-(alice_a, alice_A, receiver_signs, eve_record), with eve_record None where
-the arrays hold -1 (no attack).
+A record leaves the package only as arrays: the per-row readout bits and
+Bell records that ``route_rounds`` samples from one table (and a session's
+``Transcript`` holds), and ``outcome_distribution``'s packed indices and
+probabilities.  A ``RecordTable`` is an affine form that the package never
+expands; ``expand`` lists its records, as the dense reference holds them.
+These helpers turn them into plain Python values, in the arrays' order, so
+that tests can compare with ``==`` and check ordering; ``random_form``
+draws a form for the tests that need tables the protocol does not produce.
+A record reads as (alice_a, alice_A, receiver_signs, eve_record), with
+eve_record None where the arrays hold -1 (no attack).
 """
 
 import numpy as np
@@ -33,11 +33,53 @@ def record_counts(bits, eve):
     return dict(zip(row_records(_unpack(codes, width), (codes >> width) - 1), counts.tolist()))
 
 
+def expand(table):
+    """Every live record's packed readout bits and Bell record (-1 untapped), by code.
+
+    A ``RecordTable``'s records are every base XOR every subset of its
+    vectors; the dense reference's table holds them as arrays.
+    """
+    if not isinstance(table, RecordTable):
+        return table.index, table.eve
+    size = len(table.bases)
+    codes = np.empty(size << len(table.vectors), dtype=np.int64)
+    codes[:size] = table.bases
+    for vector in table.vectors:
+        codes[size : 2 * size] = codes[:size] ^ vector
+        size *= 2
+    codes.sort()
+    eve = codes >> table.width if table.tapped else np.full(codes.size, -1)
+    return codes & (1 << table.width) - 1, eve
+
+
 def table_dict(table):
     """A ``RecordTable`` (or the dense reference's table) as {record: probability}, by code."""
-    index, eve = table.records()
+    index, eve = expand(table)
     p = np.broadcast_to(table.p, index.shape)
     return dict(zip(row_records(_unpack(index, table.width), eve), p.tolist()))
+
+
+def assert_same_table(table, reference):
+    """The form's records, expanded, and its one p against the dense arrays."""
+    assert table.width == reference.width
+    for got, want in zip(expand(table), expand(reference)):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert (reference.p == table.p).all()
+
+
+def reference_table_text(payload, table):
+    """One payload's ``analyze`` printout, one ``%`` format per record, ascending (index, eve)."""
+    lines = [f"payload {payload} joint distribution:\n"]
+    index, eve = expand(table)
+    for index, eve in sorted(zip(index.tolist(), eve.tolist())):
+        bits = format(index, f"0{table.width}b")
+        signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
+        eve_text = "-" if eve < 0 else str(eve)
+        lines.append(
+            "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
+            % (int(bits[0]), int(bits[1]), signs, eve_text, table.p)
+        )
+    return "".join(lines)
 
 
 def distribution_dict(distribution, width):

@@ -5,8 +5,8 @@ It runs the round's circuit (``attacks._round_prefix``, the one
 branch of the attacker's tap in turn and reads its readout through
 ``statevec.outcome_distribution``, so its cost grows as 2^(n+2).  The
 package's tableau oracle must give the same records, expanded from its
-``RecordTable``: the same width, records in the same order and the same
-probabilities.
+``RecordTable`` (``records.expand``): the same width, records in the same
+order and the same probabilities.
 """
 
 from dataclasses import dataclass
@@ -27,9 +27,6 @@ class DenseTable:
     index: np.ndarray
     eve: np.ndarray
     p: np.ndarray
-
-    def records(self):
-        return self.index, self.eve
 
 
 def dense_round_analysis(variant, payload_bit, attack):

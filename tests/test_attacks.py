@@ -40,9 +40,18 @@ from ghzqss.protocol import (
     standard_variants,
 )
 from ghzqss import attacks, session, statevec
+from ghzqss.cli import _table_text
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
-from records import distribution_dict, random_form, record_counts, row_records, table_dict
+from records import (
+    assert_same_table,
+    distribution_dict,
+    expand,
+    random_form,
+    record_counts,
+    row_records,
+    table_dict,
+)
 from reference import dense_round_analysis
 
 RT2 = math.sqrt(2.0)
@@ -190,14 +199,6 @@ def test_exact_analysis_is_a_distribution(kind, vidx, payload):
     assert all(p > 0 for p in table.values())
 
 
-def assert_same_table(table, reference):
-    # the form's records, expanded, and its one p against the dense arrays
-    assert table.width == reference.width
-    for got, want in zip(table.records(), reference.records()):
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert (reference.p == table.p).all()
-
-
 @pytest.mark.parametrize("n", range(3, 10))
 def test_tableau_oracle_equals_the_dense_reference(n):
     # every attack, both payloads, every standard variant and three random
@@ -258,8 +259,8 @@ def test_oracle_forms_keep_the_affine_invariants(n, kind):
 def test_oracle_peak_memory_stays_within_three_tables():
     # the oracle keeps the affine form, so at n=14 the collective-CNOT pair
     # of the all-Hadamard variant (2^17 records each) is built in under
-    # 64 KiB; only ``records()`` expands a table, with at most three times
-    # the two arrays it returns in use
+    # 64 KiB; ``analyze`` prints a table straight from its form, peaking at
+    # 3.5 times the text it returns
     tracemalloc.start()
     try:
         tables = exact_tables(CNOT, StateVariant.from_index(14, 15))
@@ -267,15 +268,14 @@ def test_oracle_peak_memory_stays_within_three_tables():
     finally:
         tracemalloc.stop()
     assert peak <= 64 << 10
-    for table in tables.values():
-        tracemalloc.start()
-        try:
-            index, eve = table.records()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert index.size == 1 << 17
-        assert peak <= 3 * (index.nbytes + eve.nbytes)
+    tracemalloc.start()
+    try:
+        text = _table_text(0, tables[0])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == 1 + (1 << 17)
+    assert peak <= 3.5 * len(text)
 
 
 def test_exact_analysis_validation():
@@ -563,7 +563,7 @@ def spec_sample(table, row):
     Bell draw takes the first live outcome whose running total exceeds it,
     else the last; each readout takes outcome 0 iff its draw lies below the
     node's p(0), the nearest double to the exact ratio of the node's masses."""
-    index, eve = table.records()
+    index, eve = expand(table)
     records = list(zip(index.tolist(), eve.tolist(), [Fraction(table.p)] * index.size))
     draws = list(row)
     if table.tapped:

@@ -15,7 +15,7 @@ import ghzqss
 from ghzqss import attacks
 from ghzqss.cli import _table_text, main
 from ghzqss.protocol import StateVariant, standard_variants
-from records import random_form
+from records import random_form, reference_table_text
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +61,18 @@ def test_closed_pipe_is_pointed_at_devnull(capsys):
     assert capsys.readouterr().err == ""
 
 
+def run_script(command, stdout=subprocess.PIPE):
+    """``scripts/<command>`` in a fresh interpreter on this checkout's package, unbuffered."""
+    name, *args = command.split()
+    script = Path(__file__).resolve().parent.parent / "scripts" / name
+    paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
+    return subprocess.run(
+        [sys.executable, str(script), *args],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
+    )
+
+
 @pytest.mark.parametrize(
     "command", ["attack_analysis.py --parties 5", "detection_experiment.py --rounds 4000"]
 )
@@ -70,21 +82,32 @@ def test_scripts_exit_quietly_when_their_reader_leaves(command):
     # however fast the script runs (read after one line, a fast script could
     # fill the pipe and finish before the close).  Unbuffered, that print is
     # a write, inside the script's ``piped`` call
-    name, *args = command.split()
-    script = Path(__file__).resolve().parent.parent / "scripts" / name
-    paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
     try:
-        proc = subprocess.run(
-            [sys.executable, str(script), *args],
-            stdout=write_fd, stderr=subprocess.PIPE, env=env, timeout=120,
-        )
+        proc = run_script(command, write_fd)
     finally:
         os.close(write_fd)
     assert proc.stderr == b""
     assert proc.returncode == 1
+
+
+@pytest.mark.parametrize(
+    ("command", "code"),
+    [
+        ("attack_analysis.py --parties 2", 2),
+        ("attack_analysis.py --parties 30", 3),
+        ("detection_experiment.py --rounds 0", 2),
+        ("detection_experiment.py --parties 30", 3),
+    ],
+)
+def test_scripts_share_the_exit_code_contract(command, code):
+    # the scripts run under ``piped`` too: a bad option exits 2 and a register
+    # past the cap 3, each with one error line and nothing printed before it
+    proc = run_script(command)
+    assert proc.returncode == code
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
 # ------------------------------------------------------------------------ run
@@ -229,32 +252,20 @@ def test_run_capacity_failure_exits_3(capsys, tmp_path):
 # -------------------------------------------------------------------- analyze
 
 
-def reference_table_text(payload, table):
-    """One payload's printout, one ``%`` format per record, ascending (index, eve)."""
-    lines = [f"payload {payload} joint distribution:\n"]
-    index, eve = table.records()
-    for index, eve in sorted(zip(index.tolist(), eve.tolist())):
-        bits = format(index, f"0{table.width}b")
-        signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
-        eve_text = "-" if eve < 0 else str(eve)
-        lines.append(
-            "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
-            % (int(bits[0]), int(bits[1]), signs, eve_text, table.p)
-        )
-    return "".join(lines)
-
-
 @pytest.mark.parametrize("tapped", (False, True))
-@pytest.mark.parametrize("width", range(3, 14))
+@pytest.mark.parametrize("width", (*range(3, 14), 33, 40))
 def test_table_text_equals_a_per_record_format(width, tapped):
     rng = np.random.default_rng(width + 100 * tapped)
     # a lone certain record (p = 1.0), a table of 2^9 records, whose
     # p = 0.001953125 is a tie at the 9th decimal that ``%.8f`` rounds half
-    # to even, or the largest one the width allows, then random forms
+    # to even, or the largest one the width allows, then random forms; the
+    # widths past the qubit cap keep a rank of at most 9, so at most 2^11
+    # records
     certain = attacks.RecordTable(width, tapped, ((3 << width) * tapped | 1 << width - 1,), ())
     bell_rank = min(2, 9 - min(9, width)) if tapped else None
     largest = random_form(rng, width, tapped, min(9, width), bell_rank)
-    tables = [certain, largest] + [random_form(rng, width, tapped) for _ in range(3)]
+    ranks = [None if width < 14 else int(rng.integers(10)) for _ in range(3)]
+    tables = [certain, largest] + [random_form(rng, width, tapped, rank) for rank in ranks]
     assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
     for payload, table in enumerate(tables):
         text = _table_text(payload % 2, table)
