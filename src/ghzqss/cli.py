@@ -263,11 +263,8 @@ def cmd_table1(_args) -> int:
 
 
 def piped(command, *args) -> int:
-    """``command(*args)``'s exit code under the exit-code contract.
-
-    A closed stdout returns 1 quietly; a capacity error returns 3 and a
-    validation or file error 2, each after one ``error:`` line on stderr.
-    """
+    """``command(*args)``'s exit code; 1 once stdout's reader is gone, quietly, and 3 or
+    2 after one ``error:`` line for a capacity or a validation or file error."""
     try:
         code = command(*args)
         # a closed stdout must surface here, not in the flush at exit
