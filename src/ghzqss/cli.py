@@ -8,8 +8,9 @@ verifies the eight-row recovery table for three parties.
 ``analyze`` prints each payload's table straight from its affine form:
 each line's sort key is XORed together from the form's bases and vectors,
 and every line has the same width, so the table is one byte array, one
-row per line, into whose columns the key bits are added.  It writes its
-whole output at once, after every figure is computed.
+row per line, into whose columns the key bits are added.  Once every
+figure is computed, it writes each part in turn, rendering each table
+just before it is written.
 
 Exit codes, kept by ``piped`` for the subcommands and the scripts alike:
 0 success, 1 recovery-table mismatch or stdout closed by its reader (e.g.
@@ -179,8 +180,8 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _table_text(payload: int, table: RecordTable) -> str:
-    """One payload's joint distribution as ``analyze`` prints it.
+def _table_text(table: RecordTable) -> str:
+    """One payload's table rows as ``analyze`` prints them below its heading.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
     ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key is
@@ -188,9 +189,9 @@ def _table_text(payload: int, table: RecordTable) -> str:
     so the keys sort in line order; moving bits is linear, so a record's
     key is its base's key XOR its vectors' keys.  A key has width + 2 bits
     in a uint64, so widths up to 62 print.  Every record has the table's p,
-    at most 1, so every line has the same width: the lines are rows of one
-    byte array behind the heading, copied from one template with p's text,
-    and each key bit is added into its column.
+    at most 1, so every line has the same width: the lines are the rows of
+    one byte array, tiled from one template with p's text, and each key
+    bit is added into its column.
     """
     width, size = table.width, len(table.bases)
     keys = np.empty(size << len(table.vectors), dtype=np.uint64)
@@ -199,13 +200,9 @@ def _table_text(payload: int, table: RecordTable) -> str:
         keys[size : 2 * size] = keys[:size] ^ vector << 2
         size *= 2
     keys.sort()
-    heading = f"payload {payload} joint distribution:\n"
     eve = "0" if table.tapped else "-"
     template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve={eve}  p={table.p:.8f}\n"
-    text = np.empty(len(heading) + keys.size * len(template), dtype=np.uint8)
-    text[: len(heading)] = np.frombuffer(heading.encode("ascii"), dtype=np.uint8)
-    rows = text[len(heading) :].reshape(keys.size, len(template))
-    rows[:] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    rows = np.tile(np.frombuffer(template.encode("ascii"), dtype=np.uint8), (keys.size, 1))
     # each field's first column
     a, big_a, signs, e = (
         template.index(field) + len(field) for field in ("alice_a=", "alice_A=", "signs=", "eve=")
@@ -219,30 +216,32 @@ def _table_text(payload: int, table: RecordTable) -> str:
     for column, shift, mask in columns:
         # the low byte holds every bit the mask keeps
         rows[:, column] += (keys >> shift).astype(np.uint8) & mask
-    return str(text, "ascii")  # decoded from the array's buffer, with no bytes copy
+    return str(rows, "ascii")  # decoded from the array's buffer, with no bytes copy
 
 
 def cmd_analyze(args) -> int:
     variant = _parse_variant(args)
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
-    # every figure is computed before the one write, so a failure leaves stdout empty
+    # every figure is computed before the first write, so a failure leaves stdout empty
     tables = exact_tables(attack, variant)
     rate = conditional_detection_rate(tables, args.condition_bell)
     info = eve_mutual_information(tables)
     positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
     target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
-    text = [
-        f"variant={variant.name} (hadamard positions: {positions}) "
-        f"parties={args.parties} attack={attack.kind}{target}\n"
-    ]
-    payloads = (args.payload,) if args.payload is not None else (0, 1)
-    text += [_table_text(payload, tables[payload]) for payload in payloads]
     condition = ""
     if args.condition_bell is not None:
         condition = f"  (conditioned on Bell outcome {args.condition_bell})"
-    text.append(f"detection_rate = {rate:.8f}{condition}\n")
-    text.append(f"eve_mutual_information = {info:.8f} bits\n")
-    sys.stdout.write("".join(text))
+    write = sys.stdout.write
+    write(
+        f"variant={variant.name} (hadamard positions: {positions}) "
+        f"parties={args.parties} attack={attack.kind}{target}\n"
+    )
+    # each table's text is rendered just before it is written, so one is alive at a time
+    for payload in (args.payload,) if args.payload is not None else (0, 1):
+        write(f"payload {payload} joint distribution:\n")
+        write(_table_text(tables[payload]))
+    write(f"detection_rate = {rate:.8f}{condition}\n")
+    write(f"eve_mutual_information = {info:.8f} bits\n")
     return 0
 
 

@@ -366,6 +366,5 @@ def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     result.report.transcript_path = TRANSCRIPT_NAME
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(asdict(result.report), fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(asdict(result.report), indent=2) + "\n")
     return transcript_path, report_path

@@ -89,10 +89,7 @@ class StateVector:
     def __post_init__(self) -> None:
         if self.num_qubits < 1:
             raise ValueError("need at least one qubit")
-        if self.num_qubits > MAX_QUBITS:
-            raise RegisterCapacityError(
-                f"{self.num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
-            )
+        _check_capacity(self.num_qubits)
         amps = np.asarray(self.amps, dtype=np.complex128)
         object.__setattr__(self, "amps", amps)
         if amps.shape != (1 << self.num_qubits,):
@@ -101,6 +98,12 @@ class StateVector:
                 f"({1 << self.num_qubits},)"
             )
         _check_norm(amps)
+
+
+def _check_capacity(num_qubits: int) -> None:
+    """The one register cap check, run before a register is allocated."""
+    if num_qubits > MAX_QUBITS:
+        raise RegisterCapacityError(f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap")
 
 
 def _check_norm(amps: np.ndarray) -> None:
@@ -123,10 +126,7 @@ def basis_state(num_qubits: int, index: int) -> StateVector:
     """Computational basis state |index> on num_qubits qubits."""
     if num_qubits < 1:
         raise ValueError("need at least one qubit")
-    if num_qubits > MAX_QUBITS:
-        raise RegisterCapacityError(
-            f"{num_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
-        )
+    _check_capacity(num_qubits)
     if not 0 <= index < (1 << num_qubits):
         raise ValueError(f"basis index {index} out of range for {num_qubits} qubits")
     amps = np.zeros(1 << num_qubits, dtype=np.complex128)
@@ -152,8 +152,7 @@ def append_ancilla(state: StateVector, ancilla: StateVector, position: str = "fr
     if position not in ("front", "back"):
         raise ValueError(f"position must be 'front' or 'back', got {position!r}")
     k = state.num_qubits + ancilla.num_qubits
-    if k > MAX_QUBITS:
-        raise RegisterCapacityError(f"{k} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    _check_capacity(k)
     if position == "front":
         amps = np.kron(ancilla.amps, state.amps)
     else:

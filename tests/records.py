@@ -67,9 +67,9 @@ def assert_same_table(table, reference):
     assert (reference.p == table.p).all()
 
 
-def reference_table_text(payload, table):
-    """One payload's ``analyze`` printout, one ``%`` format per record, ascending (index, eve)."""
-    lines = [f"payload {payload} joint distribution:\n"]
+def reference_table_text(table):
+    """One payload's ``analyze`` table rows, one ``%`` format per record, ascending (index, eve)."""
+    lines = []
     index, eve = expand(table)
     for index, eve in sorted(zip(index.tolist(), eve.tolist())):
         bits = format(index, f"0{table.width}b")

@@ -260,7 +260,7 @@ def test_oracle_peak_memory_stays_within_three_tables():
     # the oracle keeps the affine form, so at n=14 the collective-CNOT pair
     # of the all-Hadamard variant (2^17 records each) is built in under
     # 64 KiB; ``analyze`` prints a table straight from its form, peaking at
-    # 3.5 times the text it returns
+    # 2.5 times the text it returns (its rows and their decoded text)
     tracemalloc.start()
     try:
         tables = exact_tables(CNOT, StateVariant.from_index(14, 15))
@@ -270,12 +270,12 @@ def test_oracle_peak_memory_stays_within_three_tables():
     assert peak <= 64 << 10
     tracemalloc.start()
     try:
-        text = _table_text(0, tables[0])
+        text = _table_text(tables[0])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 1 + (1 << 17)
-    assert peak <= 3.5 * len(text)
+    assert text.count("\n") == 1 << 17
+    assert peak <= 2.5 * len(text)
 
 
 def test_exact_analysis_validation():

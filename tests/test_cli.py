@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -38,8 +39,17 @@ def test_table1_prints_all_rows(capsys):
 
 
 class ClosedStdout(io.StringIO):
+    """A stdout whose reader leaves after reading ``accepted`` writes, e.g. ``head -n 1``."""
+
+    def __init__(self, accepted=0):
+        super().__init__()
+        self.accepted = accepted
+
     def write(self, text):
-        raise BrokenPipeError(32, "Broken pipe")
+        if not self.accepted:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.accepted -= 1
+        return super().write(text)
 
 
 def test_closed_stdout_exits_1_and_writes_no_error(capsys):
@@ -59,6 +69,17 @@ def test_closed_pipe_is_pointed_at_devnull(capsys):
         assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
     assert code == 1
     assert capsys.readouterr().err == ""
+
+
+def test_pipe_closed_after_the_header_exits_1_quietly(capsys):
+    # analyze writes its header before the tables, so a later write meets the closed pipe
+    stdout = ClosedStdout(accepted=1)
+    with contextlib.redirect_stdout(stdout):
+        code = main(["analyze", "--parties", "6", "--attack", "collective-cnot"])
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    header = "variant=Psi1 (hadamard positions: none) parties=6 attack=collective_cnot target=6\n"
+    assert stdout.getvalue() == header
 
 
 def run_script(command, stdout=subprocess.PIPE):
@@ -267,11 +288,44 @@ def test_table_text_equals_a_per_record_format(width, tapped):
     ranks = [None if width < 14 else int(rng.integers(10)) for _ in range(3)]
     tables = [certain, largest] + [random_form(rng, width, tapped, rank) for rank in ranks]
     assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
-    for payload, table in enumerate(tables):
-        text = _table_text(payload % 2, table)
+    for table in tables:
+        text = _table_text(table)
         # compared as lines: pytest reports the first that differs, not a diff of the text
         assert text.endswith("\n")
-        assert text.splitlines() == reference_table_text(payload % 2, table).splitlines()
+        assert text.splitlines() == reference_table_text(table).splitlines()
+
+
+class CountingSink:
+    """A stdout that counts the characters written to it and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
+def test_analyze_peak_memory_stays_near_its_output():
+    # each table's text is rendered just before it is written, and no joined
+    # copy of the output is built; the two 2^17-line tables of the n=14
+    # all-Hadamard collective-CNOT pair are about 15.5 MiB of text
+    sink = CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            code = main(
+                ["analyze", "--parties", "14", "--variant", "psi15", "--attack", "collective-cnot"]
+            )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.chars > 15 << 20
+    assert peak <= 1.25 * sink.chars
 
 
 def test_analyze_clean_round(capsys):
