@@ -190,11 +190,6 @@ def readout(n: int) -> list[tuple[int, str]]:
     return [(0, "Z"), (1, "Z")] + [(q, "X") for q in range(2, n + 1)]
 
 
-def sign_strings(bits: np.ndarray) -> np.ndarray:
-    """Each row's receiver signs (the X bits after the sender's two) as one +/- string."""
-    return np.where(bits[:, 2:], "-", "+").view(f"<U{bits.shape[1] - 2}")[:, 0]
-
-
 def measure_round(state: StateVector, num_parties: int, rng: np.random.Generator) -> tuple[int, ...]:
     """Read an encoded round by ``readout``, one uniform draw per measurement.
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -59,7 +60,6 @@ from .protocol import (
     plan_sequences,
     readout,
     recover_secret,
-    sign_strings,
     standard_variants,
 )
 TRANSCRIPT_NAME = "transcript.jsonl"
@@ -303,49 +303,54 @@ def run_session(config: SessionConfig) -> SessionResult:
     return SessionResult(report, transcript)
 
 
-_LINE = (
-    '{"round_index":%d,"variant":%s,"role":"%s","payload_bit":%d,"alice_a":%d,"alice_A":%d,'
-    '"receiver_signs":"%s","eve_record":%s,"announcement_order":%s}'
-)
-_EVE_TEXT = np.array(["0", "1", "2", "3", "null"], dtype=object)  # index -1: no record
-_ROLE_TEXT = np.array(["message", "check"], dtype=object)
+_BLOCK_ROWS = 4096  # transcript lines rendered, and written, at a time
 
 
-def _int_list(values) -> str:
-    return "[%s]" % ",".join(map(str, values))
+def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
+    """``transcript.jsonl``'s bytes, ``_BLOCK_ROWS`` lines at a time.
 
-
-def transcript_lines(transcript: Transcript) -> list[str]:
-    """One JSON object per round, with signs rendered as +/- characters.
-
-    Every line comes from one ``%`` template and is byte for byte
-    ``json.dumps(record, separators=(",", ":"))`` of the round's record.
+    Line i is round i's record as ``json.dumps(record, separators=(",", ":"))``, then a newline.
+    A block is a uint8 matrix tiled from a line template, with bits added into their columns and
+    variable-width texts NUL-padded in theirs; JSON holds no NUL, so the other bytes are the lines.
     """
-    orders = np.full(len(transcript.masks), "null", dtype=object)
-    for entry in transcript.announcement_log:
-        if entry["event"] == "check_announcements":  # each distinct order rendered once
-            rows = np.ascontiguousarray(entry["orders"])  # one void key per row sorts fast
-            keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
-            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-            texts = np.array([_int_list(row) for row in rows[first].tolist()], dtype=object)
-            orders[entry["rounds"]] = texts[inverse]
-    distinct, inverse = np.unique(transcript.masks, return_inverse=True)
-    variants = np.array([_int_list(mask_positions(m)) for m in distinct.tolist()], dtype=object)
-    bits = transcript.bits
-    return [
-        _LINE % row
-        for row in zip(
-            range(len(bits)),
-            variants[inverse].tolist(),
-            _ROLE_TEXT[transcript.check.astype(int)].tolist(),
-            transcript.payloads.tolist(),
-            bits[:, 0].tolist(),
-            bits[:, 1].tolist(),
-            sign_strings(bits).tolist(),
-            _EVE_TEXT[transcript.eves].tolist(),
-            orders.tolist(),
-        )
-    ]
+    rows, receivers = transcript.bits.shape[0], transcript.bits.shape[1] - 2
+    distinct, variant_of = np.unique(transcript.masks, return_inverse=True)
+    variants, roles, eves = (  # NUL-padded texts, a row each; eves[-1] is null
+        np.array(texts, bytes)[:, None].view(np.uint8)
+        for texts in ([str(mask_positions(m)).replace(" ", "") for m in distinct.tolist()],
+                      ["message", "check"], ["0", "1", "2", "3", "null"])
+    )
+    rounds, orders = np.zeros(0, dtype=np.int64), np.zeros((0, receivers), dtype=np.int64)
+    for entry in (e for e in transcript.announcement_log if e["event"] == "check_announcements"):
+        rounds, orders = entry["rounds"], entry["orders"]  # the check rounds ascend
+    # check round k's order: NUL, numeral and "," per receiver, its ends then made "[" and "]"
+    numerals = [str(r).rjust(len(str(receivers + 1)), "\0") for r in range(receivers + 2)]
+    listed = np.array(["\0" + r + "," for r in numerals], bytes)[orders].view(np.uint8)
+    listed[:, 0], listed[:, -1] = ord("["), ord("]")
+    powers = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1)  # the round index's digit places
+    parts = (  # key texts, each followed by its field's template text
+        '{"round_index":', "\0" * powers.size, ',"variant":', "\0" * variants.shape[1],
+        ',"role":"', "\0" * roles.shape[1], '","payload_bit":', "0", ',"alice_a":', "0",
+        ',"alice_A":', "0", ',"receiver_signs":"', "+" * receivers, '","eve_record":',
+        "\0" * eves.shape[1], ',"announcement_order":', "null".ljust(listed.shape[1], "\0"), "}\n",
+    )
+    template = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
+    ends = np.cumsum([len(part) for part in parts]).tolist()  # a field spans its part's columns
+    index, variant, role, payload, a, big_a, sign, eve, order = map(slice, ends[::2], ends[1::2])
+    for start in range(0, rows, _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        bits = np.c_[transcript.payloads[block], transcript.bits[block]].astype(np.uint8)
+        mat = np.tile(template, (len(bits), 1))
+        numbers = np.arange(start, start + len(bits))[:, None]  # leading zeros stay NUL:
+        mat[:, index] = (numbers // powers % 10 + 48) * (np.maximum(numbers, 1) >= powers)
+        mat[:, variant] = variants[variant_of[block]]
+        mat[:, role] = roles[transcript.check[block].astype(np.intp)]
+        mat[:, eve] = eves[transcript.eves[block]]
+        mat[:, np.r_[payload, a, big_a]] += bits[:, :3]
+        mat[:, sign] += 2 * bits[:, 3:]
+        checked = slice(*np.searchsorted(rounds, (start, start + len(bits))))
+        mat[rounds[checked] - start, order] = listed[checked]
+        yield mat[mat != 0].tobytes()
 
 
 def default_output_dir() -> str:
@@ -361,8 +366,8 @@ def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     """
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
-    with open(transcript_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join([*transcript_lines(result.transcript), ""]))
+    with open(transcript_path, "wb") as fh:  # bytes, a block at a time: no newline translation
+        fh.writelines(transcript_chunks(result.transcript))
     result.report.transcript_path = TRANSCRIPT_NAME
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w", encoding="utf-8") as fh:

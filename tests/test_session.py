@@ -1,6 +1,7 @@
 """Session orchestration: configs, the check, outputs, determinism."""
 
 import json
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from ghzqss.session import (
     default_output_dir,
     eavesdrop_check,
     run_session,
-    transcript_lines,
+    transcript_chunks,
     write_outputs,
 )
 from ghzqss.statevec import RegisterCapacityError
@@ -31,6 +32,11 @@ from records import row_records
 def empty_transcript():
     no_rounds = np.zeros(0, int)
     return Transcript(no_rounds, no_rounds > 0, no_rounds, np.zeros((0, 4), int), no_rounds, [])
+
+
+def rendered_lines(transcript):
+    """The transcript's lines as ``transcript_chunks`` renders them."""
+    return b"".join(transcript_chunks(transcript)).decode().splitlines()
 
 
 def check_announcements(transcript):
@@ -174,7 +180,7 @@ def test_announced_signs_belong_to_the_announcing_receivers(kind):
     # the k-th announced sign is receiver order[k]'s own sign from that round,
     # which parity alone cannot tell apart from any other arrangement
     result = run_session(small_config(n=5, rounds=60, attack=AttackModel(kind)))
-    lines = [json.loads(t) for t in transcript_lines(result.transcript)]
+    lines = [json.loads(t) for t in rendered_lines(result.transcript)]
     entry = check_announcements(result.transcript)
     assert len(entry["rounds"]) == 30
     for i, order, announced in zip(*(entry[k].tolist() for k in ("rounds", "orders", "signs"))):
@@ -197,7 +203,7 @@ def test_eavesdrop_check_refuses_announcements_without_check_rounds():
     transcript = Transcript(masks, masks > 0, payloads, bits, eves, [entry])
     with pytest.raises(ValueError, match="no check rounds"):
         eavesdrop_check(transcript, 0.0)
-    lines = transcript_lines(transcript)
+    lines = rendered_lines(transcript)
     assert [json.loads(line)["announcement_order"] for line in lines] == [None] * 4
 
 
@@ -306,7 +312,7 @@ def test_write_outputs_and_report_shape(tmp_path):
 
 def test_transcript_line_format():
     result = run_session(small_config(attack=AttackModel("collective_cnot"), seed=3))
-    lines = transcript_lines(result.transcript)
+    lines = rendered_lines(result.transcript)
     assert len(lines) == 12
     for raw in lines:
         record = json.loads(raw)
@@ -367,7 +373,7 @@ def test_transcript_lines_render_as_json_dumps(kind, n, all_subsets, tmp_path):
     config = small_config(n=n, rounds=40, attack=AttackModel(kind), all_subsets=all_subsets)
     result = run_session(config)
     expected = reference_lines(result.transcript)
-    assert transcript_lines(result.transcript) == expected
+    assert rendered_lines(result.transcript) == expected
     t_path, _ = write_outputs(result, str(tmp_path))
     assert Path(t_path).read_text(encoding="utf-8") == "".join(line + "\n" for line in expected)
     records = [json.loads(line) for line in expected]
@@ -383,12 +389,54 @@ def test_transcript_lines_render_as_json_dumps(kind, n, all_subsets, tmp_path):
 
 def test_empty_transcript_renders_no_lines():
     empty = empty_transcript()
-    assert transcript_lines(empty) == reference_lines(empty) == []
+    assert rendered_lines(empty) == reference_lines(empty) == []
+
+
+# block edges (4096 rows a block), and the round index's width grows inside a block at
+# rounds 10, 100, 1000 and 10000; n=11 orders hold the two-digit receivers 10 and 11
+BLOCK_EDGE_CASES = [
+    (n, rounds, kind, all_subsets)
+    for n in (3, 11)
+    for rounds, kind, all_subsets in [
+        (4095, "none", False),
+        (4096, "collective_cnot", True),
+        (4097, "intercept_resend_bell", False),
+        (8193, "none", True),
+        (10001, "collective_h_cnot", n == 11),
+    ]
+]
+
+
+@pytest.mark.parametrize("n,rounds,kind,all_subsets", BLOCK_EDGE_CASES)
+def test_transcript_blocks_render_as_json_dumps(n, rounds, kind, all_subsets, tmp_path):
+    config = small_config(n=n, rounds=rounds, attack=AttackModel(kind), all_subsets=all_subsets)
+    result = run_session(config)
+    expected = reference_lines(result.transcript)
+    chunks = list(transcript_chunks(result.transcript))
+    assert [chunk.count(b"\n") for chunk in chunks[:-1]] == [4096] * (len(chunks) - 1)
+    assert b"".join(chunks).decode().splitlines() == expected
+    t_path, _ = write_outputs(result, str(tmp_path))
+    assert Path(t_path).read_bytes() == "".join(line + "\n" for line in expected).encode()
+
+
+def test_write_outputs_peak_memory_stays_below_half_the_transcript(tmp_path):
+    # the transcript is written a block at a time: no copy of the whole file is built
+    config = small_config(rounds=100_000, message="", attack=AttackModel("collective_cnot"))
+    result = run_session(config)
+    tracemalloc.start()
+    try:
+        t_path, _ = write_outputs(result, str(tmp_path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = Path(t_path).stat().st_size
+    assert size > 14 << 20
+    assert peak <= 0.5 * size
 
 
 def test_transcript_eve_record_is_null_without_attack():
     result = run_session(small_config())
-    assert all(json.loads(t)["eve_record"] is None for t in transcript_lines(result.transcript))
+    assert all(json.loads(t)["eve_record"] is None for t in rendered_lines(result.transcript))
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -401,8 +449,8 @@ def test_byte_identical_reruns(tmp_path):
 
 
 def test_different_seeds_differ():
-    ta = transcript_lines(run_session(small_config(seed=1)).transcript)
-    tb = transcript_lines(run_session(small_config(seed=2)).transcript)
+    ta = rendered_lines(run_session(small_config(seed=1)).transcript)
+    tb = rendered_lines(run_session(small_config(seed=2)).transcript)
     assert ta != tb
 
 
