@@ -15,7 +15,7 @@ from ghzqss.attacks import (
     conditional_detection_rate,
     eve_mutual_information,
     eve_record_distribution,
-    exact_tables,
+    exact_table,
     validate_round,
 )
 from ghzqss.cli import piped
@@ -46,10 +46,10 @@ def main() -> int:
         print(f"{'variant':>8}  {'detection':>9}  {'eve_info':>8}  bell record")
         rates = []
         for variant in variants:
-            pair = tables[kind, variant] = exact_tables(attack, variant)
-            rates.append(conditional_detection_rate(pair))
-            info = eve_mutual_information(pair)
-            dist = eve_record_distribution(pair[0])
+            table = tables[kind, variant] = exact_table(attack, variant)
+            rates.append(conditional_detection_rate(table))
+            info = eve_mutual_information(table)
+            dist = eve_record_distribution(table)
             print(
                 f"{variant.name:>8}  {rates[-1]:9.6f}  {info:8.6f}  {format_distribution(dist)}"
             )
@@ -60,9 +60,9 @@ def main() -> int:
     print("conditioned intercept rates (by the attacker's Bell outcome):")
     for vidx in (2, 3):
         variant = variants[vidx - 1]
-        pair = tables["intercept_resend_bell", variant]
-        for bell in sorted(eve_record_distribution(pair[0])):
-            rate = conditional_detection_rate(pair, bell)
+        table = tables["intercept_resend_bell", variant]
+        for bell in sorted(eve_record_distribution(table)):
+            rate = conditional_detection_rate(table, bell)
             print(f"  {variant.name} | bell={bell}: {rate:.6f}")
     return 0
 

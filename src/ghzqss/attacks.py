@@ -16,24 +16,25 @@ another receiver, i.e. strictly before the round's variant is announced:
   sign he later announces comes from a particle already collapsed into a
   Bell pair with the probe.
 
-``exact_tables`` gives the exact joint distribution of one round's
+``exact_table`` gives the exact joint distribution of one round's
 classical record for both payload bits, and backs every security number
 in this package: the detection rate, the attacker's record distribution
-and information are pure folds over that pair of tables, so ``ghzqss
+and information are pure folds over that one table, so ``ghzqss
 analyze`` makes one oracle pass.  The oracle writes the round on a
 symbolic stabilizer tableau (``stabilizer.Tableau``): each random outcome
 is a free bit and every record bit an affine form in them, with the
 payload's X as a parameter slot, so payload 1's records are payload 0's
-with one vector XORed in.  A table is that form, a ``RecordTable``: the
-least record of each live Bell record and one vector per random readout,
-found in time polynomial in n, and the folds count its records without
-listing them.  ``run_round``, the one-round reference,
+with that slot's vector, the table's Pauli ``frame``, XORed in.  A table
+is that form, a ``RecordTable``: the least record of each live Bell
+record, one vector per random readout and the frame, found in time
+polynomial in n, and the folds count its records without listing them.
+``run_round``, the one-round reference,
 simulates the same round on the dense engine from one prefix,
 ``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
 measurement), and the tests pin the oracle ``==`` to the dense
 enumeration of that prefix (``tests/reference.py``).
-``route_rounds`` samples rounds from one table by XORing vectors, and a
-session builds each variant's pair of tables once
+``route_rounds`` samples rounds of either payload from one table by
+XORing vectors, and a session builds each variant's table once
 (``session._run_rounds``).  A random readout has p(0) = 1/2 exactly, and
 the dense engine reports the same exact dyadics, so the threshold rule
 ``run_round`` applies to a collapsed state takes a fresh outcome's vector
@@ -46,7 +47,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -185,7 +186,7 @@ def _round_prefix(
     encoding follow on each of its branches.  The collective probe is
     entangled in flight and read after encoding.  Without an attack the
     returned state is already encoded and ready for the readout.
-    ``exact_round_analysis`` writes the same round on its tableau.
+    ``exact_table`` writes the same round on its tableau.
     """
     n = variant.n
 
@@ -204,7 +205,7 @@ def _round_prefix(
 
 @dataclass(frozen=True)
 class RecordTable:
-    """One payload's exact record distribution, as an affine form over GF(2).
+    """One round's exact record distribution, as an affine form over GF(2).
 
     A record's code holds its ``width`` readout bits (alice_a most
     significant, then alice_A, then each receiver's sign in party order)
@@ -216,7 +217,10 @@ class RecordTable:
     probability ``p``.  A readout outcome is read into its vector's highest
     bit, which no other vector and no base holds, so the draw that picks
     it is a round's column ``width + tapped - vector.bit_length()``.  The
-    sampler, the folds and ``analyze``'s printout all read the two fields;
+    bases are payload 0's; payload 1 flips the bits of the ``frame``, which
+    holds neither a Bell bit nor a vector's highest bit, so its bases
+    (``bases_of(1)``) are again the least codes, in the same order.  The
+    sampler, the folds and ``analyze``'s printout all read these fields;
     nothing in the package lists the records.
     """
 
@@ -224,10 +228,15 @@ class RecordTable:
     tapped: bool
     bases: tuple[int, ...]
     vectors: tuple[int, ...]
+    frame: int
 
     @property
     def p(self) -> float:
         return 2.0 ** -len(self.vectors) / len(self.bases)
+
+    def bases_of(self, payload: int) -> tuple[int, ...]:
+        """The payload's bases: each base XOR ``payload * frame``."""
+        return tuple(base ^ self.frame for base in self.bases) if payload else self.bases
 
 
 def _unpack(index: np.ndarray, width: int) -> np.ndarray:
@@ -249,11 +258,8 @@ def _bell_tap(tableau: Tableau, q1: int, q2: int) -> list[int]:
     return [parity, phase]
 
 
-ExactTables = dict[int, RecordTable]
-
-
-def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
-    """Exact joint distribution of one round's classical record, as ``{payload: table}``.
+def exact_table(attack: AttackModel, variant: StateVariant) -> RecordTable:
+    """Exact joint distribution of one round's classical record, for both payloads.
 
     A record is the readout bits (alice_a, alice_A, then each receiver's
     sign) and the attacker's Bell outcome.  This is the oracle the session
@@ -262,7 +268,7 @@ def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
     layout (qubit 0 the sender's work qubit, qubit i party i, qubit n+1
     the collective probe), with the payload's X on a parameter slot, so
     each record bit comes out as an affine form in the V random outcomes
-    and the payload.
+    and the payload, whose slot's vector is the table's frame.
     """
     n = variant.n
     validate_round(n, attack)
@@ -304,22 +310,18 @@ def exact_tables(attack: AttackModel, variant: StateVariant) -> ExactTables:
         if vector >> width:
             bases += [base ^ vector for base in bases]
     vectors = tuple(vector for vector in vectors if not vector >> width)
-    return {
-        p: RecordTable(width, tapped, tuple(sorted(base ^ frame * p for base in bases)), vectors)
-        for p in (0, 1)
-    }
+    return RecordTable(width, tapped, tuple(sorted(bases)), vectors, frame)
 
 
-def exact_round_analysis(
-    variant: StateVariant, payload_bit: int, attack: AttackModel
-) -> RecordTable:
-    """The oracle's table for one payload bit (``exact_tables``)."""
+def exact_round_analysis(variant: StateVariant, payload_bit: int, attack: AttackModel) -> RecordTable:
+    """The oracle's table for one payload bit: ``exact_table``'s, with frame 0."""
     check_payload(payload_bit)
-    return exact_tables(attack, variant)[payload_bit]
+    table = exact_table(attack, variant)
+    return replace(table, bases=table.bases_of(payload_bit), frame=0)
 
 
-def conditional_detection_rate(tables: ExactTables, condition: int | None = None) -> float:
-    """Probability a single check round flags an error, from ``exact_tables``.
+def conditional_detection_rate(table: RecordTable, condition: int | None = None) -> float:
+    """Probability a single check round flags an error, from ``exact_table``.
 
     The payload bit is uniform.  ``condition`` restricts to rounds where the
     attacker's Bell record equals that outcome index; conditioning on an
@@ -327,14 +329,13 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
     share of its table, and within one the flagged records are all, none
     or half of them, so every sum is exact.
     """
+    # recover_secret's parity reads alice_a and every receiver's sign
+    read = 1 << table.width - 1 | (1 << table.width - 2) - 1
+    split = any((vector & read).bit_count() & 1 for vector in table.vectors)
+    mass = 0.5 / len(table.bases)
     weight = errors = 0.0
     for payload in (0, 1):
-        table = tables[payload]
-        # recover_secret's parity reads alice_a and every receiver's sign
-        read = 1 << table.width - 1 | (1 << table.width - 2) - 1
-        split = any((vector & read).bit_count() & 1 for vector in table.vectors)
-        mass = 0.5 / len(table.bases)
-        for base in table.bases:
+        for base in table.bases_of(payload):
             if condition is None or table.tapped and base >> table.width == condition:
                 flagged = (base & read).bit_count() & 1 != payload
                 weight += mass
@@ -345,30 +346,29 @@ def conditional_detection_rate(tables: ExactTables, condition: int | None = None
 
 
 def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
-    """Marginal distribution of the attacker's Bell record in one payload's table."""
+    """Marginal distribution of the attacker's Bell record, the same for both payloads."""
     bases = table.bases
     return {base >> table.width if table.tapped else None: 1.0 / len(bases) for base in bases}
 
 
-def eve_mutual_information(tables: ExactTables) -> float:
+def eve_mutual_information(table: RecordTable) -> float:
     """Bits the attacker's view carries about a uniform payload bit.
 
     The view is the Bell record together with the attacker's own announced
     X sign (receiver 2's readout), i.e. everything he holds before any
-    sender announcement.  Tables without an attacker record (no attack)
-    carry exactly zero information.  The at most 16 (view, payload) cells
+    sender announcement.  A table without an attacker record (no attack)
+    carries exactly zero information.  The at most 16 (view, payload) cells
     are summed in the order their first records appear, by code, payload
     0 first, with ``math.log2`` on each.
     """
-    if not tables[0].tapped:
+    if not table.tapped:
         return 0.0
+    own = table.width - 3  # receiver 2's sign
+    split = any(vector >> own & 1 for vector in table.vectors)
+    mass = 0.5 / len(table.bases)
     joint = {}  # (payload, 2 * Bell record + own sign): probability
     for payload in (0, 1):
-        table = tables[payload]
-        own = table.width - 3  # receiver 2's sign
-        split = any(vector >> own & 1 for vector in table.vectors)
-        mass = 0.5 / len(table.bases)
-        for base in table.bases:  # its own sign is the block's first
+        for base in table.bases_of(payload):  # its own sign is the block's first
             view = 2 * (base >> table.width) + (base >> own & 1)
             joint[payload, view] = mass / 2 if split else mass
             if split:
@@ -384,27 +384,30 @@ def eve_mutual_information(tables: ExactTables) -> float:
 
 def averaged_detection_rate(attack: AttackModel, n: int) -> float:
     """Check-round error rate averaged over the uniform variant draw."""
-    rates = [conditional_detection_rate(exact_tables(attack, v)) for v in standard_variants(n)]
+    rates = [conditional_detection_rate(exact_table(attack, v)) for v in standard_variants(n)]
     return sum(rates) / len(rates)
 
 
-def route_rounds(table: RecordTable, uniforms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def route_rounds(
+    table: RecordTable, payloads: np.ndarray, uniforms: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample one round per row of ``uniforms`` from ``table``, as ``run_round`` draws.
 
     Each row holds a round's draws in ``run_round``'s order, the Bell draw
-    first when the table is tapped; returns each row's readout bits (one
-    row per round, alice_a first) and Bell record (-1: no attack).  The
-    first draw u picks the floor(u * k)-th of the k bases, ascending (the
+    first when the table is tapped, and ``payloads`` the round's payload
+    bit; returns each row's readout bits (one row per round, alice_a
+    first) and Bell record (-1: no attack).  The first draw u picks the
+    floor(u * k)-th of the k bases of the row's payload, ascending (the
     Bell draw; an untapped table has one base), and each random readout
     takes its vector iff its draw is at least 1/2.
     """
-    uniforms = np.asarray(uniforms, dtype=np.float64)
+    uniforms, payloads = np.asarray(uniforms, dtype=np.float64), np.asarray(payloads)
     width, tapped = table.width, table.tapped
-    if uniforms.ndim != 2 or uniforms.shape[1] != width + tapped:
-        raise ValueError(f"need a row of {width + tapped} uniforms per round")
+    if payloads.ndim != 1 or uniforms.shape != (payloads.size, width + tapped):
+        raise ValueError(f"need a payload bit and a row of {width + tapped} uniforms per round")
     bases = table.bases
     pick = np.minimum(uniforms[:, 0] * len(bases), len(bases) - 1).astype(np.intp)
-    codes = np.array(bases)[pick]
+    codes = np.array(bases)[pick] ^ (payloads != 0) * table.frame
     for vector in table.vectors:
         codes ^= (uniforms[:, width + tapped - vector.bit_length()] >= 0.5) * vector
     return _unpack(codes, width), codes >> width if tapped else np.full(codes.size, -1)

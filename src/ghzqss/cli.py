@@ -5,8 +5,8 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-``analyze`` prints each payload's table straight from its affine form:
-each line's sort key is XORed together from the form's bases and vectors,
+``analyze`` prints each payload's table straight from the one affine form:
+each line's sort key is XORed from that payload's bases and the vectors,
 and every line has the same width, so the table is one byte array, one
 row per line, into whose columns the key bits are added.  Once every
 figure is computed, it writes each part in turn, rendering each table
@@ -32,7 +32,7 @@ from .attacks import (
     RecordTable,
     conditional_detection_rate,
     eve_mutual_information,
-    exact_tables,
+    exact_table,
 )
 from .protocol import StateVariant, check_message_size, recover_secret
 from .session import (
@@ -180,7 +180,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _table_text(table: RecordTable) -> str:
+def _table_text(table: RecordTable, payload: int) -> str:
     """One payload's table rows as ``analyze`` prints them below its heading.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
@@ -193,9 +193,9 @@ def _table_text(table: RecordTable) -> str:
     one byte array, tiled from one template with p's text, and each key
     bit is added into its column.
     """
-    width, size = table.width, len(table.bases)
+    width, bases, size = table.width, table.bases_of(payload), len(table.bases)
     keys = np.empty(size << len(table.vectors), dtype=np.uint64)
-    keys[:size] = [(base & (1 << width) - 1) << 2 | base >> width for base in table.bases]
+    keys[:size] = [(base & (1 << width) - 1) << 2 | base >> width for base in bases]
     for vector in table.vectors:
         keys[size : 2 * size] = keys[:size] ^ vector << 2
         size *= 2
@@ -223,9 +223,9 @@ def cmd_analyze(args) -> int:
     variant = _parse_variant(args)
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
     # every figure is computed before the first write, so a failure leaves stdout empty
-    tables = exact_tables(attack, variant)
-    rate = conditional_detection_rate(tables, args.condition_bell)
-    info = eve_mutual_information(tables)
+    table = exact_table(attack, variant)
+    rate = conditional_detection_rate(table, args.condition_bell)
+    info = eve_mutual_information(table)
     positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
     target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
     condition = ""
@@ -239,7 +239,7 @@ def cmd_analyze(args) -> int:
     # each table's text is rendered just before it is written, so one is alive at a time
     for payload in (args.payload,) if args.payload is not None else (0, 1):
         write(f"payload {payload} joint distribution:\n")
-        write(_table_text(tables[payload]))
+        write(_table_text(table, payload))
     write(f"detection_rate = {rate:.8f}{condition}\n")
     write(f"eve_mutual_information = {info:.8f} bits\n")
     return 0

@@ -12,16 +12,16 @@ round-by-round loop).  Round i's row of uniforms is defined as the first draws o
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
-tests).  The exact oracle runs once per variant the session needs, for
-both payloads.  Each table samples its rounds (``attacks.route_rounds``),
-giving each round's record as one row of two arrays, its readout bits and
-Bell record, and an attacked exact session folds each standard variant's
-pair of tables into the reported information as it is built.  The
-transcript keeps the columns and the arrays as they are.  The
-announcements, the check, the per-variant counts and the transcript lines
-are array operations over them, and every round's bit is recovered once,
-from the bit columns.  Each row is exactly the pair ``attacks.run_round``
-gives the round simulated alone.
+tests).  The exact oracle runs once per variant the session needs, and
+its one table, whose frame holds the payload, samples all the variant's
+rounds in one call (``attacks.route_rounds``), giving each round's record
+as one row of two arrays, its readout bits and Bell record.  An attacked
+exact session folds each standard variant's table into the reported
+information as it is built.  The transcript keeps the columns and the
+arrays as they are.  The announcements, the check, the per-variant counts
+and the transcript lines are array operations over them, and every
+round's bit is recovered once, from the bit columns.  Each row is
+exactly the pair ``attacks.run_round`` gives the round simulated alone.
 
 The public log kept on the transcript mirrors what actually goes over the
 classical channel, in order, one entry per event with its values as columns:
@@ -46,7 +46,7 @@ from .attacks import (
     AttackModel,
     draws_per_round,
     eve_mutual_information,
-    exact_tables,
+    exact_table,
     route_rounds,
     validate_round,
 )
@@ -218,27 +218,25 @@ def _run_rounds(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every round's readout bits and Bell record, and the folded information values.
 
-    Each variant's pair of tables is built once, in ascending mask order,
-    and samples its rounds (``route_rounds``).  An attacked exact session
-    also builds the pair of every standard variant and folds it with
-    ``eve_mutual_information``, so the values come in standard index (=
-    ascending mask) order.  No pair outlives its mask.
+    Each variant's table is built once, in ascending mask order, and
+    samples its rounds of both payloads in one call (``route_rounds``).  An
+    attacked exact session also builds the table of every standard variant
+    and folds it with ``eve_mutual_information``, so the values come in
+    standard index (= ascending mask) order.  No table outlives its mask.
     """
     n, attack = config.n, config.attack
     uniforms = _round_uniforms(config.seed, np.arange(len(masks)), draws_per_round(attack, n))
     masks = np.asarray(masks, dtype=np.int64)
-    keys = 2 * masks + payloads
     folded = {v.mask for v in standard_variants(n) if config.mode == "exact" and attack.active}
-    bits, eves = np.zeros((keys.size, len(readout(n))), dtype=np.int64), np.full(keys.size, -1)
+    bits, eves = np.zeros((masks.size, len(readout(n))), dtype=np.int64), np.full(masks.size, -1)
     infos = []
     for mask in sorted({*masks.tolist(), *folded}):
-        tables = exact_tables(attack, StateVariant.from_mask(n, mask))
-        for payload in (0, 1):
-            rows = np.flatnonzero(keys == 2 * mask + payload)
-            bits[rows], eves[rows] = route_rounds(tables[payload], uniforms[rows])
+        table = exact_table(attack, StateVariant.from_mask(n, mask))
+        rows = np.flatnonzero(masks == mask)
+        bits[rows], eves[rows] = route_rounds(table, payloads[rows], uniforms[rows])
         if mask in folded:
-            infos.append(eve_mutual_information(tables))
-        del tables
+            infos.append(eve_mutual_information(table))
+        del table
     return bits, eves, infos
 
 
@@ -314,12 +312,9 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
     variable-width texts NUL-padded in theirs; JSON holds no NUL, so the other bytes are the lines.
     """
     rows, receivers = transcript.bits.shape[0], transcript.bits.shape[1] - 2
-    distinct, variant_of = np.unique(transcript.masks, return_inverse=True)
-    variants, roles, eves = (  # NUL-padded texts, a row each; eves[-1] is null
-        np.array(texts, bytes)[:, None].view(np.uint8)
-        for texts in ([str(mask_positions(m)).replace(" ", "") for m in distinct.tolist()],
-                      ["message", "check"], ["0", "1", "2", "3", "null"])
-    )
+    wide = len(str([*range(2, receivers + 2)]).replace(" ", ""))  # the widest variant list
+    roles, eves = (np.array(texts, bytes)[:, None].view(np.uint8)  # NUL-padded, a row each
+                   for texts in (["message", "check"], ["0", "1", "2", "3", "null"]))  # -1: null
     rounds, orders = np.zeros(0, dtype=np.int64), np.zeros((0, receivers), dtype=np.int64)
     for entry in (e for e in transcript.announcement_log if e["event"] == "check_announcements"):
         rounds, orders = entry["rounds"], entry["orders"]  # the check rounds ascend
@@ -329,7 +324,7 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
     listed[:, 0], listed[:, -1] = ord("["), ord("]")
     powers = 10 ** np.arange(len(str(rows - 1)) - 1, -1, -1)  # the round index's digit places
     parts = (  # key texts, each followed by its field's template text
-        '{"round_index":', "\0" * powers.size, ',"variant":', "\0" * variants.shape[1],
+        '{"round_index":', "\0" * powers.size, ',"variant":', "\0" * wide,
         ',"role":"', "\0" * roles.shape[1], '","payload_bit":', "0", ',"alice_a":', "0",
         ',"alice_A":', "0", ',"receiver_signs":"', "+" * receivers, '","eve_record":',
         "\0" * eves.shape[1], ',"announcement_order":', "null".ljust(listed.shape[1], "\0"), "}\n",
@@ -343,7 +338,9 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
         mat = np.tile(template, (len(bits), 1))
         numbers = np.arange(start, start + len(bits))[:, None]  # leading zeros stay NUL:
         mat[:, index] = (numbers // powers % 10 + 48) * (np.maximum(numbers, 1) >= powers)
-        mat[:, variant] = variants[variant_of[block]]
+        distinct, variant_of = np.unique(transcript.masks[block], return_inverse=True)
+        texts = [str(mask_positions(m)).replace(" ", "") for m in distinct.tolist()]
+        mat[:, variant] = np.array(texts, f"S{wide}")[:, None].view(np.uint8)[variant_of]
         mat[:, role] = roles[transcript.check[block].astype(np.intp)]
         mat[:, eve] = eves[transcript.eves[block]]
         mat[:, np.r_[payload, a, big_a]] += bits[:, :3]

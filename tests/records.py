@@ -4,7 +4,8 @@ A record leaves the package only as arrays: the per-row readout bits and
 Bell records that ``route_rounds`` samples from one table (and a session's
 ``Transcript`` holds), and ``outcome_distribution``'s packed indices and
 probabilities.  A ``RecordTable`` is an affine form that the package never
-expands; ``expand`` lists its records, as the dense reference holds them.
+expands; ``expand`` lists one payload's records, as the dense reference
+holds them.
 These helpers turn them into plain Python values, in the arrays' order, so
 that tests can compare with ``==`` and check ordering; ``random_form``
 draws a form for the tests that need tables the protocol does not produce.
@@ -33,17 +34,18 @@ def record_counts(bits, eve):
     return dict(zip(row_records(_unpack(codes, width), (codes >> width) - 1), counts.tolist()))
 
 
-def expand(table):
+def expand(table, payload=0):
     """Every live record's packed readout bits and Bell record (-1 untapped), by code.
 
-    A ``RecordTable``'s records are every base XOR every subset of its
-    vectors; the dense reference's table holds them as arrays.
+    A ``RecordTable``'s records under ``payload`` are every base of that
+    payload (``bases_of``) XOR every subset of its vectors; the dense
+    reference's table, built for one payload, holds them as arrays.
     """
     if not isinstance(table, RecordTable):
         return table.index, table.eve
     size = len(table.bases)
     codes = np.empty(size << len(table.vectors), dtype=np.int64)
-    codes[:size] = table.bases
+    codes[:size] = table.bases_of(payload)
     for vector in table.vectors:
         codes[size : 2 * size] = codes[:size] ^ vector
         size *= 2
@@ -52,9 +54,9 @@ def expand(table):
     return codes & (1 << table.width) - 1, eve
 
 
-def table_dict(table):
-    """A ``RecordTable`` (or the dense reference's table) as {record: probability}, by code."""
-    index, eve = expand(table)
+def table_dict(table, payload=0):
+    """A payload's records (or the dense reference's) as {record: probability}, by code."""
+    index, eve = expand(table, payload)
     p = np.broadcast_to(table.p, index.shape)
     return dict(zip(row_records(_unpack(index, table.width), eve), p.tolist()))
 
@@ -67,10 +69,10 @@ def assert_same_table(table, reference):
     assert (reference.p == table.p).all()
 
 
-def reference_table_text(table):
+def reference_table_text(table, payload):
     """One payload's ``analyze`` table rows, one ``%`` format per record, ascending (index, eve)."""
     lines = []
-    index, eve = expand(table)
+    index, eve = expand(table, payload)
     for index, eve in sorted(zip(index.tolist(), eve.tolist())):
         bits = format(index, f"0{table.width}b")
         signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
@@ -98,7 +100,9 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
     random when None), so 1, 2 or 4 bases, each a random offset XOR a
     subset of their vectors: with two, the phase outcome's vector may flip
     the parity bit too, i.e. the parity's form reads the phase slot; with
-    one, the outcome flips the phase bit, the parity bit or both.
+    one, the outcome flips the phase bit, the parity bit or both.  The
+    payload's frame holds no Bell bit and no vector's highest bit, and its
+    other readout bits are random.
     """
 
     def bits(count):
@@ -122,4 +126,4 @@ def random_form(rng, width, tapped, rank=None, bell_rank=None):
     bases = [bits(width + 2 * tapped) & ~pivots]
     for vector in bells:
         bases += [base ^ vector for base in bases]
-    return RecordTable(width, tapped, tuple(sorted(bases)), vectors)
+    return RecordTable(width, tapped, tuple(sorted(bases)), vectors, bits(width) & ~pivots)

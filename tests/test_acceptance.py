@@ -22,7 +22,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
-    exact_tables,
+    exact_table,
     route_rounds,
 )
 from ghzqss.cli import main
@@ -136,9 +136,9 @@ def test_intercept_fifty_percent_rates():
         attack = AttackModel("intercept_resend_bell")
         psi2 = StateVariant.from_index(3, 2)
         psi3 = StateVariant.from_index(3, 3)
-        assert abs(conditional_detection_rate(exact_tables(attack, psi2), 0) - 0.5) < 1e-10
-        assert abs(conditional_detection_rate(exact_tables(attack, psi3), 0) - 0.5) < 1e-10
-        assert abs(conditional_detection_rate(exact_tables(attack, psi2), 1) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_table(attack, psi2), 0) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_table(attack, psi3), 0) - 0.5) < 1e-10
+        assert abs(conditional_detection_rate(exact_table(attack, psi2), 1) - 0.5) < 1e-10
 
 
 def test_collective_attack_zero_information():
@@ -152,7 +152,7 @@ def test_collective_attack_zero_information():
         for kind, vidx in matched:
             attack = AttackModel(kind)
             variant = StateVariant.from_index(3, vidx)
-            assert abs(eve_mutual_information(exact_tables(attack, variant))) < 1e-10
+            assert abs(eve_mutual_information(exact_table(attack, variant))) < 1e-10
             for payload in (0, 1):
                 dist = eve_record_distribution(exact_round_analysis(variant, payload, attack))
                 assert set(dist) == {0, 1}
@@ -208,9 +208,9 @@ def test_oracle_sample_agreement():
                 for payload in (0, 1):
                     stream = np.random.default_rng(np.random.SeedSequence((SWEEP_SEED, combo)))
                     us = stream.random((rounds, draws_per_round(attack, 3)))
-                    table = exact_round_analysis(variant, payload, attack)
-                    counts = record_counts(*route_rounds(table, us))
-                    exact = table_dict(table)
+                    table = exact_table(attack, variant)
+                    counts = record_counts(*route_rounds(table, np.full(rounds, payload), us))
+                    exact = table_dict(table, payload)
                     assert set(counts) <= set(exact)
                     for key, p in exact.items():
                         se = math.sqrt(rounds * p * (1 - p))

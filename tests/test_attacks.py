@@ -25,7 +25,7 @@ from ghzqss.attacks import (
     eve_mutual_information,
     eve_record_distribution,
     exact_round_analysis,
-    exact_tables,
+    exact_table,
     route_rounds,
     run_round,
     tap_collective,
@@ -233,44 +233,42 @@ def test_tableau_oracle_equals_the_dense_reference_all_hadamard(n, kind):
 @pytest.mark.parametrize("n", range(3, 10))
 def test_oracle_forms_keep_the_affine_invariants(n, kind):
     # the rules route_rounds and the folds read a form by: ascending,
-    # distinct bases, one per live Bell record; each readout vector's
-    # highest bit, its draw's column, is held by no other vector and no
-    # base; the payloads differ by one frame vector XORed into every base
+    # distinct bases, one per live Bell record, under either payload; each
+    # readout vector's highest bit, its draw's column, is held by no other
+    # vector, no base and the frame; the frame holds no Bell bit either
     masks = np.random.default_rng(n).integers(1 << (n - 1), size=3).tolist()
     variants = [*standard_variants(n), *(StateVariant.from_mask(n, mask) for mask in masks)]
     attack = AttackModel(kind)
     for variant in variants:
-        tables = exact_tables(attack, variant)
-        for table in tables.values():
-            assert table.tapped == attack.active
-            assert list(table.bases) == sorted(set(table.bases))
-            assert len(table.bases) in ((1, 2, 4) if table.tapped else (1,))
+        table = exact_table(attack, variant)
+        assert table.tapped == attack.active
+        assert 0 <= table.frame < 1 << table.width, variant
+        for payload in (0, 1):
+            bases = table.bases_of(payload)
+            assert list(bases) == sorted(set(bases))
+            assert len(bases) in ((1, 2, 4) if table.tapped else (1,))
             for i, vector in enumerate(table.vectors):
                 assert 0 < vector < 1 << table.width
                 top = 1 << vector.bit_length() - 1
-                others = table.vectors[:i] + table.vectors[i + 1 :] + table.bases
+                others = table.vectors[:i] + table.vectors[i + 1 :] + bases + (table.frame,)
                 assert not any(other & top for other in others), variant
-        zero, one = tables[0], tables[1]
-        assert zero.vectors == one.vectors
-        frames = [zero.bases[0] ^ base for base in one.bases]
-        assert any(sorted(b ^ f for b in zero.bases) == list(one.bases) for f in frames)
 
 
 def test_oracle_peak_memory_stays_within_three_tables():
-    # the oracle keeps the affine form, so at n=14 the collective-CNOT pair
-    # of the all-Hadamard variant (2^17 records each) is built in under
-    # 64 KiB; ``analyze`` prints a table straight from its form, peaking at
-    # 2.5 times the text it returns (its rows and their decoded text)
+    # the oracle keeps the affine form, so at n=14 the collective-CNOT table
+    # of the all-Hadamard variant (2^17 records per payload) is built in
+    # under 64 KiB; ``analyze`` prints a payload straight from the form,
+    # peaking at 2.5 times the text it returns (its rows and their decoded text)
     tracemalloc.start()
     try:
-        tables = exact_tables(CNOT, StateVariant.from_index(14, 15))
+        table = exact_table(CNOT, StateVariant.from_index(14, 15))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 64 << 10
     tracemalloc.start()
     try:
-        text = _table_text(tables[0])
+        text = _table_text(table, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -289,7 +287,7 @@ def test_exact_analysis_validation():
 def test_detection_rates_per_variant(kind, rates):
     attack = AttackModel(kind)
     for vidx, expected in zip((1, 2, 3, 4), rates):
-        assert conditional_detection_rate(exact_tables(attack, V[vidx])) == pytest.approx(
+        assert conditional_detection_rate(exact_table(attack, V[vidx])) == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -310,10 +308,9 @@ def test_exact_rates_are_dyadic(kind, n):
     attack = AttackModel(kind)
     rates = []
     for variant in standard_variants(n):
-        tables = exact_tables(attack, variant)
-        rates.append(Fraction(conditional_detection_rate(tables)))
-        for table in tables.values():
-            assert set(eve_record_distribution(table).values()) <= {0.25, 0.5, 1.0}
+        table = exact_table(attack, variant)
+        rates.append(Fraction(conditional_detection_rate(table)))
+        assert set(eve_record_distribution(table).values()) <= {0.25, 0.5, 1.0}
     assert set(rates) <= {Fraction(0), Fraction(1, 2)}
     if attack.collective:
         assert averaged_detection_rate(attack, n) == 0.5
@@ -323,7 +320,7 @@ def test_exact_rates_are_dyadic(kind, n):
 
 
 def test_conditioned_intercept_rates():
-    psi2, psi3 = exact_tables(INTERCEPT, V[2]), exact_tables(INTERCEPT, V[3])
+    psi2, psi3 = exact_table(INTERCEPT, V[2]), exact_table(INTERCEPT, V[3])
     assert conditional_detection_rate(psi2, 0) == pytest.approx(0.5, abs=1e-10)
     assert conditional_detection_rate(psi3, 0) == pytest.approx(0.5, abs=1e-10)
     assert conditional_detection_rate(psi2, 1) == pytest.approx(0.5, abs=1e-10)
@@ -332,9 +329,9 @@ def test_conditioned_intercept_rates():
 def test_conditioning_on_impossible_outcome_raises():
     # the psi1 intercept record never reads 3, and a clean round has none
     with pytest.raises(ValueError):
-        conditional_detection_rate(exact_tables(INTERCEPT, V[1]), 3)
+        conditional_detection_rate(exact_table(INTERCEPT, V[1]), 3)
     with pytest.raises(ValueError):
-        conditional_detection_rate(exact_tables(AttackModel(), V[1]), 0)
+        conditional_detection_rate(exact_table(AttackModel(), V[1]), 0)
 
 
 @pytest.mark.parametrize("key,expected", sorted(BELL_DISTRIBUTIONS.items()))
@@ -361,7 +358,7 @@ def test_standard_tables_carry_exactly_zero_information(n):
         for target in range(2 + (kind == "intercept_resend_bell"), n + 1):
             attack = AttackModel(kind, target)
             for variant in standard_variants(n):
-                assert eve_mutual_information(exact_tables(attack, variant)) == 0.0, (kind, target)
+                assert eve_mutual_information(exact_table(attack, variant)) == 0.0, (kind, target)
 
 
 @pytest.mark.parametrize(
@@ -415,23 +412,24 @@ def replayed_record(variant, payload, attack, row):
     return row_records([bits], [eve])[0]
 
 
-def routed_records(variant, payload, attack, us):
-    """Each row's record from one sampler call on the (variant, payload) table, in row order."""
-    return row_records(*route_rounds(exact_round_analysis(variant, payload, attack), us))
+def routed_records(variant, payloads, attack, us):
+    """Each row's record from one sampler call on the variant's table, in row order."""
+    payloads = np.broadcast_to(payloads, len(us))
+    return row_records(*route_rounds(exact_table(attack, variant), payloads, us))
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("vidx", (1, 2, 3, 4))
 def test_bulk_sampler_replays_run_round_exactly(kind, vidx):
+    # one call samples a mixed payload column, as a session's variant does
     attack = AttackModel(kind)
     variant = V[vidx]
-    rounds = 48
-    for payload in (0, 1):
-        us = np.random.default_rng((kind == "none", vidx, payload)).random(
-            (rounds, draws_per_round(attack, 3))
-        )
-        expected = [replayed_record(variant, payload, attack, row) for row in us]
-        assert routed_records(variant, payload, attack, us) == expected
+    rng = np.random.default_rng((kind == "none", vidx))
+    us = rng.random((96, draws_per_round(attack, 3)))
+    payloads = rng.integers(2, size=96)
+    assert set(payloads.tolist()) == {0, 1}
+    expected = [replayed_record(variant, int(p), attack, row) for p, row in zip(payloads, us)]
+    assert routed_records(variant, payloads, attack, us) == expected
 
 
 # 0, the dyadic cumulative branch probabilities of n=3 rounds (many computed
@@ -481,9 +479,9 @@ def test_bulk_sampler_matches_exact_distribution():
     # one seeded smoke check; the full 32-combination sweep runs in acceptance
     n = 20_000
     us = np.random.default_rng(314).random((n, draws_per_round(INTERCEPT, 3)))
-    table = exact_round_analysis(V[2], 1, INTERCEPT)
-    counts = record_counts(*route_rounds(table, us))
-    exact = table_dict(table)
+    table = exact_table(INTERCEPT, V[2])
+    counts = record_counts(*route_rounds(table, np.ones(n, dtype=np.int64), us))
+    exact = table_dict(table, 1)
     assert set(counts) <= set(exact)
     for key, p in exact.items():
         se = math.sqrt(n * p * (1 - p))
@@ -492,12 +490,18 @@ def test_bulk_sampler_matches_exact_distribution():
 
 def test_bulk_sampler_shape_validation():
     # a tapped table needs its Bell draw in front of the readout's
+    clean, payloads = exact_table(AttackModel(), V[1]), np.zeros(10, dtype=np.int64)
     with pytest.raises(ValueError):
-        route_rounds(exact_round_analysis(V[1], 0, INTERCEPT), np.zeros((10, 4)))
+        route_rounds(exact_table(INTERCEPT, V[1]), payloads, np.zeros((10, 4)))
     with pytest.raises(ValueError):
-        route_rounds(exact_round_analysis(V[1], 0, AttackModel()), np.zeros(40))
+        route_rounds(clean, np.zeros(40, dtype=np.int64), np.zeros(40))
     with pytest.raises(ValueError):
-        route_rounds(exact_round_analysis(V[1], 0, AttackModel()), np.zeros((10, 5)))
+        route_rounds(clean, payloads, np.zeros((10, 5)))
+    # one payload bit per row of draws, as a flat column
+    assert route_rounds(clean, payloads, np.zeros((10, 4)))[0].shape == (10, 4)
+    for column in (payloads[:9], np.zeros(11, dtype=np.int64), payloads[:, None]):
+        with pytest.raises(ValueError):
+            route_rounds(clean, column, np.zeros((10, 4)))
 
 
 @pytest.mark.parametrize("mode", ("sample", "exact"))
@@ -519,7 +523,7 @@ def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
     masks = [variant.mask for variant in variants]
     bits, eves, infos = session._run_rounds(masks, payloads, config)
     assert row_records(bits, eves) == row_records(*zip(*expected))
-    folded = [eve_mutual_information(exact_tables(attack, v)) for v in standard_variants(n)]
+    folded = [eve_mutual_information(exact_table(attack, v)) for v in standard_variants(n)]
     assert infos == (folded if mode == "exact" and attack.active else [])
 
 
@@ -527,43 +531,48 @@ def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n,rounds", ((3, 80), (5, 80), (5, 6)))
 def test_affine_forms_are_built_once_per_mask_and_freed(kind, n, rounds, mode, monkeypatch):
-    # one tableau run per mask, for both payloads, in ascending order: the
-    # planned masks, plus every standard mask in an attacked exact session
-    # (6 rounds plan at most half of them).  No mask's forms are alive when
-    # the next mask's are built, nor after the session
+    # one tableau run and one sampler call per mask, for both payloads, in
+    # ascending order: the planned masks, plus every standard mask in an
+    # attacked exact session (6 rounds plan at most half of them).  No
+    # mask's form is alive when the next mask's is built, nor after the session
     attack = AttackModel(kind)
     standard = {v.mask for v in standard_variants(n) if mode == "exact" and attack.active}
-    built, runs, alive = [], [], []
-    oracle, tableau = attacks.exact_tables, attacks.Tableau
+    built, runs, alive, sampled = [], [], [], []
+    oracle, tableau, sampler = attacks.exact_table, attacks.Tableau, attacks.route_rounds
 
     def counted(attack, variant):
         assert all(ref() is None for ref in alive)
         built.append(variant.mask)
-        tables = oracle(attack, variant)
-        alive.extend(weakref.ref(table) for table in tables.values())
-        return tables
+        table = oracle(attack, variant)
+        alive.append(weakref.ref(table))
+        return table
 
     def counted_tableau(k):
         runs.append(k)
         return tableau(k)
 
-    monkeypatch.setattr(session, "exact_tables", counted)
+    def counted_sampler(table, payloads, uniforms):
+        sampled.append(built[-1])
+        return sampler(table, payloads, uniforms)
+
+    monkeypatch.setattr(session, "exact_table", counted)
+    monkeypatch.setattr(session, "route_rounds", counted_sampler)
     monkeypatch.setattr(attacks, "Tableau", counted_tableau)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
     masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=rounds)]
     payloads = rng.integers(2, size=rounds)
     session._run_rounds(masks, payloads, SessionConfig(n=n, attack=attack, mode=mode))
     assert built == sorted(set(masks) | standard)
-    assert len(runs) == len(built)
-    assert len(alive) == 2 * len(built) and all(ref() is None for ref in alive)
+    assert len(runs) == len(built) and sampled == built
+    assert len(alive) == len(built) and all(ref() is None for ref in alive)
 
 
-def spec_sample(table, row):
-    """One row's (index, eve), read off the table one record at a time: the
-    Bell draw takes the first live outcome whose running total exceeds it,
-    else the last; each readout takes outcome 0 iff its draw lies below the
-    node's p(0), the nearest double to the exact ratio of the node's masses."""
-    index, eve = expand(table)
+def spec_sample(table, payload, row):
+    """One row's (index, eve), read off the payload's records one at a time:
+    the Bell draw takes the first live outcome whose running total exceeds
+    it, else the last; each readout takes outcome 0 iff its draw lies below
+    the node's p(0), the nearest double to the exact ratio of the node's masses."""
+    index, eve = expand(table, payload)
     records = list(zip(index.tolist(), eve.tolist(), [Fraction(table.p)] * index.size))
     draws = list(row)
     if table.tapped:
@@ -594,9 +603,10 @@ SAMPLER_DRAWS = (0.0, 0.25, 0.5, 0.75, 0.5 - 2.0**-53, 1.0 - 2.0**-53)
 @pytest.mark.parametrize("tapped", (False, True), ids=("untapped", "tapped"))
 @pytest.mark.parametrize("width", range(2, 7))
 def test_affine_sampler_follows_the_threshold_rule(width, tapped):
-    # random forms, not only this package's rounds: random rank and offset,
-    # Bell rank 0, 1 or 2 (a parity that reads the phase slot included),
-    # so dead Bell records and determinate readouts of every kind
+    # random forms, not only this package's rounds: random rank, offset and
+    # frame, Bell rank 0, 1 or 2 (a parity that reads the phase slot
+    # included), so dead Bell records and determinate readouts of every
+    # kind, under a mixed payload column
     rng = np.random.default_rng((width, tapped))
     for _ in range(12):
         table = random_form(rng, width, tapped)
@@ -606,9 +616,11 @@ def test_affine_sampler_follows_the_threshold_rule(width, tapped):
             rng.choice(SAMPLER_DRAWS, size=(160, columns)),
             rng.random((160, columns)),
         )
-        bits, eve = route_rounds(table, us)
+        payloads = rng.integers(2, size=160)
+        bits, eve = route_rounds(table, payloads, us)
         index = bits @ (1 << np.arange(width - 1, -1, -1))
-        assert list(zip(index.tolist(), eve.tolist())) == [spec_sample(table, row) for row in us]
+        expected = [spec_sample(table, int(p), row) for p, row in zip(payloads, us)]
+        assert list(zip(index.tolist(), eve.tolist())) == expected
 
 
 def run_rounds_growth(masks, payloads, config):

@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -277,22 +278,24 @@ def test_run_capacity_failure_exits_3(capsys, tmp_path):
 @pytest.mark.parametrize("width", (*range(3, 14), 33, 40))
 def test_table_text_equals_a_per_record_format(width, tapped):
     rng = np.random.default_rng(width + 100 * tapped)
-    # a lone certain record (p = 1.0), a table of 2^9 records, whose
-    # p = 0.001953125 is a tie at the 9th decimal that ``%.8f`` rounds half
-    # to even, or the largest one the width allows, then random forms; the
-    # widths past the qubit cap keep a rank of at most 9, so at most 2^11
-    # records
-    certain = attacks.RecordTable(width, tapped, ((3 << width) * tapped | 1 << width - 1,), ())
+    # a lone certain record (p = 1.0) whose frame flips alice_A, a table of
+    # 2^9 records, whose p = 0.001953125 is a tie at the 9th decimal that
+    # ``%.8f`` rounds half to even, or the largest one the width allows,
+    # then random forms, each printed for both payloads; the widths past
+    # the qubit cap keep a rank of at most 9, so at most 2^11 records
+    certain = attacks.RecordTable(
+        width, tapped, ((3 << width) * tapped | 1 << width - 1,), (), 1 << width - 2
+    )
     bell_rank = min(2, 9 - min(9, width)) if tapped else None
     largest = random_form(rng, width, tapped, min(9, width), bell_rank)
     ranks = [None if width < 14 else int(rng.integers(10)) for _ in range(3)]
     tables = [certain, largest] + [random_form(rng, width, tapped, rank) for rank in ranks]
     assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
-    for table in tables:
-        text = _table_text(table)
+    for table, payload in itertools.product(tables, (0, 1)):
+        text = _table_text(table, payload)
         # compared as lines: pytest reports the first that differs, not a diff of the text
         assert text.endswith("\n")
-        assert text.splitlines() == reference_table_text(table).splitlines()
+        assert text.splitlines() == reference_table_text(table, payload).splitlines()
 
 
 class CountingSink:
@@ -463,12 +466,12 @@ def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, targ
 
 
 def test_oracle_runs_once_per_variant_and_folds_only_under_an_attack(capsys, monkeypatch, tmp_path):
-    # analyze folds every figure over one pair of oracle tables.  A session
-    # builds each variant's pair once, in ascending mask order: each planned
-    # mask, plus, in an attacked exact session, every standard mask, whose
-    # pair its information fold reads
+    # analyze folds every figure over one oracle table.  A session builds
+    # each variant's table once, in ascending mask order: each planned mask,
+    # plus, in an attacked exact session, every standard mask, whose table
+    # its information fold reads
     calls = []
-    oracle = attacks.exact_tables
+    oracle = attacks.exact_table
 
     def counted(attack, variant):
         calls.append(variant.mask)
@@ -476,8 +479,8 @@ def test_oracle_runs_once_per_variant_and_folds_only_under_an_attack(capsys, mon
 
     # every ghzqss namespace that holds the oracle, so no caller escapes the count
     for name, module in list(sys.modules.items()):
-        if name.startswith("ghzqss") and hasattr(module, "exact_tables"):
-            monkeypatch.setattr(module, "exact_tables", counted)
+        if name.startswith("ghzqss") and hasattr(module, "exact_table"):
+            monkeypatch.setattr(module, "exact_table", counted)
     code, _out, _err = run_cli(
         capsys, "analyze", "--variant", "psi2", "--attack", "intercept-resend"
     )

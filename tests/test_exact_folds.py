@@ -22,7 +22,7 @@ from ghzqss.attacks import (
     conditional_detection_rate,
     eve_mutual_information,
     eve_record_distribution,
-    exact_tables,
+    exact_table,
 )
 from ghzqss.protocol import recover_secret, standard_variants
 from records import random_form, table_dict
@@ -89,21 +89,21 @@ def outcome(fn, *args):
         return ("ValueError", str(exc))
 
 
-def assert_equal_to_the_loops(tables, reference):
-    """Tables and folds equal the dicts and the loops over them, float for float."""
+def assert_equal_to_the_loops(table, reference):
+    """A table's payloads and its folds equal the dicts and the loops over them, float for float."""
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table.frame = 0
     for payload in (0, 1):
-        assert list(table_dict(tables[payload]).items()) == list(reference[payload].items())
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            tables[payload].bases = ()
-        assert list(eve_record_distribution(tables[payload]).items()) == list(
+        assert list(table_dict(table, payload).items()) == list(reference[payload].items())
+        assert list(eve_record_distribution(table).items()) == list(
             reference_record_distribution(reference[payload]).items()
         )
     # -1 is no Bell outcome, so conditioning on it must fail like any impossible one
     for condition in (None, -1, 0, 1, 2, 3):
-        assert outcome(conditional_detection_rate, tables, condition) == outcome(
+        assert outcome(conditional_detection_rate, table, condition) == outcome(
             reference_detection_rate, reference, condition
         )
-    assert eve_mutual_information(tables) == reference_mutual_information(reference)
+    assert eve_mutual_information(table) == reference_mutual_information(reference)
 
 
 @pytest.mark.parametrize("n,vidx,kind", CASES, ids=str)
@@ -111,49 +111,36 @@ def test_oracle_and_folds_equal_the_per_record_loops(n, vidx, kind):
     attack = AttackModel(kind)
     variant = standard_variants(n)[vidx - 1]
     reference = {payload: reference_table(variant, payload, attack) for payload in (0, 1)}
-    assert_equal_to_the_loops(exact_tables(attack, variant), reference)
+    assert_equal_to_the_loops(exact_table(attack, variant), reference)
 
 
-def random_tables(rng, width=5):
-    """A random pair of forms with the same number of random outcomes, and
-    the same pair as dicts.
+def random_table(rng, width=5):
+    """A random tapped form with a random frame, and its two payloads as dicts.
 
-    About half the pairs share their vectors and differ in their bases by
-    one mask, as the oracle's payloads do; then each information term is
-    0 or the cell's mass, and any order sums to the same float.  The rest
-    draw their vectors apart, so the terms' logarithms are not whole and
-    the sum's order shows.  Only pairs with non-zero information are kept: the protocol's
-    own tables give the attacker exactly zero.
+    Payload 1's records are payload 0's with the frame XORed in, as the
+    oracle's are, so each information term is 0 or its cell's mass.  Only
+    forms with non-zero information are kept, i.e. forms whose frame flips
+    the attacker's own sign: the protocol's own tables give him exactly zero.
     """
     while True:
-        rank, bell_rank = int(rng.integers(width + 1)), int(rng.integers(3))
-        table = random_form(rng, width, True, rank, bell_rank)
-        if rng.integers(2):
-            # the bits random readouts are read into stay 0 in every base
-            read = sum(1 << vector.bit_length() - 1 for vector in table.vectors)
-            mask = int(rng.integers(4 << width)) & ~read
-            other = dataclasses.replace(table, bases=tuple(sorted(b ^ mask for b in table.bases)))
-        else:
-            other = random_form(rng, width, True, rank, bell_rank)
-        tables = {0: table, 1: other}
-        dicts = {payload: table_dict(table) for payload, table in tables.items()}
+        table = random_form(rng, width, True, int(rng.integers(width + 1)), int(rng.integers(3)))
+        dicts = {payload: table_dict(table, payload) for payload in (0, 1)}
         if reference_mutual_information(dicts) > 0.0:
-            return tables, dicts
+            return table, dicts
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_folds_equal_the_per_record_loops_on_random_tables(seed):
-    # ten pairs each: a swap of two adjacent cells moves the sum's last bit
-    # in about one pair in a hundred
+    # ten forms each, both payloads of each
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        assert_equal_to_the_loops(*random_tables(rng))
+        assert_equal_to_the_loops(*random_table(rng))
 
 
 def test_an_impossible_condition_raises_in_both():
     # no record of an unattacked round carries a Bell outcome
-    tables = exact_tables(AttackModel(), standard_variants(3)[0])
-    dicts = {payload: table_dict(table) for payload, table in tables.items()}
-    for fold, pair in ((conditional_detection_rate, tables), (reference_detection_rate, dicts)):
+    table = exact_table(AttackModel(), standard_variants(3)[0])
+    dicts = {payload: table_dict(table, payload) for payload in (0, 1)}
+    for fold, tables in ((conditional_detection_rate, table), (reference_detection_rate, dicts)):
         with pytest.raises(ValueError, match="zero probability"):
-            fold(pair, 0)
+            fold(tables, 0)

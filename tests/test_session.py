@@ -419,8 +419,9 @@ def test_transcript_blocks_render_as_json_dumps(n, rounds, kind, all_subsets, tm
     assert Path(t_path).read_bytes() == "".join(line + "\n" for line in expected).encode()
 
 
-def test_write_outputs_peak_memory_stays_below_half_the_transcript(tmp_path):
-    # the transcript is written a block at a time: no copy of the whole file is built
+def test_write_outputs_peak_memory_stays_below_a_fifth_of_the_transcript(tmp_path):
+    # the transcript is written a block at a time, each block's variant texts
+    # taken from its own masks: nothing passes over a whole column or file
     config = small_config(rounds=100_000, message="", attack=AttackModel("collective_cnot"))
     result = run_session(config)
     tracemalloc.start()
@@ -431,7 +432,7 @@ def test_write_outputs_peak_memory_stays_below_half_the_transcript(tmp_path):
         tracemalloc.stop()
     size = Path(t_path).stat().st_size
     assert size > 14 << 20
-    assert peak <= 0.5 * size
+    assert peak <= 0.2 * size
 
 
 def test_transcript_eve_record_is_null_without_attack():
