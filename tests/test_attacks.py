@@ -635,7 +635,7 @@ def run_rounds_growth(masks, payloads, config):
 
 
 def test_session_sampler_memory_stays_bounded():
-    # the sampler keeps one variant's pair of forms alive at a time, so a
+    # the sampler keeps one variant's form alive at a time, so a
     # 500-round n=9 session's rounds allocate at most 1 MiB above where
     # they start (numpy buffers included)
     config = SessionConfig(
@@ -649,7 +649,7 @@ def test_session_sampler_memory_stays_bounded():
 
 def test_session_sampler_memory_stays_bounded_on_the_largest_table():
     # 200 rounds of the all-Hadamard collective-CNOT variant at n=14, whose
-    # tables hold 2^17 records each, are sampled from the forms alone
+    # table holds 2^17 records per payload, are sampled from the form alone
     config = SessionConfig(n=14, rounds=200, attack=CNOT)
     masks = [StateVariant.from_index(14, 15).mask] * config.rounds
     payloads = np.random.default_rng(14).integers(2, size=config.rounds)
