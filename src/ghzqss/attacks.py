@@ -27,8 +27,11 @@ payload's X as a parameter slot, so payload 1's records are payload 0's
 with that slot's vector, the table's Pauli ``frame``, XORed in.  A table
 is that form, a ``RecordTable``: the least record of each live Bell
 record, one vector per random readout and the frame, found in time
-polynomial in n, and the folds count its records without listing them.
-``run_round``, the one-round reference,
+polynomial in n, and the folds read it in closed form: the detection
+rate is a count of bases, and the information is one bit when the
+frame alone flips the attacker's own sign, else zero.  In every standard
+table a vector holds that sign, a fresh random readout, so the
+attacker learns nothing.  ``run_round``, the one-round reference,
 simulates the same round on the dense engine from one prefix,
 ``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
 measurement), and the tests pin the oracle ``==`` to the dense
@@ -45,7 +48,6 @@ against, returns from that row's draws.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -326,23 +328,26 @@ def conditional_detection_rate(table: RecordTable, condition: int | None = None)
     The payload bit is uniform.  ``condition`` restricts to rounds where the
     attacker's Bell record equals that outcome index; conditioning on an
     impossible outcome is an error.  Every live Bell record holds an equal
-    share of its table, and within one the flagged records are all, none
-    or half of them, so every sum is exact.
+    share of its table.  Payload 0 is flagged at a base whose recovered
+    parity is odd, payload 1 at one whose parity XOR the frame's is even,
+    so the rate is a count of bases: one half when a vector flips the
+    parity or the frame does not, else the odd bases' share.
     """
-    # recover_secret's parity reads alice_a and every receiver's sign
-    read = 1 << table.width - 1 | (1 << table.width - 2) - 1
-    split = any((vector & read).bit_count() & 1 for vector in table.vectors)
-    mass = 0.5 / len(table.bases)
-    weight = errors = 0.0
-    for payload in (0, 1):
-        for base in table.bases_of(payload):
-            if condition is None or table.tapped and base >> table.width == condition:
-                flagged = (base & read).bit_count() & 1 != payload
-                weight += mass
-                errors += mass / 2 if split else mass * flagged
-    if weight == 0.0:
+    bases = [
+        base for base in table.bases
+        if condition is None or table.tapped and base >> table.width == condition
+    ]
+    if not bases:
         raise ValueError("conditioning event has zero probability")
-    return errors / weight
+
+    read = 1 << table.width - 1 | (1 << table.width - 2) - 1  # alice_a and every receiver's sign
+
+    def odd(code: int) -> int:  # recover_secret's parity
+        return (code & read).bit_count() & 1
+
+    if not odd(table.frame) or any(map(odd, table.vectors)):
+        return 0.5
+    return sum(map(odd, bases)) / len(bases)
 
 
 def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
@@ -352,34 +357,19 @@ def eve_record_distribution(table: RecordTable) -> dict[int | None, float]:
 
 
 def eve_mutual_information(table: RecordTable) -> float:
-    """Bits the attacker's view carries about a uniform payload bit.
+    """Bits the attacker's view carries about a uniform payload bit: 0.0 or 1.0.
 
     The view is the Bell record together with the attacker's own announced
     X sign (receiver 2's readout), i.e. everything he holds before any
-    sender announcement.  A table without an attacker record (no attack)
-    carries exactly zero information.  The at most 16 (view, payload) cells
-    are summed in the order their first records appear, by code, payload
-    0 first, with ``math.log2`` on each.
+    sender announcement.  Payload 1 moves no Bell record, so the view tells
+    the payloads apart only by that sign, and only when it is fixed by the
+    Bell record: one bit when no vector holds it and the frame flips it,
+    else none.  In every standard table a vector holds it, so the
+    attacker's sign is a fresh random readout.  No attack: no information.
     """
-    if not table.tapped:
-        return 0.0
-    own = table.width - 3  # receiver 2's sign
-    split = any(vector >> own & 1 for vector in table.vectors)
-    mass = 0.5 / len(table.bases)
-    joint = {}  # (payload, 2 * Bell record + own sign): probability
-    for payload in (0, 1):
-        for base in table.bases_of(payload):  # its own sign is the block's first
-            view = 2 * (base >> table.width) + (base >> own & 1)
-            joint[payload, view] = mass / 2 if split else mass
-            if split:
-                joint[payload, view ^ 1] = mass / 2
-    view_marginal: dict[int, float] = {}
-    for (_payload, view), p in joint.items():
-        view_marginal[view] = view_marginal.get(view, 0.0) + p
-    info = 0.0
-    for (_payload, view), p in joint.items():
-        info += p * math.log2(p / (view_marginal[view] * 0.5))
-    return max(info, 0.0)
+    own = 1 << table.width - 3  # receiver 2's sign
+    fixed = not any(vector & own for vector in table.vectors)
+    return 1.0 if table.tapped and fixed and table.frame & own else 0.0
 
 
 def averaged_detection_rate(attack: AttackModel, n: int) -> float:

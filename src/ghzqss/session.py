@@ -332,6 +332,7 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
     template = np.frombuffer("".join(parts).encode("ascii"), dtype=np.uint8)
     ends = np.cumsum([len(part) for part in parts]).tolist()  # a field spans its part's columns
     index, variant, role, payload, a, big_a, sign, eve, order = map(slice, ends[::2], ends[1::2])
+    texts: dict[int, str] = {}  # each mask's variant text, built in the block it first appears
     for start in range(0, rows, _BLOCK_ROWS):
         block = slice(start, start + _BLOCK_ROWS)
         bits = np.c_[transcript.payloads[block], transcript.bits[block]].astype(np.uint8)
@@ -339,8 +340,10 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
         numbers = np.arange(start, start + len(bits))[:, None]  # leading zeros stay NUL:
         mat[:, index] = (numbers // powers % 10 + 48) * (np.maximum(numbers, 1) >= powers)
         distinct, variant_of = np.unique(transcript.masks[block], return_inverse=True)
-        texts = [str(mask_positions(m)).replace(" ", "") for m in distinct.tolist()]
-        mat[:, variant] = np.array(texts, f"S{wide}")[:, None].view(np.uint8)[variant_of]
+        for mask in set(distinct.tolist()) - texts.keys():
+            texts[mask] = str(mask_positions(mask)).replace(" ", "")
+        distinct_texts = [texts[mask] for mask in distinct.tolist()]
+        mat[:, variant] = np.array(distinct_texts, f"S{wide}")[:, None].view(np.uint8)[variant_of]
         mat[:, role] = roles[transcript.check[block].astype(np.intp)]
         mat[:, eve] = eves[transcript.eves[block]]
         mat[:, np.r_[payload, a, big_a]] += bits[:, :3]

@@ -351,9 +351,9 @@ def test_clean_round_has_no_record():
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_standard_tables_carry_exactly_zero_information(n):
-    # every cell of the information sum has p(view, payload) = p(view) / 2, so
-    # each term is p * log2(1) = 0 and the fold is exactly 0.0, for every
-    # attack, every valid target and every standard variant
+    # in every standard table a vector holds the attacker's own sign, a fresh
+    # random readout, and no frame holds it: the fold is exactly 0.0, for
+    # every attack, every valid target and every standard variant
     for kind in ATTACK_KINDS:
         for target in range(2 + (kind == "intercept_resend_bell"), n + 1):
             attack = AttackModel(kind, target)

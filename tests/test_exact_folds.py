@@ -2,9 +2,9 @@
 
 The references below walk one record at a time, from the dense oracle's
 tables (``tests/reference.py``) as dicts, and add in table order, the way
-a plain Python loop does.  The package's oracle and folds, which count
-records over the affine form, must give exactly the same records in the
-same order, and exactly the same floats (compared with ``==``): the
+a plain Python loop does.  The package's oracle and folds, which read
+the affine form in closed form, must give exactly the same records in
+the same order, and exactly the same floats (compared with ``==``): the
 full-precision mutual information lands in ``report.json``, and
 ``analyze`` prints only 8 decimals, so no other test would see a last-ulp
 drift.
@@ -135,6 +135,20 @@ def test_folds_equal_the_per_record_loops_on_random_tables(seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
         assert_equal_to_the_loops(*random_table(rng))
+
+
+def test_folds_equal_the_per_record_loops_on_every_drawn_form():
+    # every form kept, tapped and untapped, widths 3 to 7: both branches of
+    # each closed form, zero and one bit of information, rates at and off one half
+    rng = np.random.default_rng(2024)
+    info, rates = set(), set()
+    for _ in range(400):
+        table = random_form(rng, int(rng.integers(3, 8)), bool(rng.integers(2)))
+        assert_equal_to_the_loops(table, {payload: table_dict(table, payload) for payload in (0, 1)})
+        info.add(eve_mutual_information(table))
+        rates.add(conditional_detection_rate(table))
+    assert info == {0.0, 1.0}
+    assert 0.5 in rates and {0.0, 1.0} <= rates
 
 
 def test_an_impossible_condition_raises_in_both():

@@ -6,8 +6,9 @@ hash to the recorded digest, and so must the stdout of
 ``scripts/detection_experiment.py --rounds 400``, so any change that moves a
 printed digit or a transcript byte fails here.  Exact-mode reports are
 pinned too: their mutual information is exactly 0.0 on any build, since
-every term of its sum is p * log2(1) = 0 (``test_attacks`` checks this for
-n=3..8, every attack, target and standard variant).  The digests were
+in every standard table the attacker's own sign is a fresh random readout,
+whose bit a vector holds (``test_attacks`` checks this for n=3..8, every
+attack, target and standard variant).  The digests were
 recorded on Python 3.11 with numpy 2.4.6.
 """
 

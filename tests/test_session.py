@@ -10,8 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzqss import session
 from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
-from ghzqss.protocol import StateVariant, Transcript, recover_secret, standard_variants
+from ghzqss.protocol import (
+    StateVariant,
+    Transcript,
+    mask_positions,
+    recover_secret,
+    standard_variants,
+)
 from ghzqss.session import (
     REPORT_NAME,
     TRANSCRIPT_NAME,
@@ -417,6 +424,21 @@ def test_transcript_blocks_render_as_json_dumps(n, rounds, kind, all_subsets, tm
     assert b"".join(chunks).decode().splitlines() == expected
     t_path, _ = write_outputs(result, str(tmp_path))
     assert Path(t_path).read_bytes() == "".join(line + "\n" for line in expected).encode()
+
+
+def test_each_variant_text_is_built_once_per_transcript(monkeypatch):
+    # 10,000 rounds are three blocks, each holding all 32 masks of n=6
+    transcript = run_session(small_config(n=6, rounds=10_000, message="", all_subsets=True)).transcript
+    calls = []
+
+    def counted(mask):
+        calls.append(mask)
+        return mask_positions(mask)
+
+    monkeypatch.setattr(session, "mask_positions", counted)
+    lines = rendered_lines(transcript)
+    assert len(lines) == 10_000
+    assert sorted(calls) == list(range(32)) == np.unique(transcript.masks).tolist()
 
 
 def test_write_outputs_peak_memory_stays_below_a_fifth_of_the_transcript(tmp_path):
