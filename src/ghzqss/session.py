@@ -38,7 +38,7 @@ from __future__ import annotations
 import json
 import os
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -188,7 +188,6 @@ class SessionReport:
     message_bit_error_rate: float | None
     eve_mutual_information: float | None
     per_variant_stats: dict[str, dict[str, int]]
-    transcript_path: str | None = None
 
 
 @dataclass
@@ -272,9 +271,9 @@ def run_session(config: SessionConfig) -> SessionResult:
     if not detected:
         rounds = np.flatnonzero(~check)
         log.append({"event": "message_results", "rounds": rounds, "alice_bits": bits[rounds, 0]})
-        recovered = "".join(map(str, secrets[rounds[: len(config.message)]].tolist()))
-        wrong = sum(got != sent for got, sent in zip(recovered, config.message))
-        ber = wrong / len(config.message) if config.message else 0.0
+        carried = rounds[: len(config.message)]
+        recovered = "".join(map(str, secrets[carried].tolist()))
+        ber = np.count_nonzero(secrets[carried] != payloads[carried]) / max(carried.size, 1)
 
     distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
     counted = inverse, inverse[check], inverse[check & (secrets != payloads)]  # as in _STATS
@@ -360,16 +359,16 @@ def default_output_dir() -> str:
 def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:
     """Write transcript and report files; returns their paths.
 
-    The report stores the transcript's file name rather than an absolute
-    path, so identical sessions written to different directories still
-    produce byte-identical reports.
+    The writer records the transcript's file name, not its path, as the
+    report's last key, so identical sessions written to different
+    directories give byte-identical reports.  The report is left unchanged.
     """
     os.makedirs(out_dir, exist_ok=True)
     transcript_path = os.path.join(out_dir, TRANSCRIPT_NAME)
     with open(transcript_path, "wb") as fh:  # bytes, a block at a time: no newline translation
         fh.writelines(transcript_chunks(result.transcript))
-    result.report.transcript_path = TRANSCRIPT_NAME
+    report = {**vars(result.report), "transcript_path": TRANSCRIPT_NAME}
     report_path = os.path.join(out_dir, REPORT_NAME)
     with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(result.report), indent=2) + "\n")
+        fh.write(json.dumps(report, default=vars, indent=2) + "\n")
     return transcript_path, report_path

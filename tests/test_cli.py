@@ -263,6 +263,18 @@ def test_run_random_message_fit_is_checked_before_the_draw(capsys, tmp_path, mon
     assert not (tmp_path / "o").exists()
 
 
+def test_run_negative_random_message_is_refused_before_the_draw(capsys, tmp_path, monkeypatch):
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("a negative random message size reached the draw")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    code, out, err = run_cli(capsys, "run", "--random-message", "-1", "--out", str(tmp_path / "o"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --random-message must be non-negative\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_run_capacity_failure_exits_3(capsys, tmp_path):
     code, _out, err = run_cli(
         capsys, "run", "--parties", "25", "--rounds", "2", "--out", str(tmp_path / "r")

@@ -1,5 +1,6 @@
 """Session orchestration: configs, the check, outputs, determinism."""
 
+import copy
 import json
 import tracemalloc
 from dataclasses import asdict
@@ -479,8 +480,45 @@ def test_different_seeds_differ():
 
 def test_report_dict_is_json_ready():
     result = run_session(small_config(mode="exact"))
-    text = json.dumps(asdict(result.report))
+    text = json.dumps(result.report, default=vars)  # as write_outputs serializes it
     assert "per_variant_stats" in text
+
+
+def reference_report_bytes(report) -> bytes:
+    # a deep copy by dataclasses.asdict, then the transcript's name added as the last key
+    text = json.dumps({**asdict(report), "transcript_path": TRANSCRIPT_NAME}, indent=2) + "\n"
+    return text.encode("utf-8")
+
+
+def reference_bit_error_rate(report):
+    # the sent message and the recovered text compared character by character
+    if report.recovered_message is None:
+        return None
+    message = report.config.message
+    wrong = sum(got != sent for got, sent in zip(report.recovered_message, message))
+    return wrong / len(message) if message else 0.0
+
+
+@pytest.mark.parametrize("message", ("", "0110100111010"))
+@pytest.mark.parametrize("abort_threshold", (0.0, 1.0))
+@pytest.mark.parametrize("all_subsets", (False, True))
+@pytest.mark.parametrize("mode", ("sample", "exact"))
+@pytest.mark.parametrize("kind", ATTACK_KINDS)
+def test_report_writer_matches_its_reference(
+    kind, mode, all_subsets, abort_threshold, message, tmp_path
+):
+    config = small_config(
+        n=4, rounds=60, seed=5, message=message, attack=AttackModel(kind), mode=mode,
+        abort_threshold=abort_threshold, all_subsets=all_subsets,
+    )
+    result = run_session(config)
+    report = result.report
+    assert report.detected is (kind != "none" and abort_threshold == 0.0)
+    assert report.message_bit_error_rate == reference_bit_error_rate(report)
+    expected, before = reference_report_bytes(report), copy.deepcopy(vars(report))
+    written = [Path(write_outputs(result, str(tmp_path / d))[1]).read_bytes() for d in "ab"]
+    assert vars(report) == before  # the writer neither sets nor changes a field
+    assert written == [expected, expected]
 
 
 def test_default_output_dir_env(monkeypatch):
