@@ -5,12 +5,10 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
-``analyze`` prints each payload's table straight from the one affine form:
-each line's sort key is XORed from that payload's bases and the vectors,
-and every line has the same width, so the table is one byte array, one
-row per line, into whose columns the key bits are added.  Once every
-figure is computed, it writes each part in turn, rendering each table
-just before it is written.
+``analyze`` prints each payload's table straight from the one affine form,
+block by block: 1,024 lines doubled from one over the form's basis in
+reduced echelon form, then each later block as those XOR one line's
+pattern.  Every figure and basis is computed before the first write.
 
 Exit codes, kept by ``piped`` for the subcommands and the scripts alike:
 0 success, 1 recovery-table mismatch or stdout closed by its reader (e.g.
@@ -24,6 +22,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterator
+from functools import reduce
 
 import numpy as np
 
@@ -180,52 +180,66 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _table_text(table: RecordTable, payload: int) -> str:
-    """One payload's table rows as ``analyze`` prints them below its heading.
+_BLOCK_BITS = 10  # a table's lines are rendered, and written, 2**10 = 1,024 at a time
+
+
+def _clear(code: int, vector: int) -> int:  # the code without the vector's highest bit
+    return min(code, code ^ vector)
+
+
+def _table_chunks(table: RecordTable, payload: int) -> Iterator[str]:
+    """One payload's table rows as ``analyze`` prints them below its heading, block by block.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
-    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key is
-    its record's code with the two Bell bits moved below the readout bits,
-    so the keys sort in line order; moving bits is linear, so a record's
-    key is its base's key XOR its vectors' keys.  A key has width + 2 bits
-    in a uint64, so widths up to 62 print.  Every record has the table's p,
-    at most 1, so every line has the same width: the lines are the rows of
-    one byte array, tiled from one template with p's text, and each key
-    bit is added into its column.
+    ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key, its
+    record's code with the Bell bits moved below the readout bits, ascends in
+    line order; the keys are the least base's XOR the span of the bases'
+    differences and the vectors, a basis put in reduced echelon form before
+    this returns, so binary counting over it lists them in order.  A key's
+    bits change its line by XOR (1 on a digit, 6 between "+" and "-", the
+    Bell bits on the eve digit), so the first 2**_BLOCK_BITS lines are doubled
+    from the offset's, and each block is those XOR its high vectors' pattern.
     """
-    width, bases, size = table.width, table.bases_of(payload), len(table.bases)
-    keys = np.empty(size << len(table.vectors), dtype=np.uint64)
-    keys[:size] = [(base & (1 << width) - 1) << 2 | base >> width for base in bases]
-    for vector in table.vectors:
-        keys[size : 2 * size] = keys[:size] ^ vector << 2
-        size *= 2
-    keys.sort()
-    eve = "0" if table.tapped else "-"
-    template = f"  alice_a=0 alice_A=0 signs={'+' * (width - 2)} eve={eve}  p={table.p:.8f}\n"
-    rows = np.tile(np.frombuffer(template.encode("ascii"), dtype=np.uint8), (keys.size, 1))
-    # each field's first column
-    a, big_a, signs, e = (
-        template.index(field) + len(field) for field in ("alice_a=", "alice_A=", "signs=", "eve=")
-    )
-    # (column, shift, mask): readout bit i, alice_a first, is key bit
-    # width + 1 - i, shifted to bit 0 for a digit and to bit 1 for a sign
-    # ("+" and "-" are 2 apart); the Bell digit is the key's two low bits,
-    # 0 under the untapped template's "-"
-    columns = [(a, width + 1, 1), (big_a, width, 1), (e, 0, 3)]
-    columns += [(signs + i, width - 2 - i, 2) for i in range(width - 2)]
-    for column, shift, mask in columns:
-        # the low byte holds every bit the mask keeps
-        rows[:, column] += (keys >> shift).astype(np.uint8) & mask
-    return str(rows, "ascii")  # decoded from the array's buffer, with no bytes copy
+    width, tapped, p = table.width, table.tapped, f"{table.p:.8f}"
+
+    def key(code: int) -> int:  # a Python int, so any width prints
+        return (code & (1 << width) - 1) << 2 | code >> width
+
+    def line(key: int) -> bytes:
+        bits, eve = format(key >> 2, f"0{width}b"), key & 3 if tapped else "-"
+        signs = bits[2:].replace("0", "+").replace("1", "-")
+        return f"  alice_a={bits[0]} alice_A={bits[1]} signs={signs} eve={eve}  p={p}\n".encode()
+
+    def pattern(key: int, count: int) -> np.ndarray:  # XOR turning key 0's line into key's, tiled
+        xor = int.from_bytes(line(key), "big") ^ int.from_bytes(zero, "big")
+        return np.frombuffer(xor.to_bytes(len(zero), "big") * count, np.uint8).reshape(count, -1)
+
+    # RecordTable's vectors are reduced and no base holds their highest bits: reduce the rest
+    bases, pivots, zero = table.bases_of(payload), [], line(0)
+    for base in bases[1:]:
+        if difference := reduce(_clear, pivots, key(base ^ bases[0])):
+            pivots = [_clear(pivot, difference) for pivot in pivots] + [difference]
+    basis = sorted([reduce(_clear, pivots, key(vector)) for vector in table.vectors] + pivots)
+    offset, low, shifts = reduce(_clear, pivots, key(bases[0])), basis[:_BLOCK_BITS], [0]
+    for vector in basis[_BLOCK_BITS:]:  # each block's combination of the high vectors
+        shifts += [shift ^ vector for shift in shifts]
+    rows = np.empty((1 << len(low), len(zero)), dtype=np.uint8)
+    rows[0] = np.frombuffer(line(offset), dtype=np.uint8)
+    for i, vector in enumerate(low):
+        np.bitwise_xor(rows[: 1 << i], pattern(vector, 1 << i), out=rows[1 << i : 2 << i])
+    # each block decoded from its array's buffer, with no bytes copy
+    return (str(rows ^ pattern(shift, len(rows)), "ascii") for shift in shifts)
 
 
 def cmd_analyze(args) -> int:
     variant = _parse_variant(args)
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
-    # every figure is computed before the first write, so a failure leaves stdout empty
+    # every figure and basis is computed before the first write, so a failure leaves stdout empty
     table = exact_table(attack, variant)
     rate = conditional_detection_rate(table, args.condition_bell)
     info = eve_mutual_information(table)
+    payloads = (0, 1) if args.payload is None else (args.payload,)
+    tables = [(payload, _table_chunks(table, payload)) for payload in payloads]
     positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
     target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
     condition = ""
@@ -236,10 +250,11 @@ def cmd_analyze(args) -> int:
         f"variant={variant.name} (hadamard positions: {positions}) "
         f"parties={args.parties} attack={attack.kind}{target}\n"
     )
-    # each table's text is rendered just before it is written, so one is alive at a time
-    for payload in (args.payload,) if args.payload is not None else (0, 1):
+    # each block is rendered just before it is written, so one block's text is alive at a time
+    for payload, chunks in tables:
         write(f"payload {payload} joint distribution:\n")
-        write(_table_text(table, payload))
+        for chunk in chunks:
+            write(chunk)
     write(f"detection_rate = {rate:.8f}{condition}\n")
     write(f"eve_mutual_information = {info:.8f} bits\n")
     return 0

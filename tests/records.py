@@ -70,13 +70,19 @@ def assert_same_table(table, reference):
 
 
 def reference_table_text(table, payload):
-    """One payload's ``analyze`` table rows, one ``%`` format per record, ascending (index, eve)."""
+    """One payload's ``analyze`` table rows, one ``%`` format per record, ascending (index, eve).
+
+    The records are listed as ``expand`` lists them, but over Python ints, so any width prints.
+    """
+    codes = list(table.bases_of(payload))
+    for vector in table.vectors:
+        codes += [code ^ vector for code in codes]
+    records = [(code & (1 << table.width) - 1, code >> table.width) for code in codes]
     lines = []
-    index, eve = expand(table, payload)
-    for index, eve in sorted(zip(index.tolist(), eve.tolist())):
+    for index, eve in sorted(records):
         bits = format(index, f"0{table.width}b")
         signs = "".join("-" if bit == "1" else "+" for bit in bits[2:])
-        eve_text = "-" if eve < 0 else str(eve)
+        eve_text = str(eve) if table.tapped else "-"
         lines.append(
             "  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f\n"
             % (int(bits[0]), int(bits[1]), signs, eve_text, table.p)

@@ -194,7 +194,7 @@ def test_byte_identical_determinism(tmp_path):
         second = run_once(tmp_path / "two")
         for a, b in zip(first, second):
             assert Path(a).read_bytes() == Path(b).read_bytes()
-        assert json.loads(Path(first[1]).read_text())["config"]["seed"] == 90210
+        assert json.loads(Path(first[1]).read_text(encoding="utf-8"))["config"]["seed"] == 90210
 
 
 def test_oracle_sample_agreement():

@@ -40,7 +40,7 @@ from ghzqss.protocol import (
     standard_variants,
 )
 from ghzqss import attacks, session, statevec
-from ghzqss.cli import _table_text
+from ghzqss.cli import _table_chunks
 from ghzqss.session import SessionConfig
 from ghzqss.statevec import RegisterCapacityError, outcome_distribution
 from records import (
@@ -257,8 +257,9 @@ def test_oracle_forms_keep_the_affine_invariants(n, kind):
 def test_oracle_peak_memory_stays_within_three_tables():
     # the oracle keeps the affine form, so at n=14 the collective-CNOT table
     # of the all-Hadamard variant (2^17 records per payload) is built in
-    # under 64 KiB; ``analyze`` prints a payload straight from the form,
-    # peaking at 2.5 times the text it returns (its rows and their decoded text)
+    # under 64 KiB; ``analyze`` prints a payload straight from the form in
+    # 1,024-line blocks, peaking at a few blocks (the first block's rows, a
+    # block's pattern, its rows and their decoded text), not at the table
     tracemalloc.start()
     try:
         table = exact_table(CNOT, StateVariant.from_index(14, 15))
@@ -268,12 +269,12 @@ def test_oracle_peak_memory_stays_within_three_tables():
     assert peak <= 64 << 10
     tracemalloc.start()
     try:
-        text = _table_text(table, 0)
+        lines = [chunk.count("\n") for chunk in _table_chunks(table, 0)]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert text.count("\n") == 1 << 17
-    assert peak <= 2.5 * len(text)
+    assert lines == [1024] * 128
+    assert peak <= 5 * 1024 * len("  alice_a=0 alice_A=0 signs=+++++++++++++ eve=0  p=0.00000763\n")
 
 
 def test_exact_analysis_validation():

@@ -15,7 +15,7 @@ import pytest
 
 import ghzqss
 from ghzqss import attacks
-from ghzqss.cli import _table_text, main
+from ghzqss.cli import _table_chunks, main
 from ghzqss.protocol import StateVariant, standard_variants
 from records import random_form, reference_table_text
 
@@ -64,7 +64,7 @@ def test_closed_stdout_exits_1_and_writes_no_error(capsys):
 def test_closed_pipe_is_pointed_at_devnull(capsys):
     read_fd, write_fd = os.pipe()
     os.close(read_fd)
-    with open(write_fd, "w") as pipe, contextlib.redirect_stdout(pipe):
+    with open(write_fd, "w", encoding="utf-8") as pipe, contextlib.redirect_stdout(pipe):
         code = main(["analyze", "--parties", "6", "--attack", "collective-cnot"])
         # the descriptor now writes to devnull, so closing the file flushes cleanly
         assert os.path.samestat(os.fstat(write_fd), os.stat(os.devnull))
@@ -81,6 +81,24 @@ def test_pipe_closed_after_the_header_exits_1_quietly(capsys):
     assert capsys.readouterr().err == ""
     header = "variant=Psi1 (hadamard positions: none) parties=6 attack=collective_cnot target=6\n"
     assert stdout.getvalue() == header
+
+
+def test_pipe_closed_between_blocks_keeps_the_blocks_before_it(capsys):
+    # a table is written in 1,024-line blocks, one write each: the n=10 psi11
+    # collective-CNOT table has 8,192 lines per payload, so a reader leaving
+    # after the header, the payload line and three blocks has read just those
+    argv = ["analyze", "--parties", "10", "--variant", "psi11", "--attack", "collective-cnot"]
+    code, full, _err = run_cli(capsys, *argv)
+    assert code == 0
+    lines = full.splitlines(keepends=True)
+    assert lines[1] == "payload 0 joint distribution:\n"
+    assert lines[2 + 8192] == "payload 1 joint distribution:\n"
+    stdout = ClosedStdout(accepted=2 + 3)
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    assert code == 1
+    assert capsys.readouterr().err == ""
+    assert stdout.getvalue() == "".join(lines[: 2 + 3 * 1024])
 
 
 def run_script(command, stdout=subprocess.PIPE):
@@ -152,11 +170,11 @@ def test_run_writes_outputs_and_summary(capsys, tmp_path):
     assert code == 0
     assert err == ""
     assert out.startswith("detected=false check_error_rate=0.000000 message_ber=0.000000")
-    report = json.loads((out_dir / "report.json").read_text())
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["config"]["rounds"] == 16
     assert report["config"]["seed"] == 4
     assert len(report["recovered_message"]) == 6
-    assert len((out_dir / "transcript.jsonl").read_text().splitlines()) == 16
+    assert len((out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()) == 16
 
 
 def test_run_attack_flag_maps_to_internal_kind(capsys, tmp_path):
@@ -175,7 +193,7 @@ def test_run_attack_flag_maps_to_internal_kind(capsys, tmp_path):
         str(tmp_path / "x"),
     )
     assert code == 0
-    report = json.loads((tmp_path / "x" / "report.json").read_text())
+    report = json.loads((tmp_path / "x" / "report.json").read_text(encoding="utf-8"))
     assert report["config"]["attack"]["kind"] == "intercept_resend_bell"
     assert out.startswith("detected=true")
     assert "message_ber=n/a" in out
@@ -183,13 +201,13 @@ def test_run_attack_flag_maps_to_internal_kind(capsys, tmp_path):
 
 def test_run_message_file(capsys, tmp_path):
     msg = tmp_path / "msg.txt"
-    msg.write_text("1 0 1\n1\n")  # whitespace is stripped
+    msg.write_text("1 0 1\n1\n", encoding="utf-8")  # whitespace is stripped
     out_dir = tmp_path / "y"
     code, out, _err = run_cli(
         capsys, "run", "--rounds", "10", "--message-file", str(msg), "--out", str(out_dir)
     )
     assert code == 0
-    report = json.loads((out_dir / "report.json").read_text())
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert report["config"]["message"] == "1011"
     assert report["recovered_message"] == "1011"
 
@@ -304,10 +322,37 @@ def test_table_text_equals_a_per_record_format(width, tapped):
     tables = [certain, largest] + [random_form(rng, width, tapped, rank) for rank in ranks]
     assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
     for table, payload in itertools.product(tables, (0, 1)):
-        text = _table_text(table, payload)
+        text = "".join(_table_chunks(table, payload))
         # compared as lines: pytest reports the first that differs, not a diff of the text
         assert text.endswith("\n")
         assert text.splitlines() == reference_table_text(table, payload).splitlines()
+
+
+def test_table_chunks_span_blocks_and_codes_past_64_bits():
+    # width 14: every readout bit but alice_a and the last sign (code bits
+    # 13 and 0) is a vector's highest bit, and the two Bell outcomes flip
+    # those, so the bases' differences reduce the vectors' low bits, and
+    # 2^14 lines fill 16 blocks; the frame flips both, which in key order
+    # puts each record's image under it in the other half of the blocks
+    vectors = tuple(1 << bit | bit & 1 for bit in range(1, 13))
+    bells = (1 << 14 | 1 << 13, 2 << 14 | 1)
+    spanning = attacks.RecordTable(
+        14, True, (0, bells[0], bells[1], bells[0] ^ bells[1]), vectors, 1 << 13 | 1
+    )
+    # width 70, past the 62 bits a uint64 key held: 4 vectors and 4 Bell
+    # records, 64 lines whose codes (and the frame) hold bits above bit 63
+    vectors = (1 << 69 | 1 << 68 | 1 << 50 | 4, 1 << 66 | 1 << 65 | 1 << 12, 1 << 40 | 1 << 39 | 1)
+    vectors += (1 << 3 | 1 << 1,)
+    bells = (1 << 70 | 1 << 68 | 1 << 10, 2 << 70 | 1 << 64)
+    offset = 1 << 67 | 1 << 63 | 1 << 5
+    bases = (offset, offset ^ bells[0], offset ^ bells[1], offset ^ bells[0] ^ bells[1])
+    wide = attacks.RecordTable(70, True, bases, vectors, 1 << 65 | 1 << 62 | 1)
+    for table, blocks in ((spanning, [1024] * 16), (wide, [64])):
+        for payload in (0, 1):
+            chunks = list(_table_chunks(table, payload))
+            assert [chunk.count("\n") for chunk in chunks] == blocks
+            text = reference_table_text(table, payload)
+            assert "".join(chunks).splitlines() == text.splitlines()
 
 
 class CountingSink:
@@ -324,10 +369,11 @@ class CountingSink:
         pass
 
 
-def test_analyze_peak_memory_stays_near_its_output():
-    # each table's text is rendered just before it is written, and no joined
-    # copy of the output is built; the two 2^17-line tables of the n=14
-    # all-Hadamard collective-CNOT pair are about 15.5 MiB of text
+def test_analyze_peak_memory_stays_below_1_mib_whatever_its_output():
+    # each 1,024-line block is rendered just before it is written, and no
+    # table's text nor a joined copy of the output is built: the two
+    # 2^17-line tables of the n=14 all-Hadamard collective-CNOT pair are
+    # about 15.5 MiB of text, printed in a few blocks' memory
     sink = CountingSink()
     tracemalloc.start()
     try:
@@ -340,7 +386,7 @@ def test_analyze_peak_memory_stays_near_its_output():
         tracemalloc.stop()
     assert code == 0
     assert sink.chars > 15 << 20
-    assert peak <= 1.25 * sink.chars
+    assert peak <= 1 << 20
 
 
 def test_analyze_clean_round(capsys):

@@ -308,13 +308,13 @@ def test_round_uniforms_sweep_matches_streams(seed, indices, width):
 def test_write_outputs_and_report_shape(tmp_path):
     result = run_session(small_config())
     t_path, r_path = write_outputs(result, str(tmp_path / "out"))
-    report = json.loads(Path(r_path).read_text())
+    report = json.loads(Path(r_path).read_text(encoding="utf-8"))
     assert report["config"]["seed"] == 99
     assert report["config"]["attack"]["kind"] == "none"
     assert report["detected"] is False
     assert report["recovered_message"] == "101"
     assert report["transcript_path"] == TRANSCRIPT_NAME
-    lines = Path(t_path).read_text().splitlines()
+    lines = Path(t_path).read_text(encoding="utf-8").splitlines()
     assert len(lines) == 12
 
 
