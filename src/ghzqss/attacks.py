@@ -36,14 +36,17 @@ simulates the same round on the dense engine from one prefix,
 ``_round_prefix`` (prepare, tap, correct, encode, deferred Bell
 measurement), and the tests pin the oracle ``==`` to the dense
 enumeration of that prefix (``tests/reference.py``).
-``route_rounds`` samples rounds of either payload from one table by
-XORing vectors, and a session builds each variant's table once
-(``session._run_rounds``).  A random readout has p(0) = 1/2 exactly, and
-the dense engine reports the same exact dyadics, so the threshold rule
-``run_round`` applies to a collapsed state takes a fresh outcome's vector
-iff its draw is at least 1/2, and each row is exactly the (bits, Bell
-record) pair that ``run_round``, the reference the sampler is tested
-against, returns from that row's draws.
+A table depends on its variant only through the tapped positions
+(``tapped_positions``), so every variant's class is a standard
+variant's: 1 class without an attack, 4 under intercept-resend and 2
+under each collective attack, at any n.  ``route_rounds`` samples rounds
+of either payload from one table by XORing vectors, and a session builds
+one table per class (``session._run_rounds``).  A random readout has
+p(0) = 1/2 exactly, and the dense engine reports the same exact dyadics,
+so the threshold rule ``run_round`` applies to a collapsed state takes a
+fresh outcome's vector iff its draw is at least 1/2, and each row is
+exactly the (bits, Bell record) pair that ``run_round``, the reference
+the sampler is tested against, returns from that row's draws.
 """
 
 from __future__ import annotations
@@ -129,6 +132,21 @@ def validate_round(n: int, attack: AttackModel) -> None:
         raise RegisterCapacityError(
             f"{n} parties need {needed} qubits, above the {MAX_QUBITS}-qubit cap"
         )
+
+
+def tapped_positions(attack: AttackModel, n: int) -> int:
+    """The mask bits of the receivers whose particles ``attack`` touches.
+
+    None without an attack, the target's for a collective attack, and the
+    target's and receiver 2's for intercept-resend.  An arm on an untouched
+    receiver meets its own correction with no gate between them, so mask
+    m's table ``==`` mask ``m & tapped_positions(attack, n)``'s, which is a
+    standard variant's class: at most two bits are tapped.
+    """
+    if not attack.active:
+        return 0
+    target = 1 << attack.resolve_target(n) - 2
+    return target | 1 if attack.kind == "intercept_resend_bell" else target
 
 
 def tap_collective(state: StateVector, target_qubit: int, with_hadamard: bool) -> StateVector:
@@ -373,9 +391,18 @@ def eve_mutual_information(table: RecordTable) -> float:
 
 
 def averaged_detection_rate(attack: AttackModel, n: int) -> float:
-    """Check-round error rate averaged over the uniform variant draw."""
-    rates = [conditional_detection_rate(exact_table(attack, v)) for v in standard_variants(n)]
-    return sum(rates) / len(rates)
+    """Check-round error rate averaged over the uniform variant draw, one table per class.
+
+    Intercept-resend flags 1/2 exactly when one of receiver 2 and the
+    target has an X arm, so it averages 1/(n+1) (1/4 over all 2^(n-1)
+    masks); the collective attacks flag 1/2 on every variant; no attack
+    flags nothing.
+    """
+    tapped, rates = tapped_positions(attack, n), {}
+    for variant in standard_variants(n):
+        if (key := variant.mask & tapped) not in rates:
+            rates[key] = conditional_detection_rate(exact_table(attack, variant))
+    return sum(rates[v.mask & tapped] for v in standard_variants(n)) / (n + 1)
 
 
 def route_rounds(

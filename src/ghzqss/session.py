@@ -12,15 +12,17 @@ round-by-round loop).  Round i's row of uniforms is defined as the first draws o
 stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
-tests).  The exact oracle runs once per variant the session needs, and
-its one table, whose frame holds the payload, samples all the variant's
-rounds in one call (``attacks.route_rounds``), giving each round's record
-as one row of two arrays, its readout bits and Bell record.  An attacked
-exact session folds each standard variant's table into the reported
-information as it is built.  The transcript keeps the columns and the
-arrays as they are.  The announcements, the check, the per-variant counts
-and the transcript lines are array operations over them, and every
-round's bit is recovered once, from the bit columns.  Each row is
+tests).  A table depends on its variant only through the tapped
+positions (``attacks.tapped_positions``), so the exact oracle runs once
+per class of the standard variants: 1, 4, 2 or 2 times, whatever the
+mode or planner.  Each class's table, whose frame holds the payload,
+samples all the class's rounds in one call (``attacks.route_rounds``),
+giving each round's record as one row of two arrays, its readout bits
+and Bell record, and is folded into every standard variant's
+information, which an exact session reports.  The transcript keeps the
+columns and the arrays as they are.  The announcements, the check, the
+per-variant counts and the transcript lines are array operations over
+them, and every round's bit is recovered once, from the bit columns.  Each row is
 exactly the pair ``attacks.run_round`` gives the round simulated alone.
 
 The public log kept on the transcript mirrors what actually goes over the
@@ -48,6 +50,7 @@ from .attacks import (
     eve_mutual_information,
     exact_table,
     route_rounds,
+    tapped_positions,
     validate_round,
 )
 from .protocol import (
@@ -215,28 +218,29 @@ def eavesdrop_check(transcript: Transcript, abort_threshold: float) -> tuple[flo
 def _run_rounds(
     masks, payloads, config: SessionConfig
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
-    """Every round's readout bits and Bell record, and the folded information values.
+    """Every round's readout bits and Bell record, and each standard variant's information.
 
-    Each variant's table is built once, in ascending mask order, and
-    samples its rounds of both payloads in one call (``route_rounds``).  An
-    attacked exact session also builds the table of every standard variant
-    and folds it with ``eve_mutual_information``, so the values come in
-    standard index (= ascending mask) order.  No table outlives its mask.
+    A table depends on its variant only through the tapped positions
+    (``attacks.tapped_positions``), and every mask's class is a standard
+    variant's.  So each class's table is built once, from its first
+    standard variant, samples the class's rounds of both payloads in one
+    call (``route_rounds``) and is folded with ``eve_mutual_information``:
+    1 table without an attack, 4 under intercept-resend, 2 under each
+    collective attack.  The values come in standard index order.
     """
     n, attack = config.n, config.attack
     uniforms = _round_uniforms(config.seed, np.arange(len(masks)), draws_per_round(attack, n))
-    masks = np.asarray(masks, dtype=np.int64)
-    folded = {v.mask for v in standard_variants(n) if config.mode == "exact" and attack.active}
-    bits, eves = np.zeros((masks.size, len(readout(n))), dtype=np.int64), np.full(masks.size, -1)
-    infos = []
-    for mask in sorted({*masks.tolist(), *folded}):
-        table = exact_table(attack, StateVariant.from_mask(n, mask))
-        rows = np.flatnonzero(masks == mask)
-        bits[rows], eves[rows] = route_rounds(table, payloads[rows], uniforms[rows])
-        if mask in folded:
-            infos.append(eve_mutual_information(table))
-        del table
-    return bits, eves, infos
+    tapped = tapped_positions(attack, n)
+    classes = np.asarray(masks, dtype=np.int64) & tapped
+    bits, eves = np.zeros((classes.size, len(readout(n))), dtype=np.int64), np.full(classes.size, -1)
+    infos: dict[int, float] = {}  # each class's, keyed by its tapped bits
+    for variant in standard_variants(n):
+        if (key := variant.mask & tapped) not in infos:
+            table = exact_table(attack, variant)
+            rows = np.flatnonzero(classes == key)
+            bits[rows], eves[rows] = route_rounds(table, payloads[rows], uniforms[rows])
+            infos[key] = eve_mutual_information(table)
+    return bits, eves, [infos[v.mask & tapped] for v in standard_variants(n)]
 
 
 _STATS = ("rounds", "check_rounds", "check_errors")  # per variant, in report order
@@ -284,9 +288,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         name = StateVariant.from_mask(config.n, int(distinct[k])).name
         stats[name] = dict(zip(_STATS, counts[k]))
 
-    mi: float | None = None
-    if config.mode == "exact":  # an unattacked round leaves no record, so nothing is folded
-        mi = sum(infos) / len(infos) if infos else 0.0
+    mi = sum(infos) / len(infos) if config.mode == "exact" else None
 
     report = SessionReport(
         config=config,

@@ -29,6 +29,7 @@ from ghzqss.attacks import (
     route_rounds,
     run_round,
     tap_collective,
+    tapped_positions,
 )
 from ghzqss.protocol import (
     RoundPlan,
@@ -301,11 +302,13 @@ def test_averaged_detection_rates():
 
 
 @pytest.mark.parametrize("kind", ATTACK_KINDS[1:])
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 13))
 def test_exact_rates_are_dyadic(kind, n):
     # every round is Clifford and statevec reports dyadic probabilities
     # exactly, so each variant's rate is exactly 0 or 1/2 and the averages
-    # are 1/(n+1) for intercept-resend and 1/2 for the collective attacks
+    # are 1/(n+1) for intercept-resend (1/2 on the two variants that give
+    # one of receiver 2 and the target an X arm) and 1/2 for the
+    # collective attacks
     attack = AttackModel(kind)
     rates = []
     for variant in standard_variants(n):
@@ -316,8 +319,46 @@ def test_exact_rates_are_dyadic(kind, n):
     if attack.collective:
         assert averaged_detection_rate(attack, n) == 0.5
     else:
-        assert rates.count(Fraction(1, 2)) == 2
+        assert [index for index, rate in enumerate(rates, 1) if rate] == [2, n]  # psi_2, psi_n
         assert averaged_detection_rate(attack, n) == 1 / (n + 1)
+
+
+# tables per session, one per class of the standard variants, at any n
+CLASS_COUNTS = {"none": 1, "intercept_resend_bell": 4, "collective_cnot": 2, "collective_h_cnot": 2}
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_every_mask_shares_its_tapped_class_table(n):
+    # a variant's arm on a receiver the attack leaves alone meets its
+    # correction with no gate between them, so every mask's table == the
+    # table of its tapped bits, and each such class holds a standard variant
+    targets = (2, 3, 9) if n == 9 else range(2, n + 1)
+    attacks_here = [AttackModel()] + [
+        AttackModel(kind, target)
+        for kind in ATTACK_KINDS[1:] for target in targets
+        if kind != "intercept_resend_bell" or target != 2
+    ]
+    for attack in attacks_here:
+        target = attack.resolve_target(n)
+        tapped = tapped_positions(attack, n)
+        assert tapped == attack.active * (1 << target - 2 | (attack.kind == "intercept_resend_bell"))
+        classes = {v.mask & tapped for v in standard_variants(n)}
+        assert len(classes) == CLASS_COUNTS[attack.kind]
+        representative = {key: exact_table(attack, StateVariant.from_mask(n, key)) for key in classes}
+        for mask in range(1 << n - 1):
+            table = exact_table(attack, StateVariant.from_mask(n, mask))
+            assert table == representative[mask & tapped], (attack, mask)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_all_subsets_detection_rates_average_a_quarter_and_a_half(n):
+    # over all 2^(n-1) masks, one of the two intercepted arms is X on half of them
+    for attack, expected in ((INTERCEPT, 0.25), (CNOT, 0.5), (HCNOT, 0.5)):
+        rates = [
+            conditional_detection_rate(exact_table(attack, StateVariant.from_mask(n, mask)))
+            for mask in range(1 << n - 1)
+        ]
+        assert sum(rates) / len(rates) == expected
 
 
 def test_conditioned_intercept_rates():
@@ -509,13 +550,14 @@ def test_bulk_sampler_shape_validation():
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n", (3, 5, 8))
 def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
-    # a session's rows of every variant and payload, sampled as it samples
-    # them, against each round simulated alone from its own stream; an
-    # attacked exact session also folds every standard variant's pair
+    # a session's rows of every variant, standard or not, and payload,
+    # sampled as it samples them, against each round simulated alone from
+    # its own stream; every session folds every standard variant's pair
     attack = AttackModel(kind)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind)))
     variants = [standard_variants(n)[i] for i in rng.integers(n + 1, size=120)]
-    payloads = rng.integers(2, size=120)
+    variants += [StateVariant.from_mask(n, m) for m in rng.integers(1 << n - 1, size=40).tolist()]
+    payloads = rng.integers(2, size=160)
     config = SessionConfig(n=n, attack=attack, seed=n, mode=mode)
     expected = [
         run_round(RoundPlan(i, variant, "check", int(payload)), attack, session._stream(n, i))
@@ -524,25 +566,27 @@ def test_mixed_rows_replay_run_round_exactly(kind, n, mode):
     masks = [variant.mask for variant in variants]
     bits, eves, infos = session._run_rounds(masks, payloads, config)
     assert row_records(bits, eves) == row_records(*zip(*expected))
-    folded = [eve_mutual_information(exact_table(attack, v)) for v in standard_variants(n)]
-    assert infos == (folded if mode == "exact" and attack.active else [])
+    assert infos == [eve_mutual_information(exact_table(attack, v)) for v in standard_variants(n)]
 
 
+@pytest.mark.parametrize("all_subsets", (False, True), ids=("standard", "all-subsets"))
 @pytest.mark.parametrize("mode", ("sample", "exact"))
 @pytest.mark.parametrize("kind", ATTACK_KINDS)
 @pytest.mark.parametrize("n,rounds", ((3, 80), (5, 80), (5, 6)))
-def test_affine_forms_are_built_once_per_mask_and_freed(kind, n, rounds, mode, monkeypatch):
-    # one tableau run and one sampler call per mask, for both payloads, in
-    # ascending order: the planned masks, plus every standard mask in an
-    # attacked exact session (6 rounds plan at most half of them).  No
-    # mask's form is alive when the next mask's is built, nor after the session
+def test_class_tables_are_built_once_and_freed(kind, n, rounds, mode, all_subsets, monkeypatch):
+    # one tableau run and one sampler call per class, from the
+    # class's first standard variant, in index order: 1, 4, 2 and 2 tables,
+    # whatever the mode, the planner or the masks planned (6 rounds plan at
+    # most half of the standard ones).  No table is alive after the session
     attack = AttackModel(kind)
-    standard = {v.mask for v in standard_variants(n) if mode == "exact" and attack.active}
+    tapped = tapped_positions(attack, n)
+    firsts = {}
+    for variant in standard_variants(n):
+        firsts.setdefault(variant.mask & tapped, variant.mask)
     built, runs, alive, sampled = [], [], [], []
     oracle, tableau, sampler = attacks.exact_table, attacks.Tableau, attacks.route_rounds
 
     def counted(attack, variant):
-        assert all(ref() is None for ref in alive)
         built.append(variant.mask)
         table = oracle(attack, variant)
         alive.append(weakref.ref(table))
@@ -553,18 +597,23 @@ def test_affine_forms_are_built_once_per_mask_and_freed(kind, n, rounds, mode, m
         return tableau(k)
 
     def counted_sampler(table, payloads, uniforms):
-        sampled.append(built[-1])
+        sampled.append((built[-1], len(payloads)))
         return sampler(table, payloads, uniforms)
 
     monkeypatch.setattr(session, "exact_table", counted)
     monkeypatch.setattr(session, "route_rounds", counted_sampler)
     monkeypatch.setattr(attacks, "Tableau", counted_tableau)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
-    masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=rounds)]
+    if all_subsets:
+        masks = rng.integers(1 << n - 1, size=rounds).tolist()
+    else:
+        masks = [standard_variants(n)[i].mask for i in rng.integers(n + 1, size=rounds)]
     payloads = rng.integers(2, size=rounds)
     session._run_rounds(masks, payloads, SessionConfig(n=n, attack=attack, mode=mode))
-    assert built == sorted(set(masks) | standard)
-    assert len(runs) == len(built) and sampled == built
+    assert built == list(firsts.values()) and len(built) == CLASS_COUNTS[kind]
+    assert len(runs) == len(built)
+    classes = [mask & tapped for mask in masks]
+    assert sampled == [(mask, classes.count(mask & tapped)) for mask in built]
     assert len(alive) == len(built) and all(ref() is None for ref in alive)
 
 

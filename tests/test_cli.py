@@ -16,7 +16,6 @@ import pytest
 import ghzqss
 from ghzqss import attacks
 from ghzqss.cli import _table_chunks, main
-from ghzqss.protocol import StateVariant, standard_variants
 from records import random_form, reference_table_text
 
 
@@ -523,11 +522,11 @@ def test_run_target_outside_the_receivers_exits_2(capsys, tmp_path, attack, targ
     assert not out_dir.exists()
 
 
-def test_oracle_runs_once_per_variant_and_folds_only_under_an_attack(capsys, monkeypatch, tmp_path):
+def test_oracle_runs_once_per_tapped_class(capsys, monkeypatch, tmp_path):
     # analyze folds every figure over one oracle table.  A session builds
-    # each variant's table once, in ascending mask order: each planned mask,
-    # plus, in an attacked exact session, every standard mask, whose table
-    # its information fold reads
+    # one table per class of the standard variants' tapped bits, from the
+    # class's first standard variant in index order: 1, 4, 2 and 2 tables,
+    # in either mode and under either planner, whatever variants it plans
     calls = []
     oracle = attacks.exact_table
 
@@ -545,22 +544,19 @@ def test_oracle_runs_once_per_variant_and_folds_only_under_an_attack(capsys, mon
     assert code == 0
     assert len(calls) == 1
     for n, rounds in ((3, "16"), (4, "6"), (9, "500")):
-        standard = {v.mask for v in standard_variants(n)}
-        for mode in ("sample", "exact"):
-            for attack in ("none", "intercept-resend"):
-                calls.clear()
-                out_dir = tmp_path / f"{n}-{mode}-{attack}"
-                code, _out, _err = run_cli(
-                    capsys, "run", "--parties", str(n), "--rounds", rounds, "--mode", mode,
-                    "--attack", attack, "--out", str(out_dir),
-                )
-                assert code == 0
-                lines = (out_dir / "transcript.jsonl").read_text(encoding="utf-8").splitlines()
-                planned = {StateVariant(n, json.loads(line)["variant"]).mask for line in lines}
-                folded = standard if mode == "exact" and attack != "none" else set()
-                assert calls == sorted(planned | folded)
-                if n == 9 and folded:
-                    assert len(calls) == 10  # each of the 10 standard variants, once
+        target, every = 1 << n - 2, (1 << n - 1) - 1  # the last receiver's bit; all of them
+        firsts = {"none": [0], "intercept-resend": [0, 1, target, every],
+                  "collective-cnot": [0, target], "collective-h-cnot": [0, target]}
+        for mode, attack, planner in itertools.product(
+            ("sample", "exact"), sorted(firsts), ((), ("--all-subsets",))
+        ):
+            calls.clear()
+            code, _out, _err = run_cli(
+                capsys, "run", "--parties", str(n), "--rounds", rounds, "--mode", mode,
+                "--attack", attack, *planner, "--out", str(tmp_path / f"{n}-{mode}-{attack}"),
+            )
+            assert code == 0
+            assert calls == firsts[attack], (n, mode, attack, planner)
 
 
 def test_analyze_respects_env_free_success_contract(capsys):
