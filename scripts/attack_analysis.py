@@ -3,9 +3,11 @@
 Prints, per attack kind and carrier variant: the single-round detection
 probability, the attacker's mutual information about a uniform payload, and
 the attacker's Bell-record distribution, then each attack's rate averaged
-over the variants (as ``attacks.averaged_detection_rate`` averages it, from
-the tables already built).  Everything here is enumerated exactly; nothing is
-sampled.
+over the variants (as ``attacks.averaged_detection_rate`` averages it), and
+intercept-resend's rates conditioned on the attacker's Bell record on the two
+variants it is caught on: psi2 and the target's.  Every row reads its
+variant's class table (``attacks.class_tables``), so the oracle runs once per
+class.  Everything here is enumerated exactly; nothing is sampled.
 """
 
 import argparse
@@ -13,10 +15,11 @@ import argparse
 from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
+    class_tables,
     conditional_detection_rate,
     eve_mutual_information,
     eve_record_distribution,
-    exact_table,
+    tapped_positions,
     validate_round,
 )
 from ghzqss.cli import piped
@@ -42,12 +45,13 @@ def main() -> int:
         validate_round(args.parties, attack)  # before the first print, as in analyze
     tables = {}
     for attack in attacks:
-        kind = attack.kind
+        kind, tapped = attack.kind, tapped_positions(attack, args.parties)
+        classes = class_tables(attack, args.parties)
         print(f"== {kind} (target receiver {attack.resolve_target(args.parties)}) ==")
         print(f"{'variant':>8}  {'detection':>9}  {'eve_info':>8}  bell record")
         rates = []
         for variant in variants:
-            table = tables[kind, variant] = exact_table(attack, variant)
+            table = tables[kind, variant] = classes[variant.mask & tapped]
             rates.append(conditional_detection_rate(table))
             info = eve_mutual_information(table)
             dist = eve_record_distribution(table)
@@ -56,7 +60,7 @@ def main() -> int:
         print()
 
     print("conditioned intercept rates (by the attacker's Bell outcome):")
-    for vidx in (2, 3):
+    for vidx in (2, AttackModel("intercept_resend_bell").resolve_target(args.parties)):
         variant = variants[vidx - 1]
         table = tables["intercept_resend_bell", variant]
         for bell in sorted(eve_record_distribution(table)):

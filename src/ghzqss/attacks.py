@@ -39,9 +39,12 @@ enumeration of that prefix (``tests/reference.py``).
 A table depends on its variant only through the tapped positions
 (``tapped_positions``), so every variant's class is a standard
 variant's: 1 class without an attack, 4 under intercept-resend and 2
-under each collective attack, at any n.  ``route_rounds`` samples rounds
-of either payload from one table by XORing vectors, and a session builds
-one table per class (``session._run_rounds``).  A random readout has
+under each collective attack, at any n.  ``class_tables`` is the one
+place that builds them, and sessions, ``averaged_detection_rate`` and
+``scripts/attack_analysis.py`` read every table from it.
+``route_rounds`` samples rounds of either payload from one table by
+XORing vectors, and a session samples each class's rounds from its
+class table (``session._run_rounds``).  A random readout has
 p(0) = 1/2 exactly, and the dense engine reports the same exact dyadics,
 so the threshold rule ``run_round`` applies to a collapsed state takes a
 fresh outcome's vector iff its draw is at least 1/2, and each row is
@@ -390,19 +393,33 @@ def eve_mutual_information(table: RecordTable) -> float:
     return 1.0 if table.tapped and fixed and table.frame & own else 0.0
 
 
+def class_tables(attack: AttackModel, n: int) -> dict[int, RecordTable]:
+    """One oracle table per class of the standard variants, keyed by its tapped bits.
+
+    Mask m's table is its class's, ``tables[m & tapped_positions(attack,
+    n)]``, for every mask, standard or not.  Each table is built from its
+    class's first standard variant, and the keys come in that order: 1
+    table without an attack, 4 under intercept-resend and 2 under each
+    collective attack, at any n.
+    """
+    tapped, tables = tapped_positions(attack, n), {}
+    for variant in standard_variants(n):
+        if (key := variant.mask & tapped) not in tables:
+            tables[key] = exact_table(attack, variant)
+    return tables
+
+
 def averaged_detection_rate(attack: AttackModel, n: int) -> float:
-    """Check-round error rate averaged over the uniform variant draw, one table per class.
+    """Check-round error rate averaged over the uniform variant draw, from ``class_tables``.
 
     Intercept-resend flags 1/2 exactly when one of receiver 2 and the
     target has an X arm, so it averages 1/(n+1) (1/4 over all 2^(n-1)
     masks); the collective attacks flag 1/2 on every variant; no attack
     flags nothing.
     """
-    tapped, rates = tapped_positions(attack, n), {}
-    for variant in standard_variants(n):
-        if (key := variant.mask & tapped) not in rates:
-            rates[key] = conditional_detection_rate(exact_table(attack, variant))
-    return sum(rates[v.mask & tapped] for v in standard_variants(n)) / (n + 1)
+    tapped, tables = tapped_positions(attack, n), class_tables(attack, n)
+    rates = [conditional_detection_rate(tables[v.mask & tapped]) for v in standard_variants(n)]
+    return sum(rates) / (n + 1)
 
 
 def route_rounds(

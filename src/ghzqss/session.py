@@ -13,13 +13,14 @@ stream, ``_stream(seed, i)``, but the session computes every round's row
 in one vectorized pass (``_round_uniforms``: integer arithmetic for
 numpy's SeedSequence and PCG64, pinned ``==`` to ``_stream`` by the
 tests).  A table depends on its variant only through the tapped
-positions (``attacks.tapped_positions``), so the exact oracle runs once
-per class of the standard variants: 1, 4, 2 or 2 times, whatever the
-mode or planner.  Each class's table, whose frame holds the payload,
-samples all the class's rounds in one call (``attacks.route_rounds``),
-giving each round's record as one row of two arrays, its readout bits
-and Bell record, and is folded into every standard variant's
-information, which an exact session reports.  The transcript keeps the
+positions (``attacks.tapped_positions``), so a session reads one oracle
+table per class of the standard variants (``attacks.class_tables``): 1,
+4, 2 or 2, whatever the mode or planner.  Each class's table, whose
+frame holds the payload, samples all the class's rounds in one call
+(``attacks.route_rounds``), giving each round's record as one row of
+two arrays, its readout bits and Bell record, and is folded into the
+information of each standard variant of its class, which an exact
+session reports.  The transcript keeps the
 columns and the arrays as they are.  The announcements, the check, the
 per-variant counts and the transcript lines are array operations over
 them, and every round's bit is recovered once, from the bit columns.  Each row is
@@ -46,9 +47,9 @@ import numpy as np
 
 from .attacks import (
     AttackModel,
+    class_tables,
     draws_per_round,
     eve_mutual_information,
-    exact_table,
     route_rounds,
     tapped_positions,
     validate_round,
@@ -220,27 +221,23 @@ def _run_rounds(
 ) -> tuple[np.ndarray, np.ndarray, list[float]]:
     """Every round's readout bits and Bell record, and each standard variant's information.
 
-    A table depends on its variant only through the tapped positions
-    (``attacks.tapped_positions``), and every mask's class is a standard
-    variant's.  So each class's table is built once, from its first
-    standard variant, samples the class's rounds of both payloads in one
-    call (``route_rounds``) and is folded with ``eve_mutual_information``:
-    1 table without an attack, 4 under intercept-resend, 2 under each
-    collective attack.  The values come in standard index order.
+    A table depends on its variant only through the tapped positions,
+    and every mask's class is a standard variant's, so the tables are
+    ``attacks.class_tables``: 1 without an attack, 4 under
+    intercept-resend, 2 under each collective attack.  Each samples its
+    class's rounds of both payloads in one call (``route_rounds``) and is
+    folded with ``eve_mutual_information`` for each standard variant of
+    its class.  The values come in standard index order.
     """
     n, attack = config.n, config.attack
     uniforms = _round_uniforms(config.seed, np.arange(len(masks)), draws_per_round(attack, n))
-    tapped = tapped_positions(attack, n)
+    tapped, tables = tapped_positions(attack, n), class_tables(attack, n)
     classes = np.asarray(masks, dtype=np.int64) & tapped
     bits, eves = np.zeros((classes.size, len(readout(n))), dtype=np.int64), np.full(classes.size, -1)
-    infos: dict[int, float] = {}  # each class's, keyed by its tapped bits
-    for variant in standard_variants(n):
-        if (key := variant.mask & tapped) not in infos:
-            table = exact_table(attack, variant)
-            rows = np.flatnonzero(classes == key)
-            bits[rows], eves[rows] = route_rounds(table, payloads[rows], uniforms[rows])
-            infos[key] = eve_mutual_information(table)
-    return bits, eves, [infos[v.mask & tapped] for v in standard_variants(n)]
+    for key, table in tables.items():
+        rows = np.flatnonzero(classes == key)
+        bits[rows], eves[rows] = route_rounds(table, payloads[rows], uniforms[rows])
+    return bits, eves, [eve_mutual_information(tables[v.mask & tapped]) for v in standard_variants(n)]
 
 
 _STATS = ("rounds", "check_rounds", "check_errors")  # per variant, in report order

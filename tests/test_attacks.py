@@ -20,6 +20,7 @@ from ghzqss.attacks import (
     ATTACK_KINDS,
     AttackModel,
     averaged_detection_rate,
+    class_tables,
     conditional_detection_rate,
     draws_per_round,
     eve_mutual_information,
@@ -331,7 +332,8 @@ CLASS_COUNTS = {"none": 1, "intercept_resend_bell": 4, "collective_cnot": 2, "co
 def test_every_mask_shares_its_tapped_class_table(n):
     # a variant's arm on a receiver the attack leaves alone meets its
     # correction with no gate between them, so every mask's table == the
-    # table of its tapped bits, and each such class holds a standard variant
+    # table of its tapped bits, and each such class holds a standard
+    # variant: class_tables keys one table per class, in standard order
     targets = (2, 3, 9) if n == 9 else range(2, n + 1)
     attacks_here = [AttackModel()] + [
         AttackModel(kind, target)
@@ -342,12 +344,13 @@ def test_every_mask_shares_its_tapped_class_table(n):
         target = attack.resolve_target(n)
         tapped = tapped_positions(attack, n)
         assert tapped == attack.active * (1 << target - 2 | (attack.kind == "intercept_resend_bell"))
-        classes = {v.mask & tapped for v in standard_variants(n)}
+        classes = list(dict.fromkeys(v.mask & tapped for v in standard_variants(n)))
         assert len(classes) == CLASS_COUNTS[attack.kind]
-        representative = {key: exact_table(attack, StateVariant.from_mask(n, key)) for key in classes}
-        for mask in range(1 << n - 1):
+        tables = class_tables(attack, n)
+        assert list(tables) == classes
+        for mask in range(1 << n - 1):  # every member of every class, each key among them
             table = exact_table(attack, StateVariant.from_mask(n, mask))
-            assert table == representative[mask & tapped], (attack, mask)
+            assert table == tables[mask & tapped], (attack, mask)
 
 
 @pytest.mark.parametrize("n", range(3, 8))
@@ -597,10 +600,12 @@ def test_class_tables_are_built_once_and_freed(kind, n, rounds, mode, all_subset
         return tableau(k)
 
     def counted_sampler(table, payloads, uniforms):
-        sampled.append((built[-1], len(payloads)))
+        # the mask that built this very table: the session builds them all before routing
+        mask, = (mask for mask, ref in zip(built, alive) if ref() is table)
+        sampled.append((mask, len(payloads)))
         return sampler(table, payloads, uniforms)
 
-    monkeypatch.setattr(session, "exact_table", counted)
+    monkeypatch.setattr(attacks, "exact_table", counted)
     monkeypatch.setattr(session, "route_rounds", counted_sampler)
     monkeypatch.setattr(attacks, "Tableau", counted_tableau)
     rng = np.random.default_rng((n, ATTACK_KINDS.index(kind), 1))
@@ -685,7 +690,7 @@ def run_rounds_growth(masks, payloads, config):
 
 
 def test_session_sampler_memory_stays_bounded():
-    # the sampler keeps one variant's form alive at a time, so a
+    # the sampler reads each class's form, never its records, so a
     # 500-round n=9 session's rounds allocate at most 1 MiB above where
     # they start (numpy buffers included)
     config = SessionConfig(

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, files, printed analysis."""
 
 import contextlib
+import importlib.util
 import io
 import itertools
 import json
@@ -15,7 +16,9 @@ import pytest
 
 import ghzqss
 from ghzqss import attacks
-from ghzqss.cli import _table_chunks, main
+from ghzqss.attacks import AttackModel, averaged_detection_rate
+from ghzqss.cli import _ATTACK_NAMES, _table_chunks, main
+from ghzqss.protocol import standard_variants
 from records import random_form, reference_table_text
 
 
@@ -110,6 +113,32 @@ def run_script(command, stdout=subprocess.PIPE):
         [sys.executable, str(script), *args],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
     )
+
+
+def script_stdout(command, monkeypatch, capsys):
+    """``scripts/<command>``'s stdout, run in this process, so patches reach it."""
+    name, *args = command.split()
+    path = Path(__file__).resolve().parent.parent / "scripts" / name
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(sys, "argv", [str(path), *args])
+    assert script.main() == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_attack_analysis_conditions_the_two_caught_variants(n, monkeypatch, capsys):
+    # intercept-resend is caught on psi2 and on the target's variant, psi_n
+    # by default, and there every live Bell record flags at exactly 1/2
+    out = script_stdout(f"attack_analysis.py --parties {n}", monkeypatch, capsys)
+    section = out.split("conditioned intercept rates (by the attacker's Bell outcome):\n")[1]
+    names = [standard_variants(n)[k - 1].name for k in (2, n)]
+    assert section.splitlines() == [
+        f"  {name} | bell={bell}: 0.500000" for name in names for bell in range(4)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -526,7 +555,9 @@ def test_oracle_runs_once_per_tapped_class(capsys, monkeypatch, tmp_path):
     # analyze folds every figure over one oracle table.  A session builds
     # one table per class of the standard variants' tapped bits, from the
     # class's first standard variant in index order: 1, 4, 2 and 2 tables,
-    # in either mode and under either planner, whatever variants it plans
+    # in either mode and under either planner, whatever variants it plans.
+    # The averaged rate reads the same tables, and attack_analysis.py its
+    # three attacks' 4 + 2 + 2
     calls = []
     oracle = attacks.exact_table
 
@@ -557,6 +588,15 @@ def test_oracle_runs_once_per_tapped_class(capsys, monkeypatch, tmp_path):
             )
             assert code == 0
             assert calls == firsts[attack], (n, mode, attack, planner)
+        for attack in sorted(firsts):
+            calls.clear()
+            averaged_detection_rate(AttackModel(_ATTACK_NAMES[attack]), n)
+            assert calls == firsts[attack], (n, attack)
+        calls.clear()
+        script_stdout(f"attack_analysis.py --parties {n}", monkeypatch, capsys)
+        attacked = ("intercept-resend", "collective-cnot", "collective-h-cnot")
+        assert calls == [mask for attack in attacked for mask in firsts[attack]], n
+        assert len(calls) == 8
 
 
 def test_analyze_respects_env_free_success_contract(capsys):

@@ -260,7 +260,7 @@ GOLDEN = {
 # stdout of each script run with these arguments
 SCRIPTS = {
     "attack_analysis.py --parties 4":
-        "742153b86a295c10549907ba602377e357d432baef098e8bdd0146393dd3a67c",
+        "191bf5fab9c9f9d3153bcd089a9fc5fe44e399f9f495f5075d1bf503aab65ba3",
     "detection_experiment.py --rounds 400":
         "093863d42221a778c26926b45e13ecb8d8a76feb2d424a7b5fcd2b4fd5742992",
 }
