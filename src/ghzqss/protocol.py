@@ -15,10 +15,14 @@ the 0 branch and |-> on the 1 branch instead of |0>/|1>.  The sender draws
 the variant per round; receivers undo it with local Hadamards once the
 variant is announced, recovering the canonical GHZ carrier.  Encoding a
 payload bit b prepends |+> (b=0) or |-> (b=1), entangles it with a1 via
-CNOT, and rotates it back with a Hadamard.  Everyone then measures: the
-sender reads a and a1 in Z, each receiver reads its particle in X, and the
-payload is the sender's a bit XORed with the parity of the receivers' X
-signs (sign + is bit 0, - is bit 1).  ``readout`` is that plan for every
+CNOT, and rotates it back with a Hadamard.  The dense states here are
+built from basis states with the gates the stabilizer oracle applies,
+with no amplitude written by hand: the carrier is H on a1 and a CNOT
+from a1 to every receiver, then the variant's local Hadamards, and the
+work particle is H on |b>.  Everyone then measures: the sender reads a
+and a1 in Z, each receiver reads its particle in X, and the payload is
+the sender's a bit XORed with the parity of the receivers' X signs
+(sign + is bit 0, - is bit 1).  ``readout`` is that plan for every
 path.  A round's record is one row: its bits in ``readout`` order (column
 r is receiver r's sign) and the attacker's Bell record, -1 for none.  A
 session is planned as columns (``plan_sequences``: each round's variant
@@ -41,18 +45,10 @@ from .statevec import (
     append_ancilla,
     apply_cnot,
     apply_hadamard,
+    basis_state,
     measure_x,
     measure_z,
-    state_from_amplitudes,
 )
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
-_PLUS = np.array([_INV_SQRT2, _INV_SQRT2], dtype=np.complex128)
-_MINUS = np.array([_INV_SQRT2, -_INV_SQRT2], dtype=np.complex128)
-
 
 @dataclass(frozen=True)
 class StateVariant:
@@ -133,23 +129,16 @@ def standard_variants(n: int) -> tuple[StateVariant, ...]:
 
 
 def prepare_variant(variant: StateVariant) -> StateVector:
-    """Build the n-qubit carrier for ``variant`` (party i at qubit i-1)."""
-    branch0 = [_KET0]
-    branch1 = [_KET1]
-    for party in range(2, variant.n + 1):
-        if party in variant.hadamard_positions:
-            branch0.append(_PLUS)
-            branch1.append(_MINUS)
-        else:
-            branch0.append(_KET0)
-            branch1.append(_KET1)
-    # the outer-product chain multiplies in np.kron's left-to-right order,
-    # so the amplitudes equal the Kronecker chain's bit for bit
-    amps = (
-        reduce(np.multiply.outer, branch0).reshape(-1)
-        + reduce(np.multiply.outer, branch1).reshape(-1)
-    ) * _INV_SQRT2
-    return StateVector(variant.n, amps)
+    """Build the n-qubit carrier for ``variant`` (party i at qubit i-1).
+
+    H then a CNOT fan-out make the canonical GHZ carrier, and the
+    variant's local Hadamards, which ``receiver_correction`` applies since
+    each is its own inverse, put in its X-basis arms.
+    """
+    state = apply_hadamard(basis_state(variant.n, 0), 0)
+    for q in range(1, variant.n):
+        state = apply_cnot(state, 0, q)
+    return receiver_correction(state, variant)
 
 
 def receiver_correction(state: StateVector, variant: StateVariant) -> StateVector:
@@ -168,12 +157,13 @@ def receiver_correction(state: StateVector, variant: StateVariant) -> StateVecto
 def encode_round(state: StateVector, payload_bit: int) -> StateVector:
     """Entangle one payload bit into the carrier.
 
-    Front-appends the sender's work qubit as |+> (payload 0) or |-> (payload
-    1), applies CNOT from it onto a1, then a Hadamard on it.  After this the
-    sender's two qubits are 0 and 1 and party i sits at qubit i.
+    Front-appends the sender's work qubit as H|b>, |+> (payload 0) or |->
+    (payload 1), applies CNOT from it onto a1, then a Hadamard on it.
+    After this the sender's two qubits are 0 and 1 and party i sits at
+    qubit i.
     """
     check_payload(payload_bit)
-    work = state_from_amplitudes(_MINUS if payload_bit else _PLUS)
+    work = apply_hadamard(basis_state(1, payload_bit), 0)
     state = append_ancilla(state, work, "front")
     state = apply_cnot(state, 0, 1)
     return apply_hadamard(state, 0)

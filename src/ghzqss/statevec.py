@@ -13,12 +13,19 @@ Conventions used by every caller in this package:
   a ``StateVector``, so each returned state is validated exactly once, by
   the one norm and finiteness check (``_check_norm``, which
   ``__post_init__`` runs after the shape check).
-- Every probability this module reports (``_branches`` and
-  ``outcome_distribution``) is its outcome's weight (squared magnitude)
-  over the total weight of all outcomes, rounded by ``_on_grid`` to the
-  nearest multiple of 2^-48.  Every round of this package is Clifford,
-  so its probabilities are dyadic (a single readout's are 0, 1/2 or 1)
-  and the reported value is the exact one.  Dividing by the total cancels
+- The package's states start from ``basis_state`` and are built by gates:
+  a round's carrier is H and a CNOT fan-out plus the variant's local
+  Hadamards (``protocol.prepare_variant``), and the sender's work qubit
+  is H on |b> (``protocol.encode_round``), the gates the stabilizer
+  oracle applies.  No amplitude is written by hand;
+  ``state_from_amplitudes`` wraps arbitrary amplitudes for the tests.
+- Every probability this module reports (``_branches``, for Z, X and
+  Bell readouts, and ``outcome_distribution``) comes from one helper,
+  ``_z_probabilities``: its outcome's weight (squared magnitude) over the
+  total weight of all outcomes, rounded by ``_on_grid`` to the nearest
+  multiple of 2^-48.  Every round of this package is Clifford, so its
+  probabilities are dyadic (a single readout's are 0, 1/2 or 1) and the
+  reported value is the exact one.  Dividing by the total cancels
   the drift of a state's float norm, which gates leave uncorrected: on
   its own it puts a readout's p = 1/2 more than 2^-49 off from n = 10
   parties on.  For any other state a probability moves by at most 2^-49
@@ -210,6 +217,21 @@ def _project_z(amps: np.ndarray, qubit: int, value: int) -> np.ndarray:
     return flat / _norm(flat, qubit, value)
 
 
+def _z_probabilities(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The Z readout of ``qubits`` on a raw array: every outcome's probability, on the grid.
+
+    Outcome i packs the bits in ``qubits`` order, the first most
+    significant; its probability is its weight over the total weight.
+    """
+    k = amps.size.bit_length() - 1
+    weights = (np.abs(amps) ** 2).reshape([2] * k)
+    axes = tuple(q for q in range(k) if q not in qubits)
+    marginal = weights.sum(axis=axes) if axes else weights  # its axes in increasing qubit order
+    keep = sorted(qubits)
+    flat = marginal.transpose([keep.index(q) for q in qubits]).reshape(-1)
+    return _on_grid(flat / flat.sum())
+
+
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     """Hadamard on one qubit: |0> -> |+>, |1> -> |->."""
     _check_qubit(state, qubit)
@@ -246,11 +268,8 @@ def _branches(
         if q1 == q2:
             raise ValueError("Bell measurement needs two distinct qubits")
         rotated = _h(_cx(state.amps, k, q1, q2), q1)
-        probs = (np.abs(rotated) ** 2).reshape([2] * k)
-        axes = tuple(q for q in range(k) if q not in qubits)
-        joint = probs.sum(axis=axes) if axes else probs  # its axes in increasing qubit order
-        # index = phase (q1) + 2 * parity (q2), so flattened as [parity, phase]
-        outcome_probs = (joint.T if q1 < q2 else joint).reshape(-1)
+        # index = phase (q1) + 2 * parity (q2): the readout of (q2, q1)
+        probs = _z_probabilities(rotated, (q2, q1))
 
         def collapse(index: int) -> StateVector:
             post = _project_z(_project_z(rotated, q1, index & 1), q2, index >> 1)
@@ -259,7 +278,7 @@ def _branches(
     elif basis in ("Z", "X"):
         (qubit,) = qubits
         rotated = _h(state.amps, qubit) if basis == "X" else state.amps
-        outcome_probs = (np.abs(rotated) ** 2).reshape(1 << qubit, 2, -1).sum(axis=(0, 2))
+        probs = _z_probabilities(rotated, qubits)
 
         def collapse(value: int) -> StateVector:
             post = _project_z(rotated, qubit, value)
@@ -267,7 +286,7 @@ def _branches(
 
     else:
         raise ValueError(f"basis must be 'Z', 'X' or 'Bell', got {basis!r}")
-    return _on_grid(outcome_probs / outcome_probs.sum()).tolist(), collapse
+    return probs.tolist(), collapse
 
 
 def _choose(probs: np.ndarray | list[float], samples: np.ndarray) -> np.ndarray:
@@ -352,7 +371,7 @@ def outcome_distribution(state: StateVector, plan) -> tuple[np.ndarray, np.ndarr
     probability, on the grid.  Basis entries are "Z" or "X"; for X entries
     the bit means 0 = |+>, 1 = |->.
     """
-    qubits = [q for q, _ in plan]
+    qubits = tuple(q for q, _ in plan)
     if len(set(qubits)) != len(qubits):
         raise ValueError("plan lists a qubit more than once")
     rotated = state.amps
@@ -362,11 +381,6 @@ def outcome_distribution(state: StateVector, plan) -> tuple[np.ndarray, np.ndarr
             rotated = _h(rotated, q)
         elif basis != "Z":
             raise ValueError(f"basis must be 'Z' or 'X', got {basis!r}")
-    probs = (np.abs(rotated) ** 2).reshape([2] * state.num_qubits)
-    keep = sorted(qubits)
-    axes = tuple(q for q in range(state.num_qubits) if q not in set(qubits))
-    marg = probs.sum(axis=axes) if axes else probs
-    flat = marg.transpose([keep.index(q) for q in qubits]).reshape(-1)
-    flat = _on_grid(flat / flat.sum())
-    (index,) = np.nonzero(flat)
-    return index, flat[index]
+    probs = _z_probabilities(rotated, qubits)
+    (index,) = np.nonzero(probs)
+    return index, probs[index]

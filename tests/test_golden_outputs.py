@@ -2,7 +2,7 @@
 
 Each command's stdout (and, for ``run``, its transcript and report) must
 hash to the recorded digest, and so must the stdout of
-``scripts/attack_analysis.py --parties 4`` and of
+``scripts/attack_analysis.py`` at 3, 4 and 9 parties and of
 ``scripts/detection_experiment.py --rounds 400``, so any change that moves a
 printed digit or a transcript byte fails here.  Exact-mode reports are
 pinned too: their mutual information is exactly 0.0 on any build, since
@@ -259,8 +259,12 @@ GOLDEN = {
 
 # stdout of each script run with these arguments
 SCRIPTS = {
+    "attack_analysis.py --parties 3":
+        "cbc0e61c417f797b6d2e41bd17772288ca956c6f3a347e194c0678944c8b5cf4",
     "attack_analysis.py --parties 4":
         "191bf5fab9c9f9d3153bcd089a9fc5fe44e399f9f495f5075d1bf503aab65ba3",
+    "attack_analysis.py --parties 9":
+        "221ab54ab2fd7acaa9d05b2fd26b62cc07bbbd017c0ef04db928327fb6beac7c",
     "detection_experiment.py --rounds 400":
         "093863d42221a778c26926b45e13ecb8d8a76feb2d424a7b5fcd2b4fd5742992",
 }

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzqss import protocol
 from ghzqss.protocol import (
     RoundPlan,
     StateVariant,
@@ -134,13 +133,13 @@ def test_prepare_matches_direct_tensor_construction():
 
 def kron_carrier(variant):
     """The carrier as two left-to-right chains of ``np.kron``, one per branch."""
-    branch0 = [protocol._KET0]
-    branch1 = [protocol._KET1]
+    branch0 = [KET0]
+    branch1 = [KET1]
     for party in range(2, variant.n + 1):
         x_arm = party in variant.hadamard_positions
-        branch0.append(protocol._PLUS if x_arm else protocol._KET0)
-        branch1.append(protocol._MINUS if x_arm else protocol._KET1)
-    return (reduce(np.kron, branch0) + reduce(np.kron, branch1)) * protocol._INV_SQRT2
+        branch0.append(PLUS if x_arm else KET0)
+        branch1.append(MINUS if x_arm else KET1)
+    return (reduce(np.kron, branch0) + reduce(np.kron, branch1)) * (1.0 / RT2)
 
 
 def test_prepare_equals_the_kron_chain_bit_for_bit():
