@@ -39,10 +39,12 @@ def main() -> int:
     parser.add_argument("--parties", type=int, default=3)
     args = parser.parse_args()
 
-    variants = standard_variants(args.parties)
     attacks = [AttackModel(kind) for kind in ATTACK_KINDS[1:]]
     for attack in attacks:
-        validate_round(args.parties, attack)  # before the first print, as in analyze
+        # before the first print and the first variant, as in analyze: the n+1
+        # variants of an oversized round would take time and memory in n
+        validate_round(args.parties, attack)
+    variants = standard_variants(args.parties)
     tables = {}
     for attack in attacks:
         kind, tapped = attack.kind, tapped_positions(attack, args.parties)

@@ -62,6 +62,7 @@ import numpy as np
 from .protocol import (
     RoundPlan,
     StateVariant,
+    check_parties,
     check_payload,
     encode_round,
     measure_round,
@@ -123,12 +124,15 @@ def _register_qubits(n: int, attack: AttackModel) -> int:
 
 
 def validate_round(n: int, attack: AttackModel) -> None:
-    """Refuse a round whose attack targets no receiver or whose register is too large.
+    """Refuse a round with too few parties, an attack on no receiver, or too many qubits.
 
-    The target must be a receiver, whether or not an attack runs.  The
-    dense register has a qubit cap, and the oracle keeps it too: ``analyze``
-    prints a table's 2^V records and has no bound of its own.
+    The checks run in that order.  The target must be a receiver, whether
+    or not an attack runs.  The dense register has a qubit cap, and the
+    oracle keeps it too: ``analyze`` prints a table's 2^V records and has
+    no bound of its own.  Each check takes constant time in n, so a
+    command checks its round before it builds any of its variants.
     """
+    check_parties(n)
     attack.resolve_target(n)
     needed = _register_qubits(n, attack)
     if needed > MAX_QUBITS:

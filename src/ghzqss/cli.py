@@ -33,8 +33,9 @@ from .attacks import (
     conditional_detection_rate,
     eve_mutual_information,
     exact_table,
+    validate_round,
 )
-from .protocol import StateVariant, check_message_size, recover_secret
+from .protocol import StateVariant, check_message_size, recover_secret, standard_variants
 from .session import (
     SessionConfig,
     check_seed,
@@ -71,13 +72,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulate GHZ-carried (n,n)-threshold quantum secret sharing",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # the round both commands run, which both check with validate_round
+    round_p = argparse.ArgumentParser(add_help=False)
+    round_p.add_argument("--parties", type=int, default=3, help="total party count n (>= 3)")
+    round_p.add_argument("--attack", choices=sorted(_ATTACK_NAMES), default="none")
+    round_p.add_argument("--target-receiver", type=int, help="attacked receiver, 2..n (default n)")
 
-    run_p = sub.add_parser("run", help="run a full session and write transcript/report")
-    run_p.add_argument("--parties", type=int, default=3, help="total party count n (>= 3)")
+    run_p = sub.add_parser(
+        "run", parents=[round_p], help="run a full session and write transcript/report"
+    )
     run_p.add_argument("--rounds", type=int, default=200, help="number of rounds")
     run_p.add_argument("--check-fraction", type=float, default=0.5)
-    run_p.add_argument("--attack", choices=sorted(_ATTACK_NAMES), default="none")
-    run_p.add_argument("--target-receiver", type=int, default=None)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--message-file", help="file holding the 0/1 message string")
     run_p.add_argument(
@@ -92,17 +97,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_p.add_argument("--out", default=None, help="output directory")
 
-    an_p = sub.add_parser("analyze", help="exact single-round analysis")
-    an_p.add_argument("--parties", type=int, default=3)
-    an_p.add_argument("--variant", default="psi1", help="variant name, e.g. psi2 or Psi4")
+    an_p = sub.add_parser("analyze", parents=[round_p], help="exact single-round analysis")
     an_p.add_argument(
-        "--hadamard-positions",
-        default=None,
-        help="comma-separated receiver positions, overrides --variant",
+        "--variant",
+        default="psi1",
+        metavar="NAME|RECEIVERS",
+        help="carrier read after the round's check: a standard variant's name in any case,"
+        " e.g. psi2 or Psi4, or its Hadamard receivers, e.g. 2,4",
     )
     an_p.add_argument("--payload", type=int, choices=(0, 1), default=None)
-    an_p.add_argument("--attack", choices=sorted(_ATTACK_NAMES), default="none")
-    an_p.add_argument("--target-receiver", type=int, default=None)
     an_p.add_argument(
         "--condition-bell",
         type=int,
@@ -119,22 +122,14 @@ def _build_parser() -> argparse.ArgumentParser:
 _PARSER = _build_parser()
 
 
-def _parse_variant(args) -> StateVariant:
-    if args.hadamard_positions is not None:
-        text = args.hadamard_positions
-        try:
-            positions = [int(p) for p in text.split(",") if p.strip()]
-        except ValueError:  # int()'s message names neither the option nor its value
-            raise ValueError(f"--hadamard-positions {text!r} should look like 2,4") from None
-        return StateVariant(args.parties, positions)
-    name = args.variant.strip().lower()
-    if not name.startswith("psi"):
-        raise ValueError(f"variant name {args.variant!r} should look like psi2")
+def _variant(text: str, n: int) -> StateVariant:
+    """``--variant``: a standard variant's name in any case, or receivers such as ``2,4``."""
+    if variant := {v.name.lower(): v for v in standard_variants(n)}.get(text.strip().lower()):
+        return variant
     try:
-        index = int(name[3:])
-    except ValueError:
-        raise ValueError(f"variant name {args.variant!r} should look like psi2") from None
-    return StateVariant.from_index(args.parties, index)
+        return StateVariant(n, [int(p) for p in text.split(",") if p.strip()])
+    except ValueError:  # neither int()'s nor the range check's message names the option
+        raise ValueError(f"--variant {text!r} is no {n}-party carrier, e.g. psi2 or 2,4") from None
 
 
 def cmd_run(args) -> int:
@@ -232,8 +227,9 @@ def _table_chunks(table: RecordTable, payload: int) -> Iterator[str]:
 
 
 def cmd_analyze(args) -> int:
-    variant = _parse_variant(args)
     attack = AttackModel(_ATTACK_NAMES[args.attack], args.target_receiver)
+    validate_round(args.parties, attack)  # first, so no variant of an oversized round is built
+    variant = _variant(args.variant, args.parties)
     # every figure and basis is computed before the first write, so a failure leaves stdout empty
     table = exact_table(attack, variant)
     rate = conditional_detection_rate(table, args.condition_bell)

@@ -65,7 +65,10 @@ class StateVariant:
 
     def __post_init__(self) -> None:
         check_parties(self.n)
-        positions = frozenset(int(p) for p in self.hadamard_positions)
+        # operator.index takes Python's and numpy's ints, where int() would round 2.9 and read "3"
+        if bad := [p for p in self.hadamard_positions if not hasattr(type(p), "__index__")]:
+            raise ValueError(f"hadamard positions {sorted(bad, key=repr)} are not integers")
+        positions = frozenset(map(operator.index, self.hadamard_positions))
         object.__setattr__(self, "hadamard_positions", positions)
         bad = [p for p in positions if not 2 <= p <= self.n]
         if bad:

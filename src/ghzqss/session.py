@@ -59,7 +59,6 @@ from .protocol import (
     Transcript,
     announcement_schedule,
     check_message,
-    check_parties,
     mask_positions,
     plan_sequences,
     readout,
@@ -174,7 +173,6 @@ class SessionConfig:
     all_subsets: bool = False
 
     def validate(self) -> None:
-        check_parties(self.n)
         validate_round(self.n, self.attack)
         check_message(self.message, self.rounds, self.check_fraction)
         check_seed(self.seed)

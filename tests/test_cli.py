@@ -1,7 +1,7 @@
 """Command-line behavior: exit codes, files, printed analysis."""
 
 import contextlib
-import importlib.util
+import functools
 import io
 import itertools
 import json
@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 import ghzqss
-from ghzqss import attacks
+from ghzqss import attacks, cli
 from ghzqss.attacks import AttackModel, averaged_detection_rate
-from ghzqss.cli import _ATTACK_NAMES, _table_chunks, main
+from ghzqss.cli import _ATTACK_NAMES, _table_chunks, main, piped
 from ghzqss.protocol import standard_variants
 from records import random_form, reference_table_text
+from script_loader import SCRIPTS_DIR, load_script, script_stdout
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +40,19 @@ def test_table1_prints_all_rows(capsys):
     assert len(lines) == 9  # header plus eight rows
     secrets = [line.split()[-1] for line in lines[1:]]
     assert secrets == ["0", "1", "1", "0", "1", "0", "0", "1"]
+
+
+def test_table1_exits_1_naming_each_mismatched_row(capsys, monkeypatch):
+    # a recovery rule that ignores the receivers' signs gets half the rows wrong
+    monkeypatch.setattr(cli, "recover_secret", lambda alice_a, signs: alice_a)
+    code, out, err = run_cli(capsys, "table1")
+    assert code == 1
+    assert len(out.splitlines()) == 9  # every row is printed, the wrong ones too
+    assert err.splitlines() == [
+        f"mismatch: alice_a={alice_a} signs={signs} expected {expected} got {alice_a}"
+        for alice_a, signs, expected in cli.RECOVERY_TABLE_3
+        if expected != alice_a
+    ]
 
 
 class ClosedStdout(io.StringIO):
@@ -106,27 +120,13 @@ def test_pipe_closed_between_blocks_keeps_the_blocks_before_it(capsys):
 def run_script(command, stdout=subprocess.PIPE):
     """``scripts/<command>`` in a fresh interpreter on this checkout's package, unbuffered."""
     name, *args = command.split()
-    script = Path(__file__).resolve().parent.parent / "scripts" / name
+    script = SCRIPTS_DIR / name
     paths = [str(Path(ghzqss.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)), PYTHONUNBUFFERED="1")
     return subprocess.run(
         [sys.executable, str(script), *args],
         stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=120,
     )
-
-
-def script_stdout(command, monkeypatch, capsys):
-    """``scripts/<command>``'s stdout, run in this process, so patches reach it."""
-    name, *args = command.split()
-    path = Path(__file__).resolve().parent.parent / "scripts" / name
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", [str(path), *args])
-    assert script.main() == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    return captured.out
 
 
 @pytest.mark.parametrize("n", (3, 4, 5))
@@ -456,13 +456,23 @@ def test_analyze_conditioned_intercept(capsys):
     assert "payload 1" not in out
 
 
-def test_analyze_hadamard_positions_override(capsys):
-    code, out, _err = run_cli(
-        capsys, "analyze", "--parties", "4", "--hadamard-positions", "2,4"
-    )
+def test_analyze_variant_takes_hadamard_receivers(capsys):
+    code, out, _err = run_cli(capsys, "analyze", "--parties", "4", "--variant", "2,4")
     assert code == 0
     assert "variant=h2,4" in out
     assert "hadamard positions: 2,4" in out
+
+
+@pytest.mark.parametrize(
+    "name,receivers", [("psi1", ""), ("Psi3", "3"), ("PSI3", " 3 "), ("psi6", "2,3,4,5")]
+)
+def test_analyze_variant_name_and_receivers_print_the_same_bytes(capsys, name, receivers):
+    # a standard variant named or listed by its receivers is one carrier: a
+    # bare k is receiver k's variant, the empty list the plain GHZ state
+    for attack in _ATTACK_NAMES:
+        argv = ["analyze", "--parties", "5", "--attack", attack, "--variant"]
+        named, listed = run_cli(capsys, *argv, name), run_cli(capsys, *argv, receivers)
+        assert named == listed and named[0] == 0 and named[2] == ""
 
 
 def test_analyze_variant_name_case_insensitive(capsys):
@@ -481,12 +491,47 @@ def test_analyze_bad_variant_exits_2(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("positions", ("a", "2,x", "2;4"))
-def test_analyze_bad_hadamard_positions_exit_2_naming_the_option(capsys, positions):
-    code, out, err = run_cli(capsys, "analyze", "--parties", "4", "--hadamard-positions", positions)
+@pytest.mark.parametrize("text", ("a", "2,x", "2;4", "psix", "psi0", "psi9", "1", "5"))
+def test_analyze_bad_variant_exits_2_naming_the_option(capsys, text):
+    # at 4 parties: no such name, not a list of integers, or not receivers 2..4
+    code, out, err = run_cli(capsys, "analyze", "--parties", "4", "--variant", text)
     assert code == 2
     assert out == ""
-    assert f"--hadamard-positions {positions!r}" in err
+    assert f"--variant {text!r}" in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_analyze_checks_the_round_before_its_variant(capsys):
+    # an oversized round is refused before the carrier is read, so a bad
+    # variant name is not reported, and no variant of the round is built
+    code, out, err = run_cli(capsys, "analyze", "--parties", "30", "--variant", "bogus")
+    assert (code, out) == (3, "")
+    assert "qubit cap" in err
+    code, out, err = run_cli(capsys, "analyze", "--parties", "2", "--variant", "bogus")
+    assert (code, out) == (2, "")
+    assert "at least three parties" in err
+
+
+@pytest.mark.parametrize("name", ["analyze", "attack_analysis.py"])
+def test_oversized_rounds_are_refused_before_any_variant_is_built(monkeypatch, capsys, name):
+    # a million parties: the all-Hadamard variant holds 999,999 positions, and
+    # the script's n+1 standard variants about 10^6 objects; neither is built
+    if name == "analyze":
+        command = functools.partial(main, [name, "--parties", "1000000", "--variant", "psi1000001"])
+    else:
+        monkeypatch.setattr(sys, "argv", [name, "--parties", "1000000"])
+        command = functools.partial(piped, load_script(name).main)
+    tracemalloc.start()
+    try:
+        code = command()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "qubit cap" in captured.err
+    assert peak < 1 << 20
 
 
 def test_analyze_impossible_condition_exits_2_before_printing(capsys):

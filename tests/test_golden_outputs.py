@@ -13,15 +13,13 @@ recorded on Python 3.11 with numpy 2.4.6.
 """
 
 import hashlib
-import importlib.util
-import sys
-from pathlib import Path
 
 import pytest
 
 from ghzqss.cli import main
 from ghzqss.protocol import standard_variants
 from ghzqss.session import REPORT_NAME, TRANSCRIPT_NAME
+from script_loader import script_stdout
 
 ATTACKS = ("none", "intercept-resend", "collective-cnot", "collective-h-cnot")
 
@@ -54,7 +52,7 @@ ANALYZE = [
     for variant, attack in (("Psi3", "intercept-resend"), ("Psi6", "collective-cnot"))
     for payload in ("0", "1")
 ] + [
-    ("analyze", "--parties", "5", "--hadamard-positions", "2,4", "--attack", attack)
+    ("analyze", "--parties", "5", "--variant", "2,4", "--attack", attack)
     for attack in ATTACKS
 ] + [
     ("analyze", "--parties", "10", "--variant", variant, "--attack", attack)
@@ -225,13 +223,13 @@ GOLDEN = {
         "c1fce9105b0db55d2fa3aefd37e38139ad9ba909ff5aae1a83ec53a98c01ad4e",
     "analyze --parties 5 --variant Psi6 --attack collective-cnot --payload 1":
         "cd1e2e6d68eb673884ab9c360d75364898b3a486c9f63968588ef5150f4f4061",
-    "analyze --parties 5 --hadamard-positions 2,4 --attack none":
+    "analyze --parties 5 --variant 2,4 --attack none":
         "f0c0421556acdf97f8aa432e70ff9b1e36d5105a3987b7bc73d4422d19f9b107",
-    "analyze --parties 5 --hadamard-positions 2,4 --attack intercept-resend":
+    "analyze --parties 5 --variant 2,4 --attack intercept-resend":
         "c1c489d1dee97b5559a156bf4fddb6cf6b22848eb5037268350c4a6d9eebe87b",
-    "analyze --parties 5 --hadamard-positions 2,4 --attack collective-cnot":
+    "analyze --parties 5 --variant 2,4 --attack collective-cnot":
         "f4720a0aabdc8e104fec6c4e2ba6958c508306a4f43bd03ae6b4721b20abc9e6",
-    "analyze --parties 5 --hadamard-positions 2,4 --attack collective-h-cnot":
+    "analyze --parties 5 --variant 2,4 --attack collective-h-cnot":
         "7705f2030b7600407a782d80e0907913e6d59b5bbe87b38b6772360aa3cfbf25",
     "analyze --parties 10 --variant Psi3 --attack none":
         "9d0464a2d2042bac3045e80e69dbd20bd2a234718f7af246cb549d3efcea19ca",
@@ -291,13 +289,5 @@ def test_command_output_matches_its_golden_digest(argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("command", SCRIPTS)
 def test_script_output_matches_its_golden_digest(command, monkeypatch, capsys):
-    name, *args = command.split()
-    path = Path(__file__).resolve().parent.parent / "scripts" / name
-    spec = importlib.util.spec_from_file_location(path.stem, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    monkeypatch.setattr(sys, "argv", [str(path), *args])
-    assert script.main() == 0
-    captured = capsys.readouterr()
-    assert captured.err == ""
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == SCRIPTS[command]
+    out = script_stdout(command, monkeypatch, capsys)
+    assert hashlib.sha256(out.encode()).hexdigest() == SCRIPTS[command]

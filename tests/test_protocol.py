@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from functools import reduce
 
 import numpy as np
@@ -72,6 +73,11 @@ def test_variant_validation():
         StateVariant(3, frozenset({1}))  # the sender never holds an X arm
     with pytest.raises(ValueError):
         StateVariant(3, frozenset({4}))
+    # positions are integers, Python's or numpy's, never rounded or parsed
+    for bad, shown in (({2.9}, "[2.9]"), ({3.5}, "[3.5]"), ({"3"}, "['3']")):
+        with pytest.raises(ValueError, match=re.escape(f"hadamard positions {shown} are not")):
+            StateVariant(4, bad)
+    assert StateVariant(4, {np.int64(3)}) == StateVariant(4, {3})
 
 
 def test_variant_indexing_and_names():

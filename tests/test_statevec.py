@@ -87,6 +87,8 @@ def test_state_from_amplitudes_validation():
         StateVector(2, np.array([1.0, 0.0]))  # wrong shape
     with pytest.raises(ValueError):
         StateVector(1, np.array([np.nan, 0.0]))
+    with pytest.raises(ValueError, match="need at least one qubit"):
+        StateVector(0, np.array([1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(np.inf, 0), complex(0, np.nan)])
@@ -243,6 +245,14 @@ def test_measure_z_never_picks_a_dead_outcome():
         assert _choose(probs, np.array([u, 0.0])).tolist() == [0, 0]
         assert z_projections(state, 0)[1][2] is None
         assert distribution_dict(outcome_distribution(state, [(0, "Z")]), 1).keys() == {(0,)}
+
+
+def test_threshold_rule_refuses_a_row_without_a_live_outcome():
+    # every sample needs a live outcome: an all-zero row, shared or a sample's own, has none
+    with pytest.raises(NormalizationError, match="no outcome has positive probability"):
+        _choose([0.0, 0.0], np.array([0.5]))
+    with pytest.raises(NormalizationError, match="no outcome has positive probability"):
+        _choose(np.array([[0.5, 0.5], [0.0, 0.0]]), np.array([0.5, 0.5]))
 
 
 def test_every_live_outcome_can_be_collapsed_onto():
