@@ -22,7 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from functools import reduce
 
 import numpy as np
@@ -126,10 +126,14 @@ def _variant(text: str, n: int) -> StateVariant:
     """``--variant``: a standard variant's name in any case, or receivers such as ``2,4``."""
     if variant := {v.name.lower(): v for v in standard_variants(n)}.get(text.strip().lower()):
         return variant
-    try:
-        return StateVariant(n, [int(p) for p in text.split(",") if p.strip()])
-    except ValueError:  # neither int()'s nor the range check's message names the option
-        raise ValueError(f"--variant {text!r} is no {n}-party carrier, e.g. psi2 or 2,4") from None
+    receivers = [item.strip() for item in text.split(",") if item.strip()]
+    # ASCII digits only: int() would also read "+3", "0_4" and non-ASCII digits
+    if all(item.isascii() and item.isdigit() for item in receivers):
+        try:
+            return StateVariant(n, [int(item) for item in receivers])
+        except ValueError:  # neither int()'s nor the range check's message names the option
+            pass
+    raise ValueError(f"--variant {text!r} is no {n}-party carrier, e.g. psi2 or 2,4")
 
 
 def cmd_run(args) -> int:
@@ -182,18 +186,21 @@ def _clear(code: int, vector: int) -> int:  # the code without the vector's high
     return min(code, code ^ vector)
 
 
-def _table_chunks(table: RecordTable, payload: int) -> Iterator[str]:
-    """One payload's table rows as ``analyze`` prints them below its heading, block by block.
+def _table_chunks(table: RecordTable, payloads: Sequence[int]) -> list[Iterator[str]]:
+    """Each payload's table rows as ``analyze`` prints them below its heading, block by block.
 
     Lines run in ascending (alice_a, alice_A, signs, eve), each
     ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key, its
     record's code with the Bell bits moved below the readout bits, ascends in
-    line order; the keys are the least base's XOR the span of the bases'
-    differences and the vectors, a basis put in reduced echelon form before
-    this returns, so binary counting over it lists them in order.  A key's
-    bits change its line by XOR (1 on a digit, 6 between "+" and "-", the
-    Bell bits on the eve digit), so the first 2**_BLOCK_BITS lines are doubled
-    from the offset's, and each block is those XOR its high vectors' pattern.
+    line order; a payload's keys are its least base's XOR the span of the
+    bases' differences and the vectors, a basis put in reduced echelon form
+    before this returns, so binary counting over it lists them in order.  A
+    key's bits change its line by XOR (1 on a digit, 6 between "+" and "-",
+    the Bell bits on the eve digit), so the first 2**_BLOCK_BITS lines are
+    doubled once per table, from key 0's line over the low vectors, and each
+    block of a payload is those XOR the pattern of its high vectors and the
+    payload's reduced offset.  The payloads share the basis, so payload 1's
+    blocks are payload 0's XOR the reduced frame's pattern.
     """
     width, tapped, p = table.width, table.tapped, f"{table.p:.8f}"
 
@@ -210,20 +217,24 @@ def _table_chunks(table: RecordTable, payload: int) -> Iterator[str]:
         return np.frombuffer(xor.to_bytes(len(zero), "big") * count, np.uint8).reshape(count, -1)
 
     # RecordTable's vectors are reduced and no base holds their highest bits: reduce the rest
-    bases, pivots, zero = table.bases_of(payload), [], line(0)
+    bases, pivots, zero = table.bases, [], line(0)
     for base in bases[1:]:
         if difference := reduce(_clear, pivots, key(base ^ bases[0])):
             pivots = [_clear(pivot, difference) for pivot in pivots] + [difference]
     basis = sorted([reduce(_clear, pivots, key(vector)) for vector in table.vectors] + pivots)
-    offset, low, shifts = reduce(_clear, pivots, key(bases[0])), basis[:_BLOCK_BITS], [0]
+    low, shifts = basis[:_BLOCK_BITS], [0]
     for vector in basis[_BLOCK_BITS:]:  # each block's combination of the high vectors
         shifts += [shift ^ vector for shift in shifts]
     rows = np.empty((1 << len(low), len(zero)), dtype=np.uint8)
-    rows[0] = np.frombuffer(line(offset), dtype=np.uint8)
+    rows[0] = np.frombuffer(zero, dtype=np.uint8)
     for i, vector in enumerate(low):
         np.bitwise_xor(rows[: 1 << i], pattern(vector, 1 << i), out=rows[1 << i : 2 << i])
-    # each block decoded from its array's buffer, with no bytes copy
-    return (str(rows ^ pattern(shift, len(rows)), "ascii") for shift in shifts)
+
+    def blocks(offset: int) -> Iterator[str]:
+        for shift in shifts:  # each block decoded from its array's buffer, with no bytes copy
+            yield str(rows ^ pattern(shift ^ offset, len(rows)), "ascii")
+
+    return [blocks(reduce(_clear, pivots, key(table.bases_of(payload)[0]))) for payload in payloads]
 
 
 def cmd_analyze(args) -> int:
@@ -235,7 +246,7 @@ def cmd_analyze(args) -> int:
     rate = conditional_detection_rate(table, args.condition_bell)
     info = eve_mutual_information(table)
     payloads = (0, 1) if args.payload is None else (args.payload,)
-    tables = [(payload, _table_chunks(table, payload)) for payload in payloads]
+    tables = zip(payloads, _table_chunks(table, payloads))
     positions = ",".join(str(p) for p in sorted(variant.hadamard_positions)) or "none"
     target = f" target={attack.resolve_target(args.parties)}" if attack.active else ""
     condition = ""

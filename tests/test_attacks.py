@@ -271,7 +271,8 @@ def test_oracle_peak_memory_stays_within_three_tables():
     assert peak <= 64 << 10
     tracemalloc.start()
     try:
-        lines = [chunk.count("\n") for chunk in _table_chunks(table, 0)]
+        [chunks] = _table_chunks(table, (0,))
+        lines = [chunk.count("\n") for chunk in chunks]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -349,11 +349,12 @@ def test_table_text_equals_a_per_record_format(width, tapped):
     ranks = [None if width < 14 else int(rng.integers(10)) for _ in range(3)]
     tables = [certain, largest] + [random_form(rng, width, tapped, rank) for rank in ranks]
     assert largest.p == 2.0 ** -min(9, width + 2 * tapped)
-    for table, payload in itertools.product(tables, (0, 1)):
-        text = "".join(_table_chunks(table, payload))
-        # compared as lines: pytest reports the first that differs, not a diff of the text
-        assert text.endswith("\n")
-        assert text.splitlines() == reference_table_text(table, payload).splitlines()
+    for table in tables:
+        for payload, chunks in zip((0, 1), _table_chunks(table, (0, 1))):
+            text = "".join(chunks)
+            # compared as lines: pytest reports the first that differs, not a diff of the text
+            assert text.endswith("\n")
+            assert text.splitlines() == reference_table_text(table, payload).splitlines()
 
 
 def test_table_chunks_span_blocks_and_codes_past_64_bits():
@@ -376,11 +377,48 @@ def test_table_chunks_span_blocks_and_codes_past_64_bits():
     bases = (offset, offset ^ bells[0], offset ^ bells[1], offset ^ bells[0] ^ bells[1])
     wide = attacks.RecordTable(70, True, bases, vectors, 1 << 65 | 1 << 62 | 1)
     for table, blocks in ((spanning, [1024] * 16), (wide, [64])):
-        for payload in (0, 1):
-            chunks = list(_table_chunks(table, payload))
+        for payload, chunks in zip((0, 1), _table_chunks(table, (0, 1))):
+            chunks = list(chunks)
             assert [chunk.count("\n") for chunk in chunks] == blocks
             text = reference_table_text(table, payload)
             assert "".join(chunks).splitlines() == text.splitlines()
+
+
+@pytest.mark.parametrize("attack", sorted(_ATTACK_NAMES))
+@pytest.mark.parametrize("variant", ("psi1", "psi13"))
+def test_analyze_prints_both_payloads_as_the_one_payload_commands_do(capsys, variant, attack):
+    # both payloads' blocks come from one first block: without --payload the
+    # output is the header, then --payload 0's body, then --payload 1's, then
+    # the figures; at n=12 the all-Hadamard carrier's tables span many blocks
+    argv = ["analyze", "--parties", "12", "--variant", variant, "--attack", attack]
+    extras = ((), ("--payload", "0"), ("--payload", "1"))
+    both, zero, one = (run_cli(capsys, *argv, *extra) for extra in extras)
+    assert both[0] == zero[0] == one[0] == 0
+    assert both[2] == zero[2] == one[2] == ""
+    zero, one = zero[1].splitlines(keepends=True), one[1].splitlines(keepends=True)
+    assert zero[1] == "payload 0 joint distribution:\n"
+    assert one[1] == "payload 1 joint distribution:\n"
+    assert zero[0] == one[0] and zero[-2:] == one[-2:]
+    assert both[1] == "".join(zero[:-2] + one[1:])
+
+
+@pytest.mark.parametrize("payload", (None, 0, 1))
+def test_analyze_doubles_one_first_block_per_table(monkeypatch, capsys, payload):
+    # the n=10 plain carrier's 1,024-line tables are one block, doubled from
+    # one line by 10 XORs, once for the table whatever the payloads printed
+    calls = []
+
+    def counting_xor(*args, **kwargs):
+        calls.append(args[0].shape)
+        return bitwise_xor(*args, **kwargs)
+
+    bitwise_xor = np.bitwise_xor
+    monkeypatch.setattr(np, "bitwise_xor", counting_xor)
+    extra = () if payload is None else ("--payload", str(payload))
+    code, out, _err = run_cli(capsys, "analyze", "--parties", "10", "--variant", "psi1", *extra)
+    assert code == 0
+    assert out.count("  alice_a=") == 1024 * (1 if extra else 2)
+    assert calls == [(1 << i, len(out.splitlines()[2]) + 1) for i in range(10)]
 
 
 class CountingSink:
@@ -491,9 +529,13 @@ def test_analyze_bad_variant_exits_2(capsys):
     assert out == ""
 
 
-@pytest.mark.parametrize("text", ("a", "2,x", "2;4", "psix", "psi0", "psi9", "1", "5"))
+@pytest.mark.parametrize(
+    "text", ("a", "2,x", "2;4", "psix", "psi0", "psi9", "1", "5", "\u0663,0_4", "3,0_4", "+3", "\uff13")
+)
 def test_analyze_bad_variant_exits_2_naming_the_option(capsys, text):
-    # at 4 parties: no such name, not a list of integers, or not receivers 2..4
+    # at 4 parties: no such name, not a list of ASCII digits (int() would read
+    # a sign, an underscore or an Arabic-Indic or full-width digit), or not
+    # receivers 2..4
     code, out, err = run_cli(capsys, "analyze", "--parties", "4", "--variant", text)
     assert code == 2
     assert out == ""
