@@ -6,9 +6,11 @@ and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
 ``analyze`` prints each payload's table straight from the one affine form,
-block by block: 1,024 lines doubled from one over the form's basis in
-reduced echelon form, then each later block as those XOR one line's
-pattern.  Every figure and basis is computed before the first write.
+block by block: 1,024 lines doubled once per table from one over the form's
+basis in reduced echelon form, then each block of a payload as those XOR
+one line's pattern; payload 1's blocks are payload 0's XOR the reduced
+frame's pattern.  Every figure, basis and first block is computed before
+the first write.
 
 Exit codes, kept by ``piped`` for the subcommands and the scripts alike:
 0 success, 1 recovery-table mismatch or stdout closed by its reader (e.g.
@@ -126,7 +128,7 @@ def _variant(text: str, n: int) -> StateVariant:
     """``--variant``: a standard variant's name in any case, or receivers such as ``2,4``."""
     if variant := {v.name.lower(): v for v in standard_variants(n)}.get(text.strip().lower()):
         return variant
-    receivers = [item.strip() for item in text.split(",") if item.strip()]
+    receivers = [item for item in map(str.strip, text.split(",")) if item]
     # ASCII digits only: int() would also read "+3", "0_4" and non-ASCII digits
     if all(item.isascii() and item.isdigit() for item in receivers):
         try:
@@ -189,7 +191,8 @@ def _clear(code: int, vector: int) -> int:  # the code without the vector's high
 def _table_chunks(table: RecordTable, payloads: Sequence[int]) -> list[Iterator[str]]:
     """Each payload's table rows as ``analyze`` prints them below its heading, block by block.
 
-    Lines run in ascending (alice_a, alice_A, signs, eve), each
+    Returns one iterator of blocks per payload, in the order given.  Lines
+    run in ascending (alice_a, alice_A, signs, eve), each
     ``  alice_a=%d alice_A=%d signs=%s eve=%s  p=%.8f``.  A line's key, its
     record's code with the Bell bits moved below the readout bits, ascends in
     line order; a payload's keys are its least base's XOR the span of the
