@@ -5,6 +5,9 @@ report files, ``analyze`` prints the exact single-round joint distribution
 and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
+``run`` checks its whole configuration, the session's size included, before
+it reads ``--message-file`` or draws ``--random-message``.
+
 ``analyze`` prints each payload's table straight from the one affine form,
 block by block: 1,024 lines doubled once per table from one over the form's
 basis in reduced echelon form, then each block of a payload as those XOR
@@ -15,8 +18,8 @@ the first write.
 Exit codes, kept by ``piped`` for the subcommands and the scripts alike:
 0 success, 1 recovery-table mismatch or stdout closed by its reader (e.g.
 piped into ``head``), 2 usage or validation error, 3 register capacity
-exceeded.  Nothing is written to stderr on success or when stdout is
-closed.
+exceeded or a session past its draw bound (``session.MAX_DRAWS``).  Nothing
+is written to stderr on success or when stdout is closed.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .attacks import (
 from .protocol import StateVariant, check_message_size, recover_secret, standard_variants
 from .session import (
     SessionConfig,
-    check_seed,
     default_output_dir,
     run_session,
     write_outputs,
@@ -141,23 +143,6 @@ def _variant(text: str, n: int) -> StateVariant:
 def cmd_run(args) -> int:
     if args.message_file is not None and args.random_message is not None:
         raise ValueError("give at most one of --message-file and --random-message")
-    if args.message_file is not None:
-        try:
-            with open(args.message_file, encoding="utf-8") as fh:
-                message = "".join(fh.read().split())
-        except UnicodeDecodeError as exc:  # its text names neither the file nor the flag
-            raise ValueError(f"--message-file is not UTF-8 text ({exc})") from None
-    elif args.random_message is not None:
-        if args.random_message < 0:
-            raise ValueError("--random-message must be non-negative")
-        # both are checked before the draw: its memory grows with the size, and
-        # numpy takes the seed as seed material
-        check_message_size(args.random_message, args.rounds, args.check_fraction)
-        check_seed(args.seed)
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed,)))
-        message = "".join(str(b) for b in rng.integers(0, 2, size=args.random_message))
-    else:
-        message = ""
     config = SessionConfig(
         n=args.parties,
         rounds=args.rounds,
@@ -166,9 +151,22 @@ def cmd_run(args) -> int:
         seed=args.seed,
         mode=args.mode,
         abort_threshold=args.abort_threshold,
-        message=message,
         all_subsets=args.all_subsets,
     )
+    config.validate()  # the whole configuration but its message, before one is read or drawn
+    if args.message_file is not None:
+        try:
+            with open(args.message_file, encoding="utf-8") as fh:
+                config.message = "".join(fh.read().split())
+        except UnicodeDecodeError as exc:  # its text names neither the file nor the flag
+            raise ValueError(f"--message-file is not UTF-8 text ({exc})") from None
+    elif args.random_message is not None:
+        if args.random_message < 0:
+            raise ValueError("--random-message must be non-negative")
+        # the fit is checked before the draw, whose memory grows with the size
+        check_message_size(args.random_message, args.rounds, args.check_fraction)
+        rng = np.random.default_rng(np.random.SeedSequence((args.seed,)))
+        config.message = "".join(str(b) for b in rng.integers(0, 2, size=args.random_message))
     result = run_session(config)
     out_dir = args.out if args.out is not None else default_output_dir()
     write_outputs(result, out_dir)

@@ -65,9 +65,13 @@ from .protocol import (
     recover_secret,
     standard_variants,
 )
+from .statevec import RegisterCapacityError
+
 TRANSCRIPT_NAME = "transcript.jsonl"
 REPORT_NAME = "report.json"
 OUTPUT_DIR_ENV = "GHZQSS_OUT"
+# the most uniforms one session draws: a whole session traces 37-88 B per draw (n=22 to n=3)
+MAX_DRAWS = 1 << 26
 
 
 _MASK32 = 0xFFFFFFFF
@@ -173,7 +177,13 @@ class SessionConfig:
     all_subsets: bool = False
 
     def validate(self) -> None:
+        """Refuse a bad round, session size, message, seed, mode or threshold, in that order.
+
+        Each check takes constant time but the message's, which is linear in its length.
+        """
         validate_round(self.n, self.attack)
+        if (draws := self.rounds * draws_per_round(self.attack, self.n)) > MAX_DRAWS:
+            raise RegisterCapacityError(f"{self.rounds} rounds need {draws} draws, above {MAX_DRAWS}")
         check_message(self.message, self.rounds, self.check_fraction)
         check_seed(self.seed)
         if self.mode not in ("sample", "exact"):

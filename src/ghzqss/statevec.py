@@ -70,7 +70,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
 class RegisterCapacityError(ValueError):
-    """An operation would exceed the dense-register qubit cap."""
+    """An operation would exceed the dense-register qubit cap, or a session its draw bound."""
 
 
 class NormalizationError(RuntimeError):

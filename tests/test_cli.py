@@ -167,11 +167,13 @@ def test_scripts_exit_quietly_when_their_reader_leaves(command):
         ("attack_analysis.py --parties 30", 3),
         ("detection_experiment.py --rounds 0", 2),
         ("detection_experiment.py --parties 30", 3),
+        ("detection_experiment.py --rounds 100000000000", 3),
     ],
 )
 def test_scripts_share_the_exit_code_contract(command, code):
-    # the scripts run under ``piped`` too: a bad option exits 2 and a register
-    # past the cap 3, each with one error line and nothing printed before it
+    # the scripts run under ``piped`` too: a bad option exits 2, and a register
+    # past the cap or a session past the draw bound 3, each with one error
+    # line and nothing printed before it
     proc = run_script(command)
     assert proc.returncode == code
     assert proc.stdout == b""
@@ -306,6 +308,42 @@ def test_run_random_message_fit_is_checked_before_the_draw(capsys, tmp_path, mon
     )
     assert code == 2
     assert err == "error: message of 6 bits does not fit in 5 message rounds\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_checks_the_session_before_it_draws_the_message(capsys, tmp_path, monkeypatch):
+    # 30 parties are past the qubit cap: the 2,000,000 bits, which fit, are never drawn
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("the random message was drawn before the session was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    args = ("--parties", "30", "--rounds", "4000000", "--random-message", "2000000")
+    code, out, err = run_cli(capsys, "run", *args, "--out", str(tmp_path / "o"))
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "qubit cap" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "code", "expected"),
+    [(("--parties", "30"), 3, "qubit cap"), (("--seed", "-1"), 2, "seed must be an integer")],
+    ids=["oversized_round", "negative_seed"],
+)
+def test_run_checks_the_session_before_it_opens_the_message_file(
+    capsys, tmp_path, monkeypatch, args, code, expected
+):
+    # the message file is valid, but the configuration is checked before it is opened
+    message = tmp_path / "message.txt"
+    message.write_text("01", encoding="utf-8")
+
+    def no_open(*_args, **_kwargs):
+        raise AssertionError("the message file was opened before the session was checked")
+
+    monkeypatch.setattr(cli, "open", no_open, raising=False)  # found before the builtin
+    argv = ("run", *args, "--message-file", str(message), "--out", str(tmp_path / "o"))
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
     assert not (tmp_path / "o").exists()
 
 
@@ -574,6 +612,23 @@ def test_oversized_rounds_are_refused_before_any_variant_is_built(monkeypatch, c
     assert captured.out == ""
     assert captured.err.startswith("error: ") and "qubit cap" in captured.err
     assert peak < 1 << 20
+
+
+def test_oversized_sessions_are_refused_before_any_round_is_planned(capsys, tmp_path):
+    # 10^11 rounds at n=3 draw 4 * 10^11 uniforms: refused by their count,
+    # before a column of the plan, about 8 bytes a round, is allocated
+    out_dir = tmp_path / "o"
+    tracemalloc.start()
+    try:
+        code = main(["run", "--rounds", "100000000000", "--out", str(out_dir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == "error: 100000000000 rounds need 400000000000 draws, above 67108864\n"
+    assert peak < 1 << 20
+    assert not out_dir.exists()
 
 
 def test_analyze_impossible_condition_exits_2_before_printing(capsys):

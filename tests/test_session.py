@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzqss import session
-from ghzqss.attacks import ATTACK_KINDS, AttackModel, run_round
+from ghzqss.attacks import ATTACK_KINDS, AttackModel, draws_per_round, run_round
 from ghzqss.protocol import (
     StateVariant,
     Transcript,
@@ -93,6 +93,27 @@ def test_config_capacity_limits():
     with pytest.raises(RegisterCapacityError):
         small_config(n=23, message="", attack=AttackModel("collective_cnot")).validate()
     small_config(n=23, message="").validate()  # 24 qubits exactly, allowed
+
+
+@pytest.mark.parametrize(
+    ("n", "kind"),
+    [(3, "none"), (3, "intercept_resend_bell"), (22, "none"), (22, "collective_cnot")],
+)
+def test_config_draw_bound(n, kind):
+    # the largest session within the bound passes, allocating nothing, and one
+    # round more is refused; at n=3 without an attack, 4 draws a round, it is
+    # the bound exactly
+    attack = AttackModel(kind)
+    rounds = session.MAX_DRAWS // draws_per_round(attack, n)
+    tracemalloc.start()
+    try:
+        small_config(n=n, rounds=rounds, attack=attack).validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    with pytest.raises(RegisterCapacityError, match=f"^{rounds + 1} rounds need "):
+        small_config(n=n, rounds=rounds + 1, attack=attack).validate()
 
 
 # ------------------------------------------------------------------ sessions
