@@ -6,7 +6,7 @@ and security numbers for one variant/attack pair, ``table1`` prints and
 verifies the eight-row recovery table for three parties.
 
 ``run`` checks its whole configuration, the session's size included, before
-it reads ``--message-file`` or draws ``--random-message``.
+it reads its message from ``--message-file``, the only way to give one.
 
 ``analyze`` prints each payload's table straight from the one affine form,
 block by block: 1,024 lines doubled once per table from one over the form's
@@ -40,13 +40,8 @@ from .attacks import (
     exact_table,
     validate_round,
 )
-from .protocol import StateVariant, check_message_size, recover_secret, standard_variants
-from .session import (
-    SessionConfig,
-    default_output_dir,
-    run_session,
-    write_outputs,
-)
+from .protocol import StateVariant, recover_secret, standard_variants
+from .session import SessionConfig, run_session, write_outputs
 from .statevec import RegisterCapacityError
 
 _ATTACK_NAMES = {
@@ -89,9 +84,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--check-fraction", type=float, default=0.5)
     run_p.add_argument("--seed", type=int, default=0)
     run_p.add_argument("--message-file", help="file holding the 0/1 message string")
-    run_p.add_argument(
-        "--random-message", type=int, metavar="BITS", help="send BITS random message bits"
-    )
     run_p.add_argument("--mode", choices=("sample", "exact"), default="sample")
     run_p.add_argument("--abort-threshold", type=float, default=0.0)
     run_p.add_argument(
@@ -99,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="draw variants from all receiver subsets instead of the standard n+1",
     )
-    run_p.add_argument("--out", default=None, help="output directory")
+    run_p.add_argument("--out", default="ghzqss_out", help="output directory")
 
     an_p = sub.add_parser("analyze", parents=[round_p], help="exact single-round analysis")
     an_p.add_argument(
@@ -141,8 +133,6 @@ def _variant(text: str, n: int) -> StateVariant:
 
 
 def cmd_run(args) -> int:
-    if args.message_file is not None and args.random_message is not None:
-        raise ValueError("give at most one of --message-file and --random-message")
     config = SessionConfig(
         n=args.parties,
         rounds=args.rounds,
@@ -153,23 +143,15 @@ def cmd_run(args) -> int:
         abort_threshold=args.abort_threshold,
         all_subsets=args.all_subsets,
     )
-    config.validate()  # the whole configuration but its message, before one is read or drawn
+    config.validate()  # the whole configuration but its message, before the file is opened
     if args.message_file is not None:
         try:
             with open(args.message_file, encoding="utf-8") as fh:
                 config.message = "".join(fh.read().split())
         except UnicodeDecodeError as exc:  # its text names neither the file nor the flag
             raise ValueError(f"--message-file is not UTF-8 text ({exc})") from None
-    elif args.random_message is not None:
-        if args.random_message < 0:
-            raise ValueError("--random-message must be non-negative")
-        # the fit is checked before the draw, whose memory grows with the size
-        check_message_size(args.random_message, args.rounds, args.check_fraction)
-        rng = np.random.default_rng(np.random.SeedSequence((args.seed,)))
-        config.message = "".join(str(b) for b in rng.integers(0, 2, size=args.random_message))
     result = run_session(config)
-    out_dir = args.out if args.out is not None else default_output_dir()
-    write_outputs(result, out_dir)
+    write_outputs(result, args.out)
     report = result.report
     ber = "n/a" if report.message_bit_error_rate is None else f"{report.message_bit_error_rate:.6f}"
     print(

@@ -244,25 +244,18 @@ def check_round_count(num_rounds: int, check_fraction: float) -> int:
     return max(1, math.ceil(num_rounds * check_fraction - 1e-9))
 
 
-def check_message_size(bits: int, num_rounds: int, check_fraction: float) -> int:
-    """Check that a message of ``bits`` bits fits the message rounds.
+def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
+    """Check that ``message`` is 0/1 text that fits the message rounds.
 
     Returns the check-round count, validating the round count and check
     fraction on the way.
     """
-    num_check = check_round_count(num_rounds, check_fraction)
-    if bits > num_rounds - num_check:
-        raise ValueError(
-            f"message of {bits} bits does not fit in {num_rounds - num_check} message rounds"
-        )
-    return num_check
-
-
-def check_message(message: str, num_rounds: int, check_fraction: float) -> int:
-    """Check that ``message`` is 0/1 text that ``check_message_size`` lets fit."""
-    if any(c not in "01" for c in message):
+    if message.translate({48: None, 49: None}):  # what is left is neither "0" nor "1"
         raise ValueError("message must be a string of 0s and 1s")
-    return check_message_size(len(message), num_rounds, check_fraction)
+    num_check = check_round_count(num_rounds, check_fraction)
+    if len(message) > (room := num_rounds - num_check):
+        raise ValueError(f"message of {len(message)} bits does not fit in {room} message rounds")
+    return num_check
 
 
 def plan_sequences(

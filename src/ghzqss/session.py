@@ -69,7 +69,6 @@ from .statevec import RegisterCapacityError
 
 TRANSCRIPT_NAME = "transcript.jsonl"
 REPORT_NAME = "report.json"
-OUTPUT_DIR_ENV = "GHZQSS_OUT"
 # the most uniforms one session draws: a whole session traces 37-88 B per draw (n=22 to n=3)
 MAX_DRAWS = 1 << 26
 
@@ -281,7 +280,7 @@ def run_session(config: SessionConfig) -> SessionResult:
         rounds = np.flatnonzero(~check)
         log.append({"event": "message_results", "rounds": rounds, "alice_bits": bits[rounds, 0]})
         carried = rounds[: len(config.message)]
-        recovered = "".join(map(str, secrets[carried].tolist()))
+        recovered = (secrets[carried] + 48).astype(np.uint8).tobytes().decode()  # "0" is 48
         ber = np.count_nonzero(secrets[carried] != payloads[carried]) / max(carried.size, 1)
 
     distinct, first, inverse = np.unique(masks, return_index=True, return_inverse=True)
@@ -357,10 +356,6 @@ def transcript_chunks(transcript: Transcript) -> Iterator[bytes]:
         checked = slice(*np.searchsorted(rounds, (start, start + len(bits))))
         mat[rounds[checked] - start, order] = listed[checked]
         yield mat[mat != 0].tobytes()
-
-
-def default_output_dir() -> str:
-    return os.environ.get(OUTPUT_DIR_ENV, "ghzqss_out")
 
 
 def write_outputs(result: SessionResult, out_dir: str) -> tuple[str, str]:

@@ -185,6 +185,8 @@ def test_scripts_share_the_exit_code_contract(command, code):
 
 def test_run_writes_outputs_and_summary(capsys, tmp_path):
     out_dir = tmp_path / "session"
+    message = tmp_path / "message.txt"
+    message.write_text("101100", encoding="utf-8")
     code, out, err = run_cli(
         capsys,
         "run",
@@ -192,8 +194,8 @@ def test_run_writes_outputs_and_summary(capsys, tmp_path):
         "16",
         "--seed",
         "4",
-        "--random-message",
-        "6",
+        "--message-file",
+        str(message),
         "--out",
         str(out_dir),
     )
@@ -242,28 +244,27 @@ def test_run_message_file(capsys, tmp_path):
     assert report["recovered_message"] == "1011"
 
 
-def test_run_random_message_is_seed_stable(capsys, tmp_path):
-    args = ("run", "--rounds", "12", "--seed", "21", "--random-message", "5")
-    run_cli(capsys, *args, "--out", str(tmp_path / "a"))
-    run_cli(capsys, *args, "--out", str(tmp_path / "b"))
-    ra = (tmp_path / "a" / "report.json").read_bytes()
-    rb = (tmp_path / "b" / "report.json").read_bytes()
-    assert ra == rb
+def test_run_has_no_random_message_option(capsys, tmp_path):
+    # a message comes only from --message-file
+    argv = ["run", "--random-message", "8", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "unrecognized arguments: --random-message 8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
-    code, _out, err = run_cli(
-        capsys,
-        "run",
-        "--message-file",
-        "whatever",
-        "--random-message",
-        "3",
-        "--out",
-        str(tmp_path / "z"),
-    )
-    assert code == 2
-    assert "error:" in err
+def test_run_writes_to_ghzqss_out_whatever_the_environment(capsys, tmp_path, monkeypatch):
+    # --out alone names the directory: the environment, GHZQSS_OUT included, is not read
+    monkeypatch.setenv("GHZQSS_OUT", str(tmp_path / "elsewhere"))
+    monkeypatch.chdir(tmp_path)
+    code, _out, err = run_cli(capsys, "run", "--rounds", "4")
+    assert (code, err) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "ghzqss_out").iterdir()) == [
+        "report.json",
+        "transcript.jsonl",
+    ]
+    assert not (tmp_path / "elsewhere").exists()
 
 
 @pytest.mark.parametrize(
@@ -275,7 +276,8 @@ def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
         (("--abort-threshold", "nan"), None, "abort threshold must lie in [0, 1]"),
         ((), b"\xff\xfe01", "--message-file is not UTF-8 text"),
         ((), b"01x1", "message must be a string of 0s and 1s"),
-        (("--seed", "-1", "--random-message", "2"), None, "seed must be an integer in [0, 2^64)"),
+        (("--rounds", "10"), b"111111", "message of 6 bits does not fit in 5 message rounds"),
+        (("--seed", "-1"), None, "seed must be an integer in [0, 2^64)"),
     ],
     ids=[
         "two_parties",
@@ -284,6 +286,7 @@ def test_run_rejects_conflicting_message_flags(capsys, tmp_path):
         "nan_abort_threshold",
         "non_utf8_message_file",
         "non_binary_message_file",
+        "oversized_message_file",
         "negative_seed",
     ],
 )
@@ -295,33 +298,6 @@ def test_run_validation_failures_exit_2(capsys, tmp_path, args, message, expecte
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
     assert expected in err
-
-
-def test_run_random_message_fit_is_checked_before_the_draw(capsys, tmp_path, monkeypatch):
-    # 6 bits for 5 message rounds: the size alone is refused, so no bit is drawn
-    def no_draw(*_args, **_kwargs):
-        raise AssertionError("the random message was drawn before its size was checked")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    code, _out, err = run_cli(
-        capsys, "run", "--rounds", "10", "--random-message", "6", "--out", str(tmp_path / "o")
-    )
-    assert code == 2
-    assert err == "error: message of 6 bits does not fit in 5 message rounds\n"
-    assert not (tmp_path / "o").exists()
-
-
-def test_run_checks_the_session_before_it_draws_the_message(capsys, tmp_path, monkeypatch):
-    # 30 parties are past the qubit cap: the 2,000,000 bits, which fit, are never drawn
-    def no_draw(*_args, **_kwargs):
-        raise AssertionError("the random message was drawn before the session was checked")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    args = ("--parties", "30", "--rounds", "4000000", "--random-message", "2000000")
-    code, out, err = run_cli(capsys, "run", *args, "--out", str(tmp_path / "o"))
-    assert (code, out) == (3, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and "qubit cap" in err
-    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(
@@ -344,18 +320,6 @@ def test_run_checks_the_session_before_it_opens_the_message_file(
     got, out, err = run_cli(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and expected in err
-    assert not (tmp_path / "o").exists()
-
-
-def test_run_negative_random_message_is_refused_before_the_draw(capsys, tmp_path, monkeypatch):
-    def no_draw(*_args, **_kwargs):
-        raise AssertionError("a negative random message size reached the draw")
-
-    monkeypatch.setattr(np.random, "default_rng", no_draw)
-    code, out, err = run_cli(capsys, "run", "--random-message", "-1", "--out", str(tmp_path / "o"))
-    assert code == 2
-    assert out == ""
-    assert err == "error: --random-message must be non-negative\n"
     assert not (tmp_path / "o").exists()
 
 

@@ -59,21 +59,23 @@ ANALYZE = [
     for variant, attack in (("Psi3", "none"), ("Psi10", "collective-cnot"))
 ]
 
+MESSAGE_BITS = "11111110"
+
 RUN = [
     ("run", "--parties", str(n), "--rounds", "200", "--seed", "7", "--attack", attack,
-     "--random-message", "8")
+     "--message-file", "MESSAGE")
     for n in (3, 4)
     for attack in ATTACKS
 ] + [
     ("run", "--parties", "9", "--rounds", "120", "--seed", "7", "--attack", attack,
-     "--random-message", "8")
+     "--message-file", "MESSAGE")
     for attack in ATTACKS
 ] + [
     ("run", "--parties", "4", "--rounds", "200", "--seed", "3", "--all-subsets",
      "--attack", "collective-h-cnot"),
 ] + [
     ("run", "--parties", str(n), "--rounds", rounds, "--seed", "7", "--attack", attack,
-     "--random-message", "8", "--mode", "exact")
+     "--message-file", "MESSAGE", "--mode", "exact")
     for n, rounds in ((3, "200"), (9, "120"))
     for attack in ATTACKS
 ] + [
@@ -159,31 +161,31 @@ GOLDEN = {
         "7935d054e647fb0ba21f1b20710c6271cc0cd692118d806517ffe3f76e3b77a4",
     "analyze --parties 4 --variant psi2 --attack intercept-resend --condition-bell 2":
         "6af8108d69252aafa8773b36e273ebdbd3b7474a94b9e6fb1ef2544224d4f6fd",
-    "run --parties 3 --rounds 200 --seed 7 --attack none --random-message 8":
+    "run --parties 3 --rounds 200 --seed 7 --attack none --message-file MESSAGE":
         "eb8d13ad2224eab08b44f52e097be840dd274a2ffe7c9b5c38371e7e54513280",
-    "run --parties 3 --rounds 200 --seed 7 --attack intercept-resend --random-message 8":
+    "run --parties 3 --rounds 200 --seed 7 --attack intercept-resend --message-file MESSAGE":
         "abb9c6c69864b5445c65f7bd90fabe97777d787d7308960fe5d1c74e25c3d4a8",
-    "run --parties 3 --rounds 200 --seed 7 --attack collective-cnot --random-message 8":
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-cnot --message-file MESSAGE":
         "a10712ca2c7c288d9a5dc83cf39cca3690acc8897b4a6197f6706e6934011eec",
-    "run --parties 3 --rounds 200 --seed 7 --attack collective-h-cnot --random-message 8":
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-h-cnot --message-file MESSAGE":
         "381949c3c3a3c4a086743553bbcb28562216287f07b7cfd1d446c8a77ae55940",
-    "run --parties 4 --rounds 200 --seed 7 --attack none --random-message 8":
+    "run --parties 4 --rounds 200 --seed 7 --attack none --message-file MESSAGE":
         "a473ac840c400a183493eb74150341ce9dad6a3e460b458d7d01c46dd99bd6b9",
-    "run --parties 4 --rounds 200 --seed 7 --attack intercept-resend --random-message 8":
+    "run --parties 4 --rounds 200 --seed 7 --attack intercept-resend --message-file MESSAGE":
         "5d4c9fbabefe3795a828974e8afa879ee01d11ab3df3ef273237f472785d56cb",
-    "run --parties 4 --rounds 200 --seed 7 --attack collective-cnot --random-message 8":
+    "run --parties 4 --rounds 200 --seed 7 --attack collective-cnot --message-file MESSAGE":
         "12e3b2463e29c718edd216dfb2c3f38bc064687d4e1e93df252b55d5c436d353",
-    "run --parties 4 --rounds 200 --seed 7 --attack collective-h-cnot --random-message 8":
+    "run --parties 4 --rounds 200 --seed 7 --attack collective-h-cnot --message-file MESSAGE":
         "8351022ba3f5c4d5186cdc73352440d27dfb76d7685be24358558ed62dd79389",
     "run --parties 4 --rounds 200 --seed 3 --all-subsets --attack collective-h-cnot":
         "6ef237104ff55e77e114232614c75e928ed9900f0d40b17b24f56a980335e152",
-    "run --parties 9 --rounds 120 --seed 7 --attack none --random-message 8":
+    "run --parties 9 --rounds 120 --seed 7 --attack none --message-file MESSAGE":
         "922421167c636bc0ce036774afbbbfae8983f7598e556a876e4fdb6b82afa431",
-    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --random-message 8":
+    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --message-file MESSAGE":
         "5f5c46e55809736a31db8d0eefc037abefb3addf4240f11c976ff357060d4669",
-    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --random-message 8":
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --message-file MESSAGE":
         "89bb649eaed3c188a435b7e3bdf1e53206202ca9ba9988a55e52c9440d6df3b3",
-    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --random-message 8":
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --message-file MESSAGE":
         "17d6f764aae69e34a4e223206fec3c81b3e567aa145b8a7905559ce3f6b553ef",
     "analyze --parties 10 --variant Psi1 --attack intercept-resend":
         "196fc1ef261bc448b95b913c0a1330721e8f17de314cd0b4cc5ffac6f9909f18",
@@ -235,21 +237,21 @@ GOLDEN = {
         "9d0464a2d2042bac3045e80e69dbd20bd2a234718f7af246cb549d3efcea19ca",
     "analyze --parties 10 --variant Psi10 --attack collective-cnot":
         "bd6faa0ac87f395e9b6fefa68ffa144257bc7a83b5395523a421a9587a3ea809",
-    "run --parties 3 --rounds 200 --seed 7 --attack none --random-message 8 --mode exact":
+    "run --parties 3 --rounds 200 --seed 7 --attack none --message-file MESSAGE --mode exact":
         "a8d63190b7bec90dcb115f21c5a1cd76835096cfc29dcedcfb9695931e440997",
-    "run --parties 3 --rounds 200 --seed 7 --attack intercept-resend --random-message 8 --mode exact":
+    "run --parties 3 --rounds 200 --seed 7 --attack intercept-resend --message-file MESSAGE --mode exact":
         "60f2e3a707506832be65df110149b51fbb640921fc08ef09107d0f6d0c4f8f66",
-    "run --parties 3 --rounds 200 --seed 7 --attack collective-cnot --random-message 8 --mode exact":
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-cnot --message-file MESSAGE --mode exact":
         "e81c4c0b55312dc5d4c9a5568b79e56e04a7aed9e7b9aa1fb684658211bd2134",
-    "run --parties 3 --rounds 200 --seed 7 --attack collective-h-cnot --random-message 8 --mode exact":
+    "run --parties 3 --rounds 200 --seed 7 --attack collective-h-cnot --message-file MESSAGE --mode exact":
         "112c3a823a4e44e2527f575d63dc2ca4dfb2bbfb0fedb03d757973cc38eb7ae0",
-    "run --parties 9 --rounds 120 --seed 7 --attack none --random-message 8 --mode exact":
+    "run --parties 9 --rounds 120 --seed 7 --attack none --message-file MESSAGE --mode exact":
         "95c11933421b453256d7b47449639f246d20ceb344fd120ca5efb45bdc30a6dc",
-    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --random-message 8 --mode exact":
+    "run --parties 9 --rounds 120 --seed 7 --attack intercept-resend --message-file MESSAGE --mode exact":
         "6e43961967b2d8b374251203ea6e745426a3430dfafa1933ab03b4e97aa91d9c",
-    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --random-message 8 --mode exact":
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-cnot --message-file MESSAGE --mode exact":
         "5bd92dfd83edfca88f46558f458f1dba517bd93f08a452f8ffefde0b16285dfd",
-    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --random-message 8 --mode exact":
+    "run --parties 9 --rounds 120 --seed 7 --attack collective-h-cnot --message-file MESSAGE --mode exact":
         "5990139b00d7a02d1d0211c0aa17d8f9093205d38923535aaf7ebdbce0e47396",
     "run --parties 4 --rounds 6 --seed 3 --all-subsets --attack intercept-resend --mode exact":
         "c5bf1a8541f6d03f404d426e9e5bef717085b55c4d589a699ec512fa793ad555",
@@ -269,9 +271,16 @@ SCRIPTS = {
 
 
 def command_bytes(argv, out_dir, capsys) -> bytes:
-    """Everything one command writes: stdout, then any session files."""
-    extra = ("--out", str(out_dir)) if argv[0] == "run" else ()
-    assert main([*argv, *extra]) == 0
+    """Everything one command writes: stdout, then any session files.
+
+    A ``run`` command's ``MESSAGE`` stands for a file holding ``MESSAGE_BITS``.
+    """
+    if argv[0] == "run":
+        message = out_dir.parent / "message.txt"
+        message.write_text(MESSAGE_BITS, encoding="utf-8")
+        argv = [str(message) if arg == "MESSAGE" else arg for arg in argv]
+        argv += ["--out", str(out_dir)]
+    assert main(argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     blob = captured.out.encode()

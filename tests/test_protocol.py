@@ -14,6 +14,7 @@ from ghzqss.protocol import (
     RoundPlan,
     StateVariant,
     announcement_schedule,
+    check_message,
     check_round_count,
     encode_round,
     measure_round,
@@ -280,6 +281,18 @@ def test_plan_sequences_validation():
         plan_sequences(10, 0.5, "101010", 3, rng)  # 6 bits, 5 slots
     with pytest.raises(ValueError):
         plan_sequences(0, 0.5, "", 3, rng)
+
+
+@pytest.mark.parametrize("message", ["012", "0 1", "0\n", "\u0661\u0660", "\uff11"])
+def test_check_message_refuses_any_character_but_ascii_0_and_1(message):
+    # whitespace, Arabic-Indic digits and a full-width one are digits or blanks to str methods
+    with pytest.raises(ValueError, match="^message must be a string of 0s and 1s$"):
+        check_message(message, 10, 0.5)
+
+
+@pytest.mark.parametrize("message", ["", "0101"])
+def test_check_message_accepts_0_1_text_and_returns_the_check_count(message):
+    assert check_message(message, 10, 0.5) == 5
 
 
 def test_plan_sequences_all_subsets_mode():

@@ -26,7 +26,6 @@ from ghzqss.session import (
     SessionConfig,
     _round_uniforms,
     _stream,
-    default_output_dir,
     eavesdrop_check,
     run_session,
     transcript_chunks,
@@ -540,13 +539,6 @@ def test_report_writer_matches_its_reference(
     written = [Path(write_outputs(result, str(tmp_path / d))[1]).read_bytes() for d in "ab"]
     assert vars(report) == before  # the writer neither sets nor changes a field
     assert written == [expected, expected]
-
-
-def test_default_output_dir_env(monkeypatch):
-    monkeypatch.delenv("GHZQSS_OUT", raising=False)
-    assert default_output_dir() == "ghzqss_out"
-    monkeypatch.setenv("GHZQSS_OUT", "/tmp/elsewhere")
-    assert default_output_dir() == "/tmp/elsewhere"
 
 
 def test_check_rate_agrees_with_per_variant_stats():
